@@ -14,18 +14,20 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import NoPathError, WindowTooSmallError
+from .errors import ConfigError, NoPathError, WindowTooSmallError
 from .posterior_io import FrameMap, PosteriorMatrix, Vocab, map_frames_back
 from .textprep import TokenSequence, Utterance, build_token_sequence
 from .trellis import (
     FRAGMENT_FRAMES,
     SCORE_REF_S,
     SHORT_PENALTY,
+    CharAlignment,
     UtteranceAlignment,
     apply_short_penalty,
     backtrack,
@@ -38,23 +40,50 @@ from .trellis import (
 log = logging.getLogger("anchoralign.aligner")
 
 
+def knob(default: Any, help: str, **meta: Any) -> Any:
+    """A settings field carrying its help text and range in its metadata.
+
+    meta may set `above` (values must be greater) or `at_least` (values
+    must be at least this), which check_knobs enforces, and `key` (config
+    key and flag name, default the field name) or `parse` (converter from
+    a string, default the type of the default), which the CLI reads.
+    """
+    return field(default=default, metadata={"help": help, **meta})
+
+
+def check_knobs(settings: Any) -> None:
+    """Raise ConfigError for a non-finite float or a value out of its range."""
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(f.default, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+        if "above" in f.metadata and not value > f.metadata["above"]:
+            raise ConfigError(f"{f.name} must be > {f.metadata['above']}, got {value}")
+        if "at_least" in f.metadata and not value >= f.metadata["at_least"]:
+            raise ConfigError(f"{f.name} must be >= {f.metadata['at_least']}, got {value}")
+
+
 @dataclass(frozen=True)
 class AlignParams:
-    """Knobs of the iterative aligner.
+    """Knobs of the iterative aligner; out-of-range values raise ConfigError.
 
     threshold is the natural-log acceptance score for the last utterance of
     a window (-2.0 corresponds to a linear fragment mean of about 0.135).
     """
 
-    threshold: float = -2.0
-    window_s: float = 120.0
-    window_step_s: float = 60.0
-    max_window_s: float = 600.0
-    max_utts_per_window: int = 12
-    fragment_frames: int = FRAGMENT_FRAMES
-    score_ref_s: float = SCORE_REF_S
-    short_penalty: float = SHORT_PENALTY
-    allow_char_stay: bool = False
+    threshold: float = knob(-2.0, "acceptance score for the last utterance of a window")
+    window_s: float = knob(120.0, "starting window length in seconds", above=0)
+    window_step_s: float = knob(60.0, "window growth per retry in seconds", above=0)
+    max_window_s: float = knob(
+        600.0, "window length in seconds past which an utterance is skipped", above=0
+    )
+    max_utts_per_window: int = knob(12, "utterance count cap per window", at_least=1)
+    fragment_frames: int = knob(FRAGMENT_FRAMES, "scoring block size in frames", at_least=1)
+    score_ref_s: float = knob(SCORE_REF_S, "reference seconds for s_seg_norm", above=0)
+    short_penalty: float = knob(SHORT_PENALTY, "score cap for one-fragment utterances")
+
+    def __post_init__(self) -> None:
+        check_knobs(self)
 
 
 @dataclass(frozen=True)
@@ -121,7 +150,7 @@ def align_window(
     for n in range(len(utts), 0, -1):
         ts = build_token_sequence(utts[:n], vocab)
         try:
-            tr = compute_trellis(window_logp, ts, vocab.blank_index, params.allow_char_stay)
+            tr = compute_trellis(window_logp, ts, vocab.blank_index)
             chars, rho = backtrack(tr, window_logp, ts)
         except NoPathError:
             attempts.append((n, -np.inf))
@@ -147,7 +176,7 @@ def align_window(
 
 
 def _score_batch(
-    chars,
+    chars: list[CharAlignment],
     rho: np.ndarray,
     ts: TokenSequence,
     utts: Sequence[Utterance],
@@ -161,27 +190,16 @@ def _score_batch(
         start = chars[first].start_frame
         end = chars[last].start_frame  # emission frame of the last character
         length = end - start + 1
-        rho_span = rho[start : end + 1].copy()
-        score = segment_score(fragment_scores(rho_span, params.fragment_frames))
+        score = segment_score(fragment_scores(rho[start : end + 1], params.fragment_frames))
         score, penalized = apply_short_penalty(
             score, length, params.fragment_frames, params.short_penalty
         )
         duration_s = length * frame_duration_s
-        own_chars = [
-            dataclasses.replace(
-                ca,
-                start_frame=ca.start_frame + window_start,
-                end_frame=ca.end_frame + window_start,
-            )
-            for ca in chars[first : last + 1]
-        ]
         out.append(
             UtteranceAlignment(
                 utt_index=utt.utt_index,
                 start_frame=start + window_start,
                 end_frame=end + window_start,
-                chars=own_chars,
-                rho=rho_span,
                 s_seg=score,
                 s_seg_norm=normalize_score(score, duration_s, params.score_ref_s),
                 penalized=penalized,
@@ -202,6 +220,7 @@ def align_file(
 
     Utterances need est_duration_s set (see textprep.estimate_time_refs);
     estimates drive window packing and the anchor advance after a skip.
+    Raises ConfigError when window_s or window_step_s is under one frame.
     """
     if pm.vocab_id and pm.vocab_id != vocab.checksum():
         raise ValueError("posterior matrix was loaded against a different vocab")
@@ -209,6 +228,9 @@ def align_file(
         if utt.est_duration_s <= 0:
             raise ValueError(f"utterance {utt.utt_index} has no duration estimate")
     dur = pm.frame_duration_s
+    for name in ("window_s", "window_step_s"):
+        if round(getattr(params, name) / dur) < 1:
+            raise ConfigError(f"{name} must be at least one {dur:g} s frame")
     n_frames = pm.n_frames
     run = AlignmentRun(
         file_id=file_id,

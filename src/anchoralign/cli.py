@@ -21,11 +21,16 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-import numpy as np
-
-from .aligner import AlignmentRun, AlignParams, align_file, frames_to_seconds
+from .aligner import (
+    AlignmentRun,
+    AlignParams,
+    align_file,
+    check_knobs,
+    frames_to_seconds,
+    knob,
+)
 from .errors import AnchorAlignError, ConfigError
 from .filters import (
     filter_absolute,
@@ -58,12 +63,7 @@ from .synthdata import (
     write_ground_truth,
 )
 from .textprep import MAX_WORDS_PER_UTT, estimate_time_refs, load_utterances
-from .trellis import (
-    FRAGMENT_FRAMES,
-    SCORE_REF_S,
-    SHORT_PENALTY,
-    UtteranceAlignment,
-)
+from .trellis import SCORE_REF_S, UtteranceAlignment
 
 log = logging.getLogger("anchoralign.cli")
 
@@ -73,53 +73,6 @@ REGIONS_SUFFIX = ".regions"
 OUTPUT_FORMATS = ("jsonl", "ctm", "segments")
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one align run (defaults < config file < flags)."""
-
-    posterior_dir: str = ""
-    transcript_dir: str = ""
-    regions_dir: str = ""
-    vocab: str = ""
-    output_dir: str = ""
-    formats: tuple[str, ...] = OUTPUT_FORMATS
-    workers: int = 1
-    pass_id: int = 1
-    max_words: int = MAX_WORDS_PER_UTT
-    max_gap_s: float = 30.0
-    threshold: float = -2.0
-    window_s: float = 120.0
-    window_step_s: float = 60.0
-    max_window_s: float = 600.0
-    max_utts_per_window: int = 12
-    fragment_frames: int = FRAGMENT_FRAMES
-    score_ref_s: float = SCORE_REF_S
-    short_penalty: float = SHORT_PENALTY
-    allow_char_stay: bool = False
-
-    def align_params(self) -> AlignParams:
-        return AlignParams(
-            threshold=self.threshold,
-            window_s=self.window_s,
-            window_step_s=self.window_step_s,
-            max_window_s=self.max_window_s,
-            max_utts_per_window=self.max_utts_per_window,
-            fragment_frames=self.fragment_frames,
-            score_ref_s=self.score_ref_s,
-            short_penalty=self.short_penalty,
-            allow_char_stay=self.allow_char_stay,
-        )
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {text!r}")
 
 
 def _parse_formats(text: str) -> tuple[str, ...]:
@@ -134,32 +87,53 @@ def _parse_formats(text: str) -> tuple[str, ...]:
     return parts
 
 
-# config-file key -> (RunConfig field, converter from string)
-CONFIG_KEYS = {
-    "posterior_dir": ("posterior_dir", str),
-    "transcript_dir": ("transcript_dir", str),
-    "regions_dir": ("regions_dir", str),
-    "vocab": ("vocab", str),
-    "output_dir": ("output_dir", str),
-    "formats": ("formats", _parse_formats),
-    "workers": ("workers", int),
-    "pass": ("pass_id", int),
-    "max_words": ("max_words", int),
-    "max_gap_s": ("max_gap_s", float),
-    "threshold": ("threshold", float),
-    "window_s": ("window_s", float),
-    "window_step_s": ("window_step_s", float),
-    "max_window_s": ("max_window_s", float),
-    "max_utts_per_window": ("max_utts_per_window", int),
-    "fragment_frames": ("fragment_frames", int),
-    "score_ref_s": ("score_ref_s", float),
-    "short_penalty": ("short_penalty", float),
-    "allow_char_stay": ("allow_char_stay", _parse_bool),
-}
+@dataclass(frozen=True)
+class RunConfig:
+    """Resolved settings for one align run (defaults < config file < flags).
+
+    Every field here and in AlignParams is one config key and one flag (see
+    _settings); out-of-range values raise ConfigError at construction.
+    """
+
+    posterior_dir: str = knob("", "directory of .ctcp files")
+    transcript_dir: str = knob("", "directory of .txt transcripts")
+    regions_dir: str = knob("", "optional directory of .regions speech-region files")
+    vocab: str = knob("", "vocabulary file (index<TAB>symbol plus directives)")
+    output_dir: str = knob("", "where outputs are written")
+    formats: tuple[str, ...] = knob(
+        OUTPUT_FORMATS, "comma-separated subset of jsonl,ctm,segments", parse=_parse_formats
+    )
+    workers: int = knob(1, "parallel file workers", at_least=1)
+    pass_id: int = knob(1, "pass number recorded in jsonl rows", key="pass")
+    max_words: int = knob(MAX_WORDS_PER_UTT, "words per utterance cap", at_least=1)
+    max_gap_s: float = knob(
+        30.0, "non-speech gaps longer than this many seconds are compressed away", at_least=0
+    )
+    align: AlignParams = field(default_factory=AlignParams)
+
+    def __post_init__(self) -> None:
+        check_knobs(self)
+
+
+def _settings() -> list[dataclasses.Field]:
+    """Every align setting in flag order, with AlignParams spliced in at `align`."""
+    out: list[dataclasses.Field] = []
+    for f in dataclasses.fields(RunConfig):
+        out.extend(dataclasses.fields(AlignParams) if f.name == "align" else [f])
+    return out
+
+
+def _key(f: dataclasses.Field) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def _parser_of(f: dataclasses.Field):
+    return f.metadata.get("parse", type(f.default))
 
 
 def parse_config_file(path: str | os.PathLike) -> dict[str, object]:
-    """Parse a flat `key = value` config file into RunConfig field values."""
+    """Parse a flat `key = value` config file into setting field values."""
+    settings = {_key(f): f for f in _settings()}
     values: dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -170,27 +144,26 @@ def parse_config_file(path: str | os.PathLike) -> dict[str, object]:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            val = val.strip()
-            if key not in CONFIG_KEYS:
+            if key not in settings:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            field, conv = CONFIG_KEYS[key]
+            f = settings[key]
             try:
-                values[field] = conv(val)
-            except (ValueError, ConfigError) as exc:
+                values[f.name] = _parser_of(f)(val.strip())
+            except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags (flags win) into a RunConfig."""
-    values: dict[str, object] = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    for field, _ in CONFIG_KEYS.values():
-        flag_val = getattr(args, field, None)
+    values = parse_config_file(args.config) if args.config else {}
+    for f in _settings():
+        flag_val = getattr(args, f.name, None)
         if flag_val is not None:
-            values[field] = flag_val
-    cfg = dataclasses.replace(RunConfig(), **values)
+            values[f.name] = flag_val
+    align_names = [f.name for f in dataclasses.fields(AlignParams) if f.name in values]
+    align = AlignParams(**{name: values.pop(name) for name in align_names})
+    cfg = RunConfig(align=align, **values)
     for required in ("posterior_dir", "transcript_dir", "vocab", "output_dir"):
         if not getattr(cfg, required):
             raise ConfigError(f"missing required setting: {required}")
@@ -268,7 +241,7 @@ def _align_one(job: tuple[str, RunConfig, Vocab]) -> dict:
             frame_map = identity_frame_map(pm.n_frames)
         utts = load_utterances(transcript_path, vocab, max_words=cfg.max_words)
         utts = estimate_time_refs(utts, pm.duration_s)
-        run = align_file(pm, utts, vocab, cfg.align_params(), file_id=file_id)
+        run = align_file(pm, utts, vocab, cfg.align, file_id=file_id)
         run = frames_to_seconds(run, frame_map)
         texts = {u.utt_index: u.text for u in utts}
         if "jsonl" in cfg.formats:
@@ -360,8 +333,6 @@ def load_alignment_jsonl(path: str | os.PathLike) -> list[tuple[UtteranceAlignme
                 utt_index=int(rec["utt_index"]),
                 start_frame=0,
                 end_frame=0,
-                chars=[],
-                rho=np.empty(0, dtype=np.float64),
                 s_seg=float(rec["s_seg"]),
                 s_seg_norm=float(rec["s_seg_norm"]),
                 penalized=bool(rec["penalized"]),
@@ -389,7 +360,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     elif args.method == "chebyshev":
         kept, report = filter_chebyshev(everything, worst_fraction=args.worst_fraction)
     else:
-        kept, report = filter_normalized(everything, cutoff=args.cutoff, ref_s=args.score_ref_s)
+        kept, report = filter_normalized(everything, cutoff=args.cutoff, ref_s=args.ref_s)
     kept_ids = {id(aln) for aln in kept}
     for path, rows in per_file:
         name = os.path.basename(path)
@@ -504,60 +475,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _add_align_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("align", help="align posterior files against transcripts")
     p.add_argument("--config", help="flat key = value config file; flags win")
-    p.add_argument("--posterior-dir", dest="posterior_dir", help="directory of .ctcp files")
-    p.add_argument("--transcript-dir", dest="transcript_dir", help="directory of .txt transcripts")
-    p.add_argument(
-        "--regions-dir",
-        dest="regions_dir",
-        help="optional directory of .regions speech-region files",
-    )
-    p.add_argument("--vocab", help="vocabulary file (index<TAB>symbol plus directives)")
-    p.add_argument("--output-dir", dest="output_dir", help="where outputs are written")
-    p.add_argument(
-        "--formats",
-        type=_parse_formats,
-        help="comma-separated subset of jsonl,ctm,segments (default all)",
-    )
-    p.add_argument("--workers", type=int, help="parallel file workers (default 1)")
-    p.add_argument(
-        "--pass", dest="pass_id", type=int, help="pass number recorded in jsonl rows (default 1)"
-    )
-    p.add_argument("--max-words", dest="max_words", type=int, help="words per utterance cap")
-    p.add_argument(
-        "--max-gap-s",
-        dest="max_gap_s",
-        type=float,
-        help="non-speech gaps longer than this are compressed away (seconds)",
-    )
-    p.add_argument("--threshold", type=float, help="acceptance threshold on segment score")
-    p.add_argument("--window-s", dest="window_s", type=float, help="starting window length")
-    p.add_argument(
-        "--window-step-s", dest="window_step_s", type=float, help="window growth per retry"
-    )
-    p.add_argument(
-        "--max-window-s", dest="max_window_s", type=float, help="window length giving up point"
-    )
-    p.add_argument(
-        "--max-utts-per-window",
-        dest="max_utts_per_window",
-        type=int,
-        help="utterance count cap per window",
-    )
-    p.add_argument(
-        "--fragment-frames", dest="fragment_frames", type=int, help="scoring block size in frames"
-    )
-    p.add_argument(
-        "--score-ref-s", dest="score_ref_s", type=float, help="reference duration for s_seg_norm"
-    )
-    p.add_argument(
-        "--short-penalty", dest="short_penalty", type=float, help="score clamp for one-block utterances"
-    )
-    p.add_argument(
-        "--allow-char-stay",
-        dest="allow_char_stay",
-        type=_parse_bool,
-        help="true/false: let repeated frames score the character instead of blank",
-    )
+    for f in _settings():
+        shown = ",".join(f.default) if isinstance(f.default, tuple) else f.default
+        p.add_argument(
+            "--" + _key(f).replace("_", "-"),
+            dest=f.name,
+            type=_parser_of(f),
+            help=f.metadata["help"] + (f" (default {shown})" if shown != "" else ""),
+        )
     p.set_defaults(func=cmd_align)
 
 
@@ -580,7 +505,8 @@ def _add_filter_parser(sub: argparse._SubParsersAction) -> None:
     )
     p.add_argument(
         "--score-ref-s",
-        dest="score_ref_s",
+        dest="ref_s",
+        metavar="SCORE_REF_S",
         type=float,
         default=SCORE_REF_S,
         help="reference duration for the normalized method",

@@ -41,5 +41,5 @@ class ManifestError(AnchorAlignError):
     """Synthetic-corpus manifest is malformed."""
 
 
-class ConfigError(AnchorAlignError):
-    """Run configuration file or flags are invalid."""
+class ConfigError(AnchorAlignError, ValueError):
+    """A setting, from a config file, a flag or a library call, is invalid."""

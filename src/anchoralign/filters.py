@@ -10,6 +10,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .aligner import AlignmentRun
+from .errors import ConfigError
 from .posterior_io import _atomic_write_text
 from .trellis import SCORE_REF_S, UtteranceAlignment, normalize_score
 
@@ -50,7 +51,7 @@ def filter_chebyshev(
     worst_fraction of the scores can sit below it. Zero variance keeps all.
     """
     if not 0.0 < worst_fraction < 1.0:
-        raise ValueError("worst_fraction must be in (0, 1)")
+        raise ConfigError(f"worst_fraction must be in (0, 1), got {worst_fraction}")
     if not alns:
         return [], _report("chebyshev", alns, [], -math.inf)
     scores = np.array([a.s_seg for a in alns], dtype=np.float64)
@@ -94,8 +95,10 @@ def score_histogram(
     Scores below the floor pool into the lowest bin; scores of exactly 0
     land in the top bin, so counts always sum to len(alns).
     """
-    if bin_width <= 0 or floor >= 0:
-        raise ValueError("need bin_width > 0 and floor < 0")
+    if not (0 < bin_width < math.inf and -math.inf < floor < 0):
+        raise ConfigError(
+            f"need finite bin_width > 0 and floor < 0, got {bin_width} and {floor}"
+        )
     n_bins = math.ceil(-floor / bin_width)
     counts = [0] * n_bins
     for a in alns:

@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyTextError
+from .errors import ConfigError, EmptyTextError
 from .posterior_io import Vocab
 
 MAX_WORDS_PER_UTT = 24
@@ -70,7 +70,7 @@ def split_utterances(
 ) -> list[Utterance]:
     """Chunk normalized text into utterances of at most max_words words."""
     if max_words < 1:
-        raise ValueError("max_words must be >= 1")
+        raise ConfigError(f"max_words must be >= 1, got {max_words}")
     words = [w for w in text.split(separator) if w]
     if not words:
         raise EmptyTextError("no words to split")
@@ -125,27 +125,15 @@ def estimate_time_refs(utts: Sequence[Utterance], total_speech_s: float) -> list
     ]
 
 
-def read_transcript(path: str | os.PathLike) -> str:
-    """Read a transcript file: plain text, or caption lines `start end text`.
-
-    Caption timestamps are advisory input and are dropped; detection requires
-    every non-empty line to start with two floats.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    non_empty = [line for line in lines if line.strip()]
-    if non_empty and all(_caption_prefix(line) is not None for line in non_empty):
-        return "\n".join(_caption_prefix(line) for line in non_empty)  # type: ignore[arg-type]
-    return "\n".join(lines)
-
-
 def load_utterances(
     path: str | os.PathLike, vocab: Vocab, max_words: int = MAX_WORDS_PER_UTT
 ) -> list[Utterance]:
     """Read a transcript and produce the utterance list to align.
 
-    Caption lines become one utterance each (split further only past
-    max_words); plain text is chunked by max_words. Lines that normalize to
+    The file holds captions when every non-empty line starts with two floats
+    (`start end text`); the advisory timestamps are dropped and each line
+    becomes one utterance, split further only past max_words. Otherwise the
+    whole file is plain text chunked by max_words. Lines that normalize to
     nothing are dropped.
     """
     with open(path, encoding="utf-8") as fh:

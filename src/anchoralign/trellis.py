@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import NoPathError
+from .errors import ConfigError, NoPathError
 from .textprep import TokenSequence
 
 FRAGMENT_FRAMES = 30
@@ -32,7 +32,6 @@ class Trellis:
     k: np.ndarray
     col_tokens: np.ndarray
     blank_index: int
-    allow_char_stay: bool = False
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,6 @@ class UtteranceAlignment:
     utt_index: int
     start_frame: int
     end_frame: int
-    chars: list[CharAlignment]
-    rho: np.ndarray
     s_seg: float
     s_seg_norm: float
     penalized: bool
@@ -76,17 +73,8 @@ class UtteranceAlignment:
     end_s: float | None = None
 
 
-def compute_trellis(
-    window_logp: np.ndarray,
-    ts: TokenSequence,
-    blank_index: int,
-    allow_char_stay: bool = False,
-) -> Trellis:
-    """Fill the lattice for a posterior window (T_w x V, natural log).
-
-    allow_char_stay lets a column also hold itself with the token's own
-    probability instead of blank only; default off.
-    """
+def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int) -> Trellis:
+    """Fill the lattice for a posterior window (T_w x V, natural log)."""
     window = np.asarray(window_logp, dtype=np.float64)
     if window.ndim != 2 or window.shape[0] < 1:
         raise ValueError(f"bad window shape {window.shape}")
@@ -103,15 +91,10 @@ def compute_trellis(
     for t in range(1, n_frames + 1):
         prev = k[t - 1]
         advance = prev[:-1] + window[t - 1, col_tokens]
-        if allow_char_stay:
-            stay = prev[1:] + np.maximum(blank_lp[t - 1], window[t - 1, col_tokens])
-        else:
-            stay = prev[1:] + blank_lp[t - 1]
+        stay = prev[1:] + blank_lp[t - 1]
         k[t, 1:] = np.maximum(stay, advance)
     k.flags.writeable = False
-    return Trellis(
-        k=k, col_tokens=col_tokens, blank_index=blank_index, allow_char_stay=allow_char_stay
-    )
+    return Trellis(k=k, col_tokens=col_tokens, blank_index=blank_index)
 
 
 def backtrack(
@@ -141,12 +124,8 @@ def backtrack(
     while j >= 1:
         if t < 1:
             raise NoPathError("backtrack walked past the window start")
-        tok_lp = window[t - 1, tr.col_tokens[j - 1]]
-        adv_val = k[t - 1, j - 1] + tok_lp
-        if tr.allow_char_stay:
-            stay_val = k[t - 1, j] + max(blank_lp[t - 1], tok_lp)
-        else:
-            stay_val = k[t - 1, j] + blank_lp[t - 1]
+        adv_val = k[t - 1, j - 1] + window[t - 1, tr.col_tokens[j - 1]]
+        stay_val = k[t - 1, j] + blank_lp[t - 1]
         if adv_val >= stay_val:
             advance_row[j] = t
             j -= 1
@@ -177,7 +156,7 @@ def fragment_scores(rho: np.ndarray, fragment_frames: int = FRAGMENT_FRAMES) -> 
     length; a span no longer than fragment_frames yields a single fragment.
     """
     if fragment_frames < 1:
-        raise ValueError("fragment_frames must be >= 1")
+        raise ConfigError("fragment_frames must be >= 1")
     rho = np.asarray(rho, dtype=np.float64)
     if rho.ndim != 1 or rho.size == 0:
         raise ValueError("rho must be a non-empty 1-D array")
@@ -204,10 +183,10 @@ def normalize_score(score: float, duration_s: float, ref_s: float = SCORE_REF_S)
     Long utterances keep their (typically lower) scores comparable to short
     ones by weighting the log score with duration_s / ref_s.
     """
+    if not 0 < ref_s < np.inf:
+        raise ConfigError(f"score_ref_s must be > 0 and finite, got {ref_s}")
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
-    if ref_s <= 0:
-        raise ValueError("ref_s must be positive")
     return score * duration_s / ref_s
 
 

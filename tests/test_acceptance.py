@@ -304,16 +304,11 @@ def _score_stub(s_seg: float) -> UtteranceAlignment:
         utt_index=0,
         start_frame=0,
         end_frame=0,
-        chars=[],
-        rho=_EMPTY_RHO,
         s_seg=s_seg,
         s_seg_norm=s_seg,
         penalized=False,
         duration_s=1.0,
     )
-
-
-_EMPTY_RHO = np.empty(0)
 
 
 def test_chebyshev_filter_bound(capsys):

@@ -19,7 +19,7 @@ from anchoralign import (
     normalize_score,
     synth_posteriors,
 )
-from anchoralign.errors import WindowTooSmallError
+from anchoralign.errors import ConfigError, WindowTooSmallError
 
 FRAME_S = 0.02
 
@@ -255,6 +255,31 @@ def test_file_validates_inputs(spanish_vocab):
     other = Vocab(symbols=("∅", " ", "a"), blank_index=0, separator_index=1)
     with pytest.raises(ValueError):
         align_file(pm, utts, other)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"window_s": 0.0},
+        {"window_step_s": 0.0},
+        {"max_window_s": -1.0},
+        {"score_ref_s": 0.0},
+        {"fragment_frames": 0},
+        {"max_utts_per_window": 0},
+        {"threshold": float("nan")},
+        {"short_penalty": float("-inf")},
+    ],
+)
+def test_params_reject_out_of_range_values(bad):
+    with pytest.raises(ConfigError):
+        AlignParams(**bad)
+
+
+def test_file_rejects_windows_under_one_frame(spanish_vocab):
+    pm, _, utts = _render(_spans([TEXT_A], 50, 150), spanish_vocab, 4.0)
+    for bad in ({"window_s": 0.001}, {"window_step_s": 0.001}):
+        with pytest.raises(ConfigError):
+            align_file(pm, utts, spanish_vocab, AlignParams(**bad))
 
 
 # --- frames_to_seconds -------------------------------------------------------

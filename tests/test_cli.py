@@ -1,6 +1,7 @@
 """Command-line interface tests: config handling and the full pipeline."""
 
 import json
+import logging
 import math
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 from conftest import small_file_spec
 
 from anchoralign import (
+    AlignParams,
     load_ground_truth,
     load_posteriors,
     load_vocab,
@@ -37,7 +39,6 @@ def test_parse_config_file(tmp_path):
         "threshold = -1.5\n"
         "pass = 2\n"
         "formats = jsonl,ctm\n"
-        "allow_char_stay = true\n"
         "\n",
         encoding="utf-8",
     )
@@ -47,7 +48,6 @@ def test_parse_config_file(tmp_path):
         "threshold": -1.5,
         "pass_id": 2,
         "formats": ("jsonl", "ctm"),
-        "allow_char_stay": True,
     }
 
 
@@ -68,6 +68,12 @@ def test_parse_formats():
         _parse_formats("")
 
 
+def test_bad_formats_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["align", "--formats", "csv"])
+    assert exc.value.code == 2
+
+
 def test_flags_override_config_file(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text(
@@ -81,9 +87,9 @@ def test_flags_override_config_file(tmp_path):
         ["align", "--config", str(conf), "--threshold", "-3.0"]
     )
     cfg = resolve_config(args)
-    assert cfg.threshold == -3.0  # flag wins
+    assert cfg.align.threshold == -3.0  # flag wins
     assert cfg.workers == 4  # file wins over default
-    assert cfg.window_s == RunConfig().window_s  # untouched default
+    assert cfg.align.window_s == RunConfig().align.window_s  # untouched default
 
 
 def test_missing_required_setting(tmp_path):
@@ -92,14 +98,6 @@ def test_missing_required_setting(tmp_path):
     args = build_parser().parse_args(["align", "--posterior-dir", "/p"])
     with pytest.raises(ConfigError):
         resolve_config(args)
-
-
-def test_align_params_mirror_config():
-    cfg = RunConfig(threshold=-1.0, window_s=60.0, allow_char_stay=True)
-    params = cfg.align_params()
-    assert params.threshold == -1.0
-    assert params.window_s == 60.0
-    assert params.allow_char_stay is True
 
 
 # --- pipeline fixtures --------------------------------------------------------
@@ -323,6 +321,89 @@ def test_align_bad_config_exits_2(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("mystery = 1\n", encoding="utf-8")
     assert main(["align", "--config", str(conf)]) == 2
+
+
+# --- out-of-range settings ----------------------------------------------------
+
+
+@pytest.fixture()
+def overlong_text(tmp_path):
+    """One short synthesized file whose transcript is far longer than its audio."""
+    data = tmp_path / "data"
+    manifest = tmp_path / "short.manifest"
+    write_manifest(manifest, small_file_spec(5, n_utts=2))
+    vocab_path = tmp_path / "vocab.txt"
+    argv = ["synth", "--manifest", str(manifest), "--output-dir", str(data)]
+    assert main([*argv, "--file-id", "short", "--write-vocab", str(vocab_path)]) == 0
+    (data / "short.txt").write_text("una palabra larga " * 2000, encoding="utf-8")
+    return data, vocab_path
+
+
+@pytest.fixture()
+def scored_jsonl(tmp_path):
+    path = tmp_path / "f.align.jsonl"
+    rows = [
+        {"file_id": "f", "utt_index": i, "text": "x", "start_s": i, "end_s": i + 1.0,
+         "s_seg": -0.1 * i, "s_seg_norm": -0.1 * i, "penalized": False}
+        for i in range(4)
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--window-s", "0"],
+        ["--window-s", "nan"],
+        ["--window-step-s", "0"],
+        ["--max-window-s", "inf"],
+        ["--fragment-frames", "0"],
+        ["--score-ref-s", "0"],
+        ["--max-words", "0"],
+        ["--max-utts-per-window", "0"],
+        ["--max-gap-s", "-1"],
+        ["--workers", "0"],
+    ],
+    ids="=".join,
+)
+def test_align_out_of_range_setting_exits_2(overlong_text, tmp_path, caplog, flags):
+    data, vocab_path = overlong_text
+    assert _run_align(data, vocab_path, tmp_path / "out", *flags) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "ConfigError" in errors[0] and "\n" not in errors[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "--method", "chebyshev", "--worst-fraction", "0"],
+        ["filter", "--method", "normalized", "--score-ref-s", "0"],
+        ["stats", "--bin-width", "0"],
+        ["stats", "--floor", "1"],
+    ],
+    ids=" ".join,
+)
+def test_filter_and_stats_out_of_range_exit_2(scored_jsonl, tmp_path, caplog, argv):
+    rc = main([*argv, str(scored_jsonl), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "ConfigError" in errors[0] and "\n" not in errors[0]
+
+
+def test_run_config_validates_at_construction():
+    with pytest.raises(ConfigError):
+        RunConfig(workers=0)
+    with pytest.raises(ConfigError):
+        RunConfig(max_gap_s=float("nan"))
+    assert RunConfig().align == AlignParams()
+
+
+def test_old_allow_char_stay_key_is_unknown(tmp_path):
+    conf = tmp_path / "old.conf"
+    conf.write_text("allow_char_stay = false\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_file(conf)
 
 
 # --- filter and stats --------------------------------------------------------

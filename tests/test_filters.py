@@ -25,8 +25,6 @@ def _aln(s_seg, duration_s=1.0, utt_index=0, file_id="f"):
         utt_index=utt_index,
         start_frame=0,
         end_frame=0,
-        chars=[],
-        rho=np.empty(0),
         s_seg=s_seg,
         s_seg_norm=s_seg,
         penalized=False,

@@ -12,7 +12,6 @@ from anchoralign import (
     estimate_time_refs,
     load_utterances,
     normalize_text,
-    read_transcript,
     split_utterances,
 )
 from anchoralign.errors import EmptyTextError
@@ -151,23 +150,26 @@ def test_estimate_validation():
 # --- transcript files --------------------------------------------------------
 
 
-def test_read_transcript_plain(tmp_path):
+def test_load_utterances_plain_lines_join(tmp_path, spanish_vocab):
     path = tmp_path / "plain.txt"
-    path.write_text("Primера línea\nsegunda línea\n", encoding="utf-8")
-    assert read_transcript(path) == "Primера línea\nsegunda línea"
+    path.write_text("Primera línea\nsegunda línea\n", encoding="utf-8")
+    utts = load_utterances(path, spanish_vocab)
+    assert [u.text for u in utts] == ["primera línea segunda línea"]
 
 
-def test_read_transcript_captions_drop_timestamps(tmp_path):
+def test_load_utterances_captions_skip_blank_lines(tmp_path, spanish_vocab):
     path = tmp_path / "caps.txt"
     path.write_text("0.00 1.50 hola que tal\n\n2.0 3.5 adios\n", encoding="utf-8")
-    assert read_transcript(path) == "hola que tal\nadios"
+    utts = load_utterances(path, spanish_vocab)
+    assert [u.text for u in utts] == ["hola que tal", "adios"]
 
 
-def test_read_transcript_mixed_lines_stay_plain(tmp_path):
-    # one non-caption line means the whole file is plain text
+def test_load_utterances_mixed_lines_stay_plain(tmp_path, spanish_vocab):
+    # one non-caption line means the whole file is plain text, timestamps and all
     path = tmp_path / "mixed.txt"
     path.write_text("0.00 1.50 hola\nsin marcas\n", encoding="utf-8")
-    assert read_transcript(path) == "0.00 1.50 hola\nsin marcas"
+    utts = load_utterances(path, spanish_vocab)
+    assert [u.text for u in utts] == ["hola sin marcas"]
 
 
 def test_load_utterances_from_captions(tmp_path, spanish_vocab):

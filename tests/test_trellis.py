@@ -157,53 +157,6 @@ def test_lattice_is_read_only():
         tr.k[0, 0] = 1.0
 
 
-# --- allow_char_stay ---------------------------------------------------------
-
-
-def test_char_stay_raises_lattice_values():
-    # 'b' holds for two frames; bridging the hold costs blank 0.01 without
-    # the flag but the character's own 0.9 with it
-    window = _logp(
-        [
-            [0.04, 0.02, 0.90, 0.02, 0.02],
-            [0.01, 0.02, 0.02, 0.90, 0.05],
-            [0.01, 0.02, 0.02, 0.90, 0.05],
-        ]
-    )
-    ts = _ts("ab")
-    plain = compute_trellis(window, ts, VOCAB.blank_index)
-    stay = compute_trellis(window, ts, VOCAB.blank_index, allow_char_stay=True)
-    assert plain.k[3][2] == pytest.approx(math.log(0.02 * 0.9), abs=1e-9)
-    assert stay.k[3][2] == pytest.approx(math.log(0.9**3), abs=1e-9)
-    assert (stay.k >= plain.k - 1e-12).all()
-
-
-def test_char_stay_changes_best_path_for_held_characters():
-    # 'b' stays strong for two frames; scoring the hold as 'b' instead of
-    # blank makes the early-emission path win
-    rows = [
-        [0.04, 0.02, 0.90, 0.02, 0.02],
-        [0.90, 0.025, 0.025, 0.025, 0.025],
-        [0.01, 0.03, 0.03, 0.90, 0.03],
-        [0.01, 0.03, 0.03, 0.90, 0.03],
-        [0.04, 0.02, 0.02, 0.02, 0.90],
-        [0.90, 0.025, 0.025, 0.025, 0.025],
-    ]
-    window = _logp(rows)
-    ts = _ts("abc")
-    plain_tr = compute_trellis(window, ts, VOCAB.blank_index)
-    plain_chars, _ = backtrack(plain_tr, window, ts)
-    stay_tr = compute_trellis(window, ts, VOCAB.blank_index, allow_char_stay=True)
-    stay_chars, stay_rho = backtrack(stay_tr, window, ts)
-    # without the flag, bridging frame 4 costs blank 0.01, so the path
-    # compresses into late frames instead
-    assert [ca.start_frame for ca in plain_chars[:3]] == [2, 3, 4]
-    assert plain_tr.k[1:, -1].max() == pytest.approx(math.log(0.03 * 0.9**3), abs=1e-12)
-    assert [ca.start_frame for ca in stay_chars[:3]] == [0, 2, 4]
-    assert stay_tr.k[1:, -1].max() == pytest.approx(6 * math.log(0.9), abs=1e-12)
-    assert stay_rho[3] == pytest.approx(math.log(0.9), abs=1e-12)  # the held frame
-
-
 # --- oracle cross-checks -----------------------------------------------------
 
 
