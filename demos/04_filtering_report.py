@@ -81,7 +81,7 @@ def main():
 
     kept, _ = filter_chebyshev(run.utterances, worst_fraction=0.15)
     print("\nrecovery table (hours of audio: total, aligned, kept after filter):")
-    for row in recovery_stats([run], kept):
+    for row in recovery_stats({run.file_id: run.total_duration_s}, run.utterances, kept):
         print(f"  {row[0]}: {row[1]:.4f} {row[2]:.4f} {row[3]:.4f}")
 
 

@@ -310,15 +310,13 @@ def _pack_window(
     return batch
 
 
-def frames_to_seconds(
-    run: AlignmentRun, fm: FrameMap, frame_duration_s: float | None = None
-) -> AlignmentRun:
+def frames_to_seconds(run: AlignmentRun, fm: FrameMap) -> AlignmentRun:
     """Map utterance frame spans back to original-timeline seconds.
 
     start_s is the emission frame's start, end_s the end of the last
     emission frame (hence +1 frame), both after undoing gap compression.
     """
-    dur = frame_duration_s if frame_duration_s is not None else run.frame_duration_s
+    dur = run.frame_duration_s
     mapped = [
         dataclasses.replace(
             utt,

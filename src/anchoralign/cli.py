@@ -31,8 +31,13 @@ from .aligner import (
     frames_to_seconds,
     knob,
 )
-from .errors import AnchorAlignError, ConfigError
+from .errors import AlignmentFormatError, AnchorAlignError, ConfigError
 from .filters import (
+    ABSOLUTE_CUTOFF,
+    CHEBYSHEV_WORST_FRACTION,
+    HISTOGRAM_BIN_WIDTH,
+    HISTOGRAM_FLOOR,
+    NORMALIZED_CUTOFF,
     filter_absolute,
     filter_chebyshev,
     filter_normalized,
@@ -43,7 +48,6 @@ from .filters import (
     write_recovery_csv,
 )
 from .posterior_io import (
-    DEFAULT_FRAME_DURATION_S,
     SpeechRegions,
     Vocab,
     _atomic_write_text,
@@ -194,6 +198,54 @@ def _jsonl_record(aln: UtteranceAlignment, text: str, pass_id: int) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class AlignmentRow:
+    """One alignment jsonl row as filter and stats read it; filter writes line back as is."""
+
+    file_id: str
+    s_seg: float
+    duration_s: float
+    end_s: float
+    line: str
+
+
+def load_alignment_jsonl(path: str | os.PathLike) -> list[AlignmentRow]:
+    """Load the rows of an alignment jsonl file; blank lines are skipped.
+
+    Each row must be a JSON object with a string file_id and finite numbers
+    s_seg, start_s and end_s, with end_s after start_s; any other row raises
+    AlignmentFormatError naming path:line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise AlignmentFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line, parse_int=float)  # a huge integer reads as inf
+        except json.JSONDecodeError:
+            rec = None
+        fields = rec if isinstance(rec, dict) else {}
+        file_id = fields.get("file_id")
+        s_seg, start_s, end_s = (fields.get(key) for key in ("s_seg", "start_s", "end_s"))
+        if not (
+            isinstance(file_id, str)
+            and all(type(v) is float and math.isfinite(v) for v in (s_seg, start_s, end_s))
+            and end_s > start_s
+        ):
+            raise AlignmentFormatError(
+                f"{path}:{lineno}: expected a JSON object with a string file_id and finite"
+                f" numbers s_seg, start_s < end_s; got {line[:80]!r}"
+            )
+        rows.append(AlignmentRow(file_id, s_seg, end_s - start_s, end_s, line))
+    return rows
+
+
 def write_alignment_jsonl(path: str, run: AlignmentRun, texts: dict[int, str], pass_id: int) -> None:
     lines = [
         json.dumps(_jsonl_record(a, texts[a.utt_index], pass_id), ensure_ascii=False, allow_nan=False)
@@ -264,13 +316,7 @@ def _align_one(job: tuple[str, RunConfig, Vocab]) -> dict:
             "skipped": len(run.skipped),
         }
     except (AnchorAlignError, OSError) as exc:
-        return {
-            "file_id": file_id,
-            "error": f"{type(exc).__name__}: {exc}",
-            "log_lines": [],
-            "aligned": 0,
-            "skipped": 0,
-        }
+        return {"file_id": file_id, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def cmd_align(args: argparse.Namespace) -> int:
@@ -293,7 +339,7 @@ def cmd_align(args: argparse.Namespace) -> int:
         return 0
     jobs = [(file_id, cfg, vocab) for file_id in paired]
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             results = list(pool.map(_align_one, jobs))
     else:
         results = [_align_one(job) for job in jobs]
@@ -316,59 +362,25 @@ def cmd_align(args: argparse.Namespace) -> int:
     return 2 if failures else 0
 
 
-def load_alignment_jsonl(path: str | os.PathLike) -> list[tuple[UtteranceAlignment, str]]:
-    """Load alignment rows from jsonl; returns (alignment, raw line) pairs.
-
-    Rows carry only what the jsonl stores: frame-level fields are stubbed out
-    and duration comes from the timestamps.
-    """
-    out: list[tuple[UtteranceAlignment, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            aln = UtteranceAlignment(
-                utt_index=int(rec["utt_index"]),
-                start_frame=0,
-                end_frame=0,
-                s_seg=float(rec["s_seg"]),
-                s_seg_norm=float(rec["s_seg_norm"]),
-                penalized=bool(rec["penalized"]),
-                accepted=bool(rec.get("accepted", True)),
-                anchor=bool(rec.get("anchor", False)),
-                file_id=str(rec["file_id"]),
-                duration_s=float(rec["end_s"]) - float(rec["start_s"]),
-                start_s=float(rec["start_s"]),
-                end_s=float(rec["end_s"]),
-            )
-            out.append((aln, line))
-    return out
-
-
 def cmd_filter(args: argparse.Namespace) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
-    per_file: list[tuple[str, list[tuple[UtteranceAlignment, str]]]] = []
-    everything: list[UtteranceAlignment] = []
-    for path in args.inputs:
-        rows = load_alignment_jsonl(path)
-        per_file.append((path, rows))
-        everything.extend(aln for aln, _ in rows)
+    per_file = [(path, load_alignment_jsonl(path)) for path in args.inputs]
+    everything = [row for _, rows in per_file for row in rows]
+    cutoff = {} if args.cutoff is None else {"cutoff": args.cutoff}
     if args.method == "absolute":
-        kept, report = filter_absolute(everything, cutoff=args.cutoff)
+        kept, report = filter_absolute(everything, **cutoff)
     elif args.method == "chebyshev":
         kept, report = filter_chebyshev(everything, worst_fraction=args.worst_fraction)
     else:
-        kept, report = filter_normalized(everything, cutoff=args.cutoff, ref_s=args.ref_s)
-    kept_ids = {id(aln) for aln in kept}
+        kept, report = filter_normalized(everything, ref_s=args.ref_s, **cutoff)
+    kept_rows = set(kept)
     for path, rows in per_file:
         name = os.path.basename(path)
         if name.endswith(".jsonl"):
             name = name[: -len(".jsonl")] + ".filtered.jsonl"
         else:
             name = name + ".filtered.jsonl"
-        lines = [raw for aln, raw in rows if id(aln) in kept_ids]
+        lines = [row.line for row in rows if row in kept_rows]
         _atomic_write_text(os.path.join(args.output_dir, name), "".join(l + "\n" for l in lines))
     write_filter_report_csv(os.path.join(args.output_dir, "filter_report.csv"), [report])
     log.info(
@@ -379,33 +391,6 @@ def cmd_filter(args: argparse.Namespace) -> int:
         report.cutoff,
     )
     return 0
-
-
-def _stub_runs(rows: list[UtteranceAlignment]) -> list[AlignmentRun]:
-    """Group loaded jsonl rows into per-file runs for the recovery table.
-
-    Total duration per file is approximated by the latest aligned end
-    timestamp, since the jsonl does not carry the audio length.
-    """
-    by_file: dict[str, list[UtteranceAlignment]] = {}
-    for aln in rows:
-        by_file.setdefault(aln.file_id, []).append(aln)
-    runs = []
-    for file_id in sorted(by_file):
-        utts = sorted(by_file[file_id], key=lambda a: a.utt_index)
-        total = max((a.end_s for a in utts), default=0.0)
-        runs.append(
-            AlignmentRun(
-                file_id=file_id,
-                utterances=utts,
-                skipped=[],
-                anchors=[],
-                iterations_log=[],
-                frame_duration_s=DEFAULT_FRAME_DURATION_S,
-                total_duration_s=float(total),
-            )
-        )
-    return runs
 
 
 def _load_split_map(path: str) -> dict[str, str]:
@@ -424,22 +409,21 @@ def _load_split_map(path: str) -> dict[str, str]:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
-    rows: list[UtteranceAlignment] = []
-    for path in args.inputs:
-        rows.extend(aln for aln, _ in load_alignment_jsonl(path))
+    rows = [row for path in args.inputs for row in load_alignment_jsonl(path)]
     if args.filtered:
-        kept: list[UtteranceAlignment] = []
-        for path in args.filtered:
-            kept.extend(aln for aln, _ in load_alignment_jsonl(path))
+        kept = [row for path in args.filtered for row in load_alignment_jsonl(path)]
     else:
         kept = rows
-    runs = _stub_runs(rows)
+    # the jsonl does not carry the audio length; a file's latest end stands in for it
+    total_s: dict[str, float] = {}
+    for row in rows:
+        total_s[row.file_id] = max(total_s.get(row.file_id, row.end_s), row.end_s)
     split_of = _load_split_map(args.split_map) if args.split_map else None
     hist = score_histogram(rows, bin_width=args.bin_width, floor=args.floor)
     write_histogram_csv(os.path.join(args.output_dir, "histogram.csv"), hist)
-    table = recovery_stats(runs, kept, split_of=split_of)
+    table = recovery_stats(total_s, rows, kept, split_of=split_of)
     write_recovery_csv(os.path.join(args.output_dir, "recovery.csv"), table)
-    log.info("stats over %d rows (%d kept) from %d files", len(rows), len(kept), len(runs))
+    log.info("stats over %d rows (%d kept) from %d files", len(rows), len(kept), len(total_s))
     return 0
 
 
@@ -495,13 +479,18 @@ def _add_filter_parser(sub: argparse._SubParsersAction) -> None:
         default="absolute",
         help="cutoff rule (default absolute)",
     )
-    p.add_argument("--cutoff", type=float, default=-1.0, help="score cutoff (absolute/normalized)")
+    p.add_argument(
+        "--cutoff",
+        type=float,
+        help=f"score cutoff (default {ABSOLUTE_CUTOFF} for absolute,"
+        f" {NORMALIZED_CUTOFF} for normalized)",
+    )
     p.add_argument(
         "--worst-fraction",
         dest="worst_fraction",
         type=float,
-        default=0.15,
-        help="chebyshev tail bound on the removed fraction",
+        default=CHEBYSHEV_WORST_FRACTION,
+        help=f"chebyshev tail bound on the removed fraction (default {CHEBYSHEV_WORST_FRACTION})",
     )
     p.add_argument(
         "--score-ref-s",
@@ -509,7 +498,7 @@ def _add_filter_parser(sub: argparse._SubParsersAction) -> None:
         metavar="SCORE_REF_S",
         type=float,
         default=SCORE_REF_S,
-        help="reference duration for the normalized method",
+        help=f"reference duration for the normalized method (default {SCORE_REF_S})",
     )
     p.add_argument("--output-dir", dest="output_dir", required=True)
     p.set_defaults(func=cmd_filter)
@@ -528,8 +517,8 @@ def _add_stats_parser(sub: argparse._SubParsersAction) -> None:
         dest="split_map",
         help="csv of file_id,split rows for per-split recovery",
     )
-    p.add_argument("--bin-width", dest="bin_width", type=float, default=0.25)
-    p.add_argument("--floor", type=float, default=-8.0, help="lowest histogram bin edge")
+    p.add_argument("--bin-width", dest="bin_width", type=float, default=HISTOGRAM_BIN_WIDTH)
+    p.add_argument("--floor", type=float, default=HISTOGRAM_FLOOR, help="lowest histogram bin edge")
     p.add_argument("--output-dir", dest="output_dir", required=True)
     p.set_defaults(func=cmd_stats)
 

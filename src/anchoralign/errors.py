@@ -13,6 +13,10 @@ class PosteriorFormatError(AnchorAlignError):
     """Posterior matrix file or payload fails validation."""
 
 
+class AlignmentFormatError(AnchorAlignError):
+    """A row of alignment jsonl is malformed."""
+
+
 class SpeechRegionsError(AnchorAlignError):
     """Speech regions are malformed or out of range."""
 

@@ -5,20 +5,27 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .aligner import AlignmentRun
 from .errors import ConfigError
 from .posterior_io import _atomic_write_text
-from .trellis import SCORE_REF_S, UtteranceAlignment, normalize_score
+from .trellis import SCORE_REF_S, normalize_score
 
 ABSOLUTE_CUTOFF = -1.0
 CHEBYSHEV_WORST_FRACTION = 0.15
 NORMALIZED_CUTOFF = -1.5
 HISTOGRAM_BIN_WIDTH = 0.25
 HISTOGRAM_FLOOR = -8.0
+
+
+class ScoredSpan(Protocol):
+    """What filters read: UtteranceAlignment and the CLI's AlignmentRow fit."""
+
+    file_id: str
+    s_seg: float
+    duration_s: float
 
 
 @dataclass(frozen=True)
@@ -34,16 +41,16 @@ class FilterReport:
 
 
 def filter_absolute(
-    alns: Sequence[UtteranceAlignment], cutoff: float = ABSOLUTE_CUTOFF
-) -> tuple[list[UtteranceAlignment], FilterReport]:
+    alns: Sequence[ScoredSpan], cutoff: float = ABSOLUTE_CUTOFF
+) -> tuple[list[ScoredSpan], FilterReport]:
     """Keep utterances whose score is at or above a fixed cutoff."""
     kept = [a for a in alns if a.s_seg >= cutoff]
     return kept, _report("absolute", alns, kept, cutoff)
 
 
 def filter_chebyshev(
-    alns: Sequence[UtteranceAlignment], worst_fraction: float = CHEBYSHEV_WORST_FRACTION
-) -> tuple[list[UtteranceAlignment], FilterReport]:
+    alns: Sequence[ScoredSpan], worst_fraction: float = CHEBYSHEV_WORST_FRACTION
+) -> tuple[list[ScoredSpan], FilterReport]:
     """Drop at most worst_fraction of utterances, whatever the distribution.
 
     The cutoff is mean - k * std with k = sqrt(1 / worst_fraction); by
@@ -61,10 +68,10 @@ def filter_chebyshev(
 
 
 def filter_normalized(
-    alns: Sequence[UtteranceAlignment],
+    alns: Sequence[ScoredSpan],
     cutoff: float = NORMALIZED_CUTOFF,
     ref_s: float = SCORE_REF_S,
-) -> tuple[list[UtteranceAlignment], FilterReport]:
+) -> tuple[list[ScoredSpan], FilterReport]:
     """Keep utterances by duration-normalized score.
 
     Recomputes the normalized score from s_seg and the utterance duration,
@@ -86,7 +93,7 @@ def _report(method, alns, kept, cutoff) -> FilterReport:
 
 
 def score_histogram(
-    alns: Sequence[UtteranceAlignment],
+    alns: Sequence[ScoredSpan],
     bin_width: float = HISTOGRAM_BIN_WIDTH,
     floor: float = HISTOGRAM_FLOOR,
 ) -> list[tuple[float, int]]:
@@ -108,38 +115,34 @@ def score_histogram(
 
 
 def recovery_stats(
-    runs: Sequence[AlignmentRun],
-    kept: Sequence[UtteranceAlignment],
-    split_of: Mapping[str, str] | Callable[[str], str] | None = None,
+    total_s: Mapping[str, float],
+    aligned: Iterable[ScoredSpan],
+    kept: Iterable[ScoredSpan],
+    split_of: Mapping[str, str] | None = None,
 ) -> list[tuple[str, float, float, float]]:
     """Tabulate per-split hours: total audio, aligned, and kept after filter.
 
-    split_of maps file_id to a split name (default: single split "all");
-    a "total" row is appended when more than one split appears.
+    total_s maps each file_id to its audio length in seconds. split_of maps
+    file_id to a split name; files it omits (all files, when it is None) go
+    to the single split "all". A "total" row is appended when more than one
+    split appears.
     """
-    resolve = _split_resolver(split_of)
+    split_of = split_of or {}
+    aligned_s: dict[str, list[float]] = {}
+    for aln in aligned:
+        aligned_s.setdefault(aln.file_id, []).append(aln.duration_s)
     splits: dict[str, list[float]] = {}
-    for run in runs:
-        row = splits.setdefault(resolve(run.file_id), [0.0, 0.0, 0.0])
-        row[0] += run.total_duration_s / 3600.0
-        row[1] += sum(u.duration_s for u in run.utterances) / 3600.0
+    for file_id in sorted(total_s.keys() | aligned_s.keys()):
+        row = splits.setdefault(split_of.get(file_id, "all"), [0.0, 0.0, 0.0])
+        row[0] += total_s.get(file_id, 0.0) / 3600.0
+        row[1] += sum(aligned_s.get(file_id, [])) / 3600.0
     for aln in kept:
-        row = splits.setdefault(resolve(aln.file_id), [0.0, 0.0, 0.0])
+        row = splits.setdefault(split_of.get(aln.file_id, "all"), [0.0, 0.0, 0.0])
         row[2] += aln.duration_s / 3600.0
     rows = [(name, *splits[name]) for name in sorted(splits)]
     if len(rows) > 1:
-        rows.append(
-            ("total", *(sum(r[i] for r in rows) for i in (1, 2, 3)))
-        )
+        rows.append(("total", *(sum(r[i] for r in rows) for i in (1, 2, 3))))
     return rows
-
-
-def _split_resolver(split_of) -> Callable[[str], str]:
-    if split_of is None:
-        return lambda _: "all"
-    if callable(split_of):
-        return split_of
-    return lambda file_id: split_of.get(file_id, "all")
 
 
 def write_histogram_csv(path: str | os.PathLike, hist: Iterable[tuple[float, int]]) -> None:

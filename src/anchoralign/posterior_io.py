@@ -7,7 +7,6 @@ default for synthesis and the CLI).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import os
@@ -191,20 +190,17 @@ def load_posteriors(path: str | os.PathLike, vocab: Vocab | None = None) -> Post
     """Read a posterior matrix, binary (magic-sniffed) or whitespace text."""
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head == CTCP_MAGIC:
-        pm = _read_binary_posteriors(path)
-    else:
-        pm = _read_text_posteriors(path)
-    if vocab is not None:
-        if pm.n_symbols != vocab.size:
-            raise PosteriorFormatError(
-                f"posterior has {pm.n_symbols} symbols but vocab has {vocab.size}"
-            )
-        pm = dataclasses.replace(pm, vocab_id=vocab.checksum())
-    return pm
+    read = _read_binary_posteriors if head == CTCP_MAGIC else _read_text_posteriors
+    data, frame_duration_s = read(path)
+    if vocab is not None and data.shape[1] != vocab.size:
+        raise PosteriorFormatError(
+            f"posterior has {data.shape[1]} symbols but vocab has {vocab.size}"
+        )
+    vocab_id = vocab.checksum() if vocab is not None else ""
+    return PosteriorMatrix(data=data, frame_duration_s=frame_duration_s, vocab_id=vocab_id)
 
 
-def _read_binary_posteriors(path: str | os.PathLike) -> PosteriorMatrix:
+def _read_binary_posteriors(path: str | os.PathLike) -> tuple[np.ndarray, float]:
     with open(path, "rb") as fh:
         header = fh.read(_CTCP_HEADER.size)
         if len(header) != _CTCP_HEADER.size:
@@ -223,10 +219,10 @@ def _read_binary_posteriors(path: str | os.PathLike) -> PosteriorMatrix:
     data = np.frombuffer(payload, dtype="<f4").reshape(t, v).astype(np.float32)
     # the header stores f32; recover the intended decimal value (f32 keeps 6
     # significant digits) so frame arithmetic downstream stays exact
-    return PosteriorMatrix(data=data, frame_duration_s=float(f"{frame_dur:.6g}"))
+    return data, float(f"{frame_dur:.6g}")
 
 
-def _read_text_posteriors(path: str | os.PathLike) -> PosteriorMatrix:
+def _read_text_posteriors(path: str | os.PathLike) -> tuple[np.ndarray, float]:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 3:
@@ -241,7 +237,7 @@ def _read_text_posteriors(path: str | os.PathLike) -> PosteriorMatrix:
             raise PosteriorFormatError("unparseable posterior row") from exc
     if data.shape != (t, v):
         raise PosteriorFormatError(f"expected {t}x{v} values, got {data.shape}")
-    return PosteriorMatrix(data=data.astype(np.float32), frame_duration_s=frame_dur)
+    return data.astype(np.float32), frame_dur
 
 
 def save_posteriors(path: str | os.PathLike, pm: PosteriorMatrix) -> None:

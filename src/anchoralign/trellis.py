@@ -162,11 +162,11 @@ def fragment_scores(rho: np.ndarray, fragment_frames: int = FRAGMENT_FRAMES) -> 
         raise ValueError("rho must be a non-empty 1-D array")
     if np.isnan(rho).any():
         raise ValueError("rho contains frames off the traced path")
-    out = []
-    for start in range(0, rho.size, fragment_frames):
-        block = rho[start : start + fragment_frames]
-        out.append(logsumexp(block) - np.log(block.size))
-    return np.array(out)
+    full = rho.size - rho.size % fragment_frames
+    out = logsumexp(rho[:full].reshape(-1, fragment_frames), axis=1) - np.log(fragment_frames)
+    if full < rho.size:
+        out = np.append(out, logsumexp(rho[full:]) - np.log(rho.size - full))
+    return out
 
 
 def segment_score(fragments: np.ndarray) -> float:

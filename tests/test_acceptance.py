@@ -354,7 +354,12 @@ def test_two_pass_improvement(capsys, tmp_path):
     }
 
     kept, _ = filter_absolute(runs[2].utterances, cutoff=-1.0)
-    rows = recovery_stats(list(runs.values()), kept, split_of={"pass1": "p1", "pass2": "p2"})
+    rows = recovery_stats(
+        {r.file_id: r.total_duration_s for r in runs.values()},
+        [u for r in runs.values() for u in r.utterances],
+        kept,
+        split_of={"pass1": "p1", "pass2": "p2"},
+    )
     csv_path = tmp_path / "recovery.csv"
     write_recovery_csv(csv_path, rows)
     lines = csv_path.read_text(encoding="utf-8").splitlines()

@@ -18,6 +18,7 @@ from anchoralign import (
     synth_posteriors,
     write_manifest,
 )
+from anchoralign import cli
 from anchoralign.cli import (
     RunConfig,
     _parse_formats,
@@ -253,6 +254,28 @@ def test_align_is_byte_identical_across_runs_and_workers(synth_dirs, tmp_path):
         assert (outs[2] / name).read_bytes() == reference
 
 
+def test_align_pool_is_capped_at_the_file_count(synth_dirs, tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    data, vocab_path = synth_dirs
+    assert _run_align(data, vocab_path, tmp_path / "out", "--workers", "64") == 0
+    assert sizes == [2]
+
+
 def test_align_with_regions_matches_plain_run(synth_dirs, tmp_path):
     # gaps here are all shorter than the 30 s cutoff, so region compression
     # is the identity and outputs must not change
@@ -482,11 +505,41 @@ def test_jsonl_loader_round_trip(aligned_out):
     path = next(iter(sorted(aligned_out.glob("*.align.jsonl"))))
     rows = load_alignment_jsonl(path)
     assert rows
-    for aln, raw in rows:
-        rec = json.loads(raw)
-        assert aln.s_seg == rec["s_seg"]
-        assert aln.duration_s == pytest.approx(rec["end_s"] - rec["start_s"], abs=1e-9)
-        assert aln.file_id == rec["file_id"]
+    for row in rows:
+        rec = json.loads(row.line)
+        assert row.s_seg == rec["s_seg"]
+        assert row.duration_s == pytest.approx(rec["end_s"] - rec["start_s"], abs=1e-9)
+        assert row.file_id == rec["file_id"]
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        "not json",
+        "[1, 2]",
+        '{"file_id": "f", "start_s": 0.0, "end_s": 1.0}',
+        '{"file_id": "f", "start_s": 0.0, "end_s": 1.0, "s_seg": "-0.5"}',
+        '{"file_id": "f", "start_s": 0.0, "end_s": 1.0, "s_seg": NaN}',
+    ],
+    ids=["not-json", "not-an-object", "missing-s_seg", "string-s_seg", "nan-s_seg"],
+)
+@pytest.mark.parametrize("command", ["filter", "stats"])
+def test_filter_and_stats_malformed_row_exit_2(scored_jsonl, tmp_path, caplog, command, bad_row):
+    with open(scored_jsonl, "a", encoding="utf-8") as fh:
+        fh.write("\n" + bad_row + "\n")  # after 4 rows and a blank line: line 6
+    rc = main([command, str(scored_jsonl), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and f"{scored_jsonl}:6: " in errors[0] and "\n" not in errors[0]
+
+
+@pytest.mark.parametrize("method, cutoff", [("absolute", "-1.000000"), ("normalized", "-1.500000")])
+def test_filter_cutoff_defaults_to_the_method_default(scored_jsonl, tmp_path, method, cutoff):
+    out = tmp_path / "out"
+    assert main(["filter", str(scored_jsonl), "--method", method, "--output-dir", str(out)]) == 0
+    report = (out / "filter_report.csv").read_text(encoding="utf-8").splitlines()
+    assert report[1].split(",")[0] == method
+    assert report[1].split(",")[-1] == cutoff
 
 
 # --- logging environment -----------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from anchoralign import (
-    AlignmentRun,
     FilterReport,
     UtteranceAlignment,
     filter_absolute,
@@ -30,18 +29,6 @@ def _aln(s_seg, duration_s=1.0, utt_index=0, file_id="f"):
         penalized=False,
         file_id=file_id,
         duration_s=duration_s,
-    )
-
-
-def _run(file_id, alns, total_s):
-    return AlignmentRun(
-        file_id=file_id,
-        utterances=alns,
-        skipped=[],
-        anchors=[],
-        iterations_log=[],
-        frame_duration_s=0.02,
-        total_duration_s=total_s,
     )
 
 
@@ -161,17 +148,20 @@ def test_histogram_validation():
 
 
 def test_recovery_single_split_has_no_total_row():
-    runs = [_run("a", [_aln(-0.5, duration_s=1800.0, file_id="a")], total_s=3600.0)]
-    kept = runs[0].utterances
-    rows = recovery_stats(runs, kept)
+    aligned = [_aln(-0.5, duration_s=1800.0, file_id="a")]
+    kept = aligned
+    rows = recovery_stats({"a": 3600.0}, aligned, kept)
     assert rows == [("all", 1.0, 0.5, 0.5)]
 
 
 def test_recovery_splits_and_total():
-    run_a = _run("a", [_aln(-0.5, duration_s=1800.0, file_id="a")], total_s=3600.0)
-    run_b = _run("b", [_aln(-3.0, duration_s=900.0, file_id="b")], total_s=7200.0)
-    kept = [run_a.utterances[0]]  # the file-b row was filtered out
-    rows = recovery_stats([run_a, run_b], kept, split_of={"a": "train", "b": "dev"})
+    aligned = [
+        _aln(-0.5, duration_s=1800.0, file_id="a"),
+        _aln(-3.0, duration_s=900.0, file_id="b"),
+    ]
+    kept = [aligned[0]]  # the file-b row was filtered out
+    total_s = {"a": 3600.0, "b": 7200.0}
+    rows = recovery_stats(total_s, aligned, kept, split_of={"a": "train", "b": "dev"})
     assert rows == [
         ("dev", 2.0, 0.25, 0.0),
         ("train", 1.0, 0.5, 0.5),
@@ -179,12 +169,11 @@ def test_recovery_splits_and_total():
     ]
 
 
-def test_recovery_split_callable_and_default():
-    run = _run("x", [_aln(-0.5, duration_s=3600.0, file_id="x")], total_s=3600.0)
-    rows = recovery_stats([run], run.utterances, split_of=lambda fid: fid.upper())
-    assert rows[0][0] == "X"
-    rows = recovery_stats([run], run.utterances, split_of={"other": "train"})
+def test_recovery_split_default():
+    aligned = [_aln(-0.5, duration_s=3600.0, file_id="x")]
+    rows = recovery_stats({"x": 3600.0}, aligned, aligned, split_of={"other": "train"})
     assert rows[0][0] == "all"  # unmapped files fall back to a single split
+    assert recovery_stats({"x": 3600.0}, aligned, aligned)[0][0] == "all"
 
 
 # --- csv writers -------------------------------------------------------------

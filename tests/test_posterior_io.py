@@ -182,6 +182,20 @@ def test_load_with_vocab_sets_id_and_checks_size(tmp_path, spanish_vocab):
         load_posteriors(path, vocab=small)
 
 
+def test_load_with_vocab_validates_once(tmp_path, spanish_vocab, monkeypatch):
+    rng = np.random.default_rng(4)
+    pm = PosteriorMatrix(data=_rand_logp(rng, 10, spanish_vocab.size), frame_duration_s=0.02)
+    path = tmp_path / "file.ctcp"
+    save_posteriors(path, pm)
+    validate = PosteriorMatrix.__post_init__
+    calls = []
+    monkeypatch.setattr(
+        PosteriorMatrix, "__post_init__", lambda self: calls.append(1) or validate(self)
+    )
+    load_posteriors(path, vocab=spanish_vocab)
+    assert len(calls) == 1
+
+
 def test_binary_format_errors(tmp_path):
     path = tmp_path / "bad.ctcp"
     path.write_bytes(b"CTCP")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from anchoralign import (
     FRAGMENT_FRAMES,
@@ -212,6 +213,18 @@ def test_fragment_custom_block_size():
     rho = np.array([math.log(0.8), math.log(0.8), math.log(0.2), math.log(0.2)])
     frags = fragment_scores(rho, fragment_frames=2)
     np.testing.assert_allclose(frags, [math.log(0.8), math.log(0.2)], atol=1e-12)
+
+
+def test_fragment_scores_match_a_per_block_loop():
+    # the reshaped reduction must equal logsumexp over each block, bit for bit
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        rho = np.log(rng.random(int(rng.integers(1, 401))))
+        rho[rng.random(rho.size) < 0.05] = -np.inf
+        frames = int(rng.integers(1, 40))
+        blocks = [rho[i : i + frames] for i in range(0, rho.size, frames)]
+        expected = [logsumexp(b) - np.log(b.size) for b in blocks]
+        assert fragment_scores(rho, frames).tolist() == expected
 
 
 def test_fragment_validation():
