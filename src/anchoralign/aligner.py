@@ -4,10 +4,13 @@ Alignment walks the file left to right. A window of posteriors starting at
 the last anchor is aligned against the next few utterances; acceptance is
 decided only by the last utterance's score, so earlier utterances in an
 accepted batch may score badly (imperfect transcripts still pass through,
-flagged by their scores). The accepted batch's last utterance becomes the
-new anchor. Failed windows grow by window_step_s, and once the window would
-exceed max_window_s the first pending utterance is skipped and the anchor
-advances by its estimated duration.
+flagged by their scores). Each window's lattice is filled once, for its
+whole batch; a batch of fewer utterances is a column prefix of it, so the
+shrink attempts read that prefix instead of refilling. The accepted batch's
+last utterance becomes the new anchor. Failed windows grow by
+window_step_s, and once the window would exceed max_window_s the first
+pending utterance is skipped and the anchor advances by its estimated
+duration.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, NoPathError, WindowTooSmallError
 from .posterior_io import FrameMap, PosteriorMatrix, Vocab, map_frames_back
-from .textprep import TokenSequence, Utterance, build_token_sequence
+from .textprep import Utterance, build_token_sequence
 from .trellis import (
     FRAGMENT_FRAMES,
     SCORE_REF_S,
@@ -137,6 +140,11 @@ def align_window(
     shrinking then continues while the last score keeps strictly improving,
     and ties keep the larger batch. Frames in the result are absolute.
     Raises WindowTooSmallError when no utterance count admits any path.
+
+    The lattice is filled once, for the full list. Each shrink attempt reads
+    its batch's column prefix of it and traces and scores only its last
+    utterance, which is all the acceptance rule reads; the kept batch is
+    traced and scored in full once at the end.
     """
     start, length = window
     if length < 1 or start < 0 or start + length > pm.n_frames:
@@ -144,51 +152,62 @@ def align_window(
     if not utts:
         raise ValueError("no utterances to align")
     window_logp = pm.data[start : start + length]
-    best: list[UtteranceAlignment] | None = None
+    full = build_token_sequence(utts, vocab)
+    tr = compute_trellis(window_logp, full, vocab.blank_index)
+    best_n = 0
     best_last = -np.inf
     attempts: list[tuple[int, float]] = []
     for n in range(len(utts), 0, -1):
-        ts = build_token_sequence(utts[:n], vocab)
+        last_utt = full.boundaries[n - 1]
         try:
-            tr = compute_trellis(window_logp, ts, vocab.blank_index)
-            chars, rho = backtrack(tr, window_logp, ts)
+            chars, rho = backtrack(tr, window_logp, full.prefix(n), first_token=last_utt[1])
         except NoPathError:
             attempts.append((n, -np.inf))
-            if best is not None:
+            if best_n:
                 break
             continue
-        alns = _score_batch(chars, rho, ts, utts[:n], start, pm.frame_duration_s, params)
-        last = alns[-1].s_seg
+        [aln] = _score_batch(chars, rho, [last_utt], start, pm.frame_duration_s, params)
+        last = aln.s_seg
         attempts.append((n, last))
         if last >= params.threshold:
-            if best is None or last > best_last:
-                best, best_last = alns, last
+            if not best_n or last > best_last:
+                best_n, best_last = n, last
             else:
                 break
-        elif best is not None:
+        elif best_n:
             break
-    if best is None and all(score == -np.inf for _, score in attempts):
-        raise WindowTooSmallError(
-            f"window of {length} frames admits no path for any utterance count"
+    if not best_n:
+        if all(score == -np.inf for _, score in attempts):
+            raise WindowTooSmallError(
+                f"window of {length} frames admits no path for any utterance count"
+            )
+        return WindowResult(
+            best=None, last_score=float(max(score for _, score in attempts)), attempts=attempts
         )
-    last_score = best_last if best is not None else max(score for _, score in attempts)
-    return WindowResult(best=best, last_score=float(last_score), attempts=attempts)
+    ts = full.prefix(best_n)
+    chars, rho = backtrack(tr, window_logp, ts)
+    best = _score_batch(chars, rho, ts.boundaries, start, pm.frame_duration_s, params)
+    return WindowResult(best=best, last_score=float(best_last), attempts=attempts)
 
 
 def _score_batch(
     chars: list[CharAlignment],
     rho: np.ndarray,
-    ts: TokenSequence,
-    utts: Sequence[Utterance],
+    boundaries: Sequence[tuple[int, int, int]],
     window_start: int,
     frame_duration_s: float,
     params: AlignParams,
 ) -> list[UtteranceAlignment]:
-    """Split a traced path into per-utterance alignments with scores."""
+    """Split a traced path into per-utterance alignments with scores.
+
+    boundaries are TokenSequence.boundaries entries; chars may be the tail
+    of a walk that starts at the first of them.
+    """
+    offset = chars[0].token_pos
     out = []
-    for (utt_index, first, last), utt in zip(ts.boundaries, utts):
-        start = chars[first].start_frame
-        end = chars[last].start_frame  # emission frame of the last character
+    for utt_index, first, last in boundaries:
+        start = chars[first - offset].start_frame
+        end = chars[last - offset].start_frame  # emission frame of the last character
         length = end - start + 1
         score = segment_score(fragment_scores(rho[start : end + 1], params.fragment_frames))
         score, penalized = apply_short_penalty(
@@ -197,7 +216,7 @@ def _score_batch(
         duration_s = length * frame_duration_s
         out.append(
             UtteranceAlignment(
-                utt_index=utt.utt_index,
+                utt_index=utt_index,
                 start_frame=start + window_start,
                 end_frame=end + window_start,
                 s_seg=score,

@@ -315,7 +315,7 @@ def _align_one(job: tuple[str, RunConfig, Vocab]) -> dict:
             "aligned": len(run.utterances),
             "skipped": len(run.skipped),
         }
-    except (AnchorAlignError, OSError) as exc:
+    except (AnchorAlignError, OSError, UnicodeDecodeError) as exc:
         return {"file_id": file_id, "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -573,6 +573,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         log.error("%s", exc)
+        return 2
+    except UnicodeDecodeError as exc:
+        log.error("input file is not UTF-8 text: %s", exc)
         return 2
 
 

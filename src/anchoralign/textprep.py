@@ -43,6 +43,13 @@ class TokenSequence:
     boundaries: tuple[tuple[int, int, int], ...]
     padded_length: int
 
+    def prefix(self, n_utts: int) -> TokenSequence:
+        """The sequence of the first n_utts utterances, as build_token_sequence makes it."""
+        if not 1 <= n_utts <= len(self.boundaries):
+            raise ValueError(f"n_utts must be in 1..{len(self.boundaries)}, got {n_utts}")
+        end = self.boundaries[n_utts - 1][2] + 1
+        return TokenSequence(self.tokens[:end], self.boundaries[:n_utts], end + 2)
+
 
 def normalize_text(raw: str, vocab: Vocab) -> str:
     """Lower-case, drop out-of-vocab characters, collapse whitespace runs.

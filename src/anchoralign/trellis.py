@@ -11,6 +11,7 @@ several frames pays blank prices for the extra frames.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,46 +99,64 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
 
 
 def backtrack(
-    tr: Trellis, window_logp: np.ndarray, ts: TokenSequence
+    tr: Trellis, window_logp: np.ndarray, ts: TokenSequence, first_token: int = 0
 ) -> tuple[list[CharAlignment], np.ndarray]:
     """Trace the best path back from the best trailing-blank row.
+
+    ts may be any batch whose tokens are a prefix of the tokens tr was
+    filled for: column j of a lattice depends only on columns <= j, so the
+    prefix's token columns are tr's, and its trailing-blank column is
+    derived from column len(ts.tokens) with the fill's own update. One fill
+    of the longest batch thus answers every shorter one, bit for bit.
 
     Returns one CharAlignment per token (trailing blank included, with
     token_pos == len(ts.tokens)) and the per-frame score rho over the traced
     span: rho[f] = max(logP(aligned token | x_f), logP(blank | x_f)), NaN for
     frames off the path. Ties pick the earliest end row and prefer advancing.
+    The walk stops once it has placed the token at position first_token, so
+    chars and rho cover only the tokens from there on (token_pos stays
+    absolute); they equal the tail of the full walk.
     """
     window = np.asarray(window_logp, dtype=np.float64)
     k = tr.k
     n_frames = window.shape[0]
-    n_cols = len(tr.col_tokens)
-    final = k[1:, n_cols]
-    best = final.max()
+    n_tokens = len(ts.tokens)
+    if n_tokens >= len(tr.col_tokens) or tuple(tr.col_tokens[:n_tokens].tolist()) != ts.tokens:
+        raise ValueError("ts is not a prefix of the tokens the lattice was filled for")
+    if not 0 <= first_token <= n_tokens:
+        raise ValueError(f"first_token {first_token} out of range for {n_tokens} tokens")
+    n_cols = n_tokens + 1  # ts's trailing blank is column n_cols
+    col_tokens = [*ts.tokens, tr.blank_index]
+    blank_lp = window[:, tr.blank_index]
+    if n_cols == len(tr.col_tokens):
+        final = k[:, n_cols]
+    else:
+        final = _trailing_blank_column(k[:, n_tokens], blank_lp)
+    best = final[1:].max()
     if best == -np.inf:
         raise NoPathError(
             f"window of {n_frames} frames cannot hold {n_cols} tokens"
         )
-    psi = int(np.argmax(final)) + 1  # earliest row attaining the max
-    blank_lp = window[:, tr.blank_index]
-    advance_row = np.zeros(n_cols + 1, dtype=np.int64)
+    psi = int(np.argmax(final[1:])) + 1  # earliest row attaining the max
+    advance_row = [0] * (n_cols + 1)
     t, j = psi, n_cols
-    while j >= 1:
+    while j > first_token:
         if t < 1:
             raise NoPathError("backtrack walked past the window start")
-        adv_val = k[t - 1, j - 1] + window[t - 1, tr.col_tokens[j - 1]]
-        stay_val = k[t - 1, j] + blank_lp[t - 1]
+        adv_val = k[t - 1, j - 1] + window[t - 1, col_tokens[j - 1]]
+        stay_val = (final[t - 1] if j == n_cols else k[t - 1, j]) + blank_lp[t - 1]
         if adv_val >= stay_val:
             advance_row[j] = t
             j -= 1
         t -= 1
     chars = []
-    for j in range(1, n_cols + 1):
-        start = int(advance_row[j]) - 1
-        end = (int(advance_row[j + 1]) - 2) if j < n_cols else psi - 1
+    for j in range(first_token + 1, n_cols + 1):
+        start = advance_row[j] - 1
+        end = (advance_row[j + 1] - 2) if j < n_cols else psi - 1
         chars.append(
             CharAlignment(
                 token_pos=j - 1,
-                symbol=int(tr.col_tokens[j - 1]),
+                symbol=col_tokens[j - 1],
                 start_frame=start,
                 end_frame=end,
             )
@@ -147,6 +166,21 @@ def backtrack(
         span = slice(ca.start_frame, ca.end_frame + 1)
         rho[span] = np.maximum(window[span, ca.symbol], blank_lp[span])
     return chars, rho
+
+
+def _trailing_blank_column(last_token_col: np.ndarray, blank_lp: np.ndarray) -> np.ndarray:
+    """The trailing-blank column after last_token_col, by compute_trellis's update.
+
+    The same float additions and the same choice as its np.maximum(stay,
+    advance) give the same bits as a fill that ends there.
+    """
+    out = [-math.inf]  # row 0: no frame consumed yet
+    cell = -math.inf
+    for col, blank in zip(last_token_col.tolist(), blank_lp.tolist()):
+        stay, advance = cell + blank, col + blank
+        cell = stay if stay >= advance else advance
+        out.append(cell)
+    return np.array(out)
 
 
 def fragment_scores(rho: np.ndarray, fragment_frames: int = FRAGMENT_FRAMES) -> np.ndarray:

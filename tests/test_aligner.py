@@ -1,7 +1,9 @@
 """Anchor loop and window alignment tests on tiny synthetic files."""
 
+import collections
 import math
 
+import numpy as np
 import pytest
 
 from anchoralign import (
@@ -10,16 +12,25 @@ from anchoralign import (
     SynthSpec,
     SynthUtterance,
     Utterance,
+    UtteranceAlignment,
+    WindowResult,
     align_file,
     align_window,
+    aligner,
+    apply_short_penalty,
     apply_speech_regions,
+    backtrack,
+    build_token_sequence,
+    compute_trellis,
     estimate_time_refs,
+    fragment_scores,
     frames_to_seconds,
     identity_frame_map,
     normalize_score,
+    segment_score,
     synth_posteriors,
 )
-from anchoralign.errors import ConfigError, WindowTooSmallError
+from anchoralign.errors import ConfigError, NoPathError, WindowTooSmallError
 
 FRAME_S = 0.02
 
@@ -129,6 +140,109 @@ def test_window_frames_are_absolute(spanish_vocab):
     result = align_window(pm, (150, 200), utts, spanish_vocab)
     assert result.best is not None
     _assert_matches_truth(result.best, truths)  # not window-relative
+
+
+def _reference_align_window(pm, window, utts, vocab, params=AlignParams()):
+    """The refill-and-score-all loop: one fill and a full trace per attempt."""
+    start, length = window
+    window_logp = pm.data[start : start + length]
+    best, best_last, attempts = None, -np.inf, []
+    for n in range(len(utts), 0, -1):
+        ts = build_token_sequence(utts[:n], vocab)
+        try:
+            tr = compute_trellis(window_logp, ts, vocab.blank_index)
+            chars, rho = backtrack(tr, window_logp, ts)
+        except NoPathError:
+            attempts.append((n, -np.inf))
+            if best is not None:
+                break
+            continue
+        alns = []
+        for (_, first, last), utt in zip(ts.boundaries, utts[:n]):
+            s, e = chars[first].start_frame, chars[last].start_frame
+            score = segment_score(fragment_scores(rho[s : e + 1], params.fragment_frames))
+            score, penalized = apply_short_penalty(
+                score, e - s + 1, params.fragment_frames, params.short_penalty
+            )
+            duration_s = (e - s + 1) * pm.frame_duration_s
+            alns.append(
+                UtteranceAlignment(
+                    utt_index=utt.utt_index,
+                    start_frame=s + start,
+                    end_frame=e + start,
+                    s_seg=score,
+                    s_seg_norm=normalize_score(score, duration_s, params.score_ref_s),
+                    penalized=penalized,
+                    duration_s=duration_s,
+                )
+            )
+        last = alns[-1].s_seg
+        attempts.append((n, last))
+        if last >= params.threshold:
+            if best is None or last > best_last:
+                best, best_last = alns, last
+            else:
+                break
+        elif best is not None:
+            break
+    if best is None and all(score == -np.inf for _, score in attempts):
+        raise WindowTooSmallError("no path")
+    last_score = best_last if best is not None else max(score for _, score in attempts)
+    return WindowResult(best=best, last_score=float(last_score), attempts=attempts)
+
+
+def test_window_matches_the_refill_reference(spanish_vocab):
+    texts = [TEXT_A, TEXT_B, TEXT_C, TEXT_B, TEXT_A, TEXT_C]
+    pm, truths, _ = _render(_spans(texts, 30, 60), spanish_vocab, 12.0)
+    rng = np.random.default_rng(31)
+    seen = collections.Counter()
+    for _ in range(150):
+        transcript = [GARBAGE if rng.random() < 0.3 else t for t in texts]
+        utts = [Utterance(i, t, len(t.split(" "))) for i, t in enumerate(transcript)]
+        first = int(rng.integers(0, len(utts)))
+        batch = utts[first : first + int(rng.integers(1, len(utts) - first + 1))]
+        start = max(0, truths[first][1] - int(rng.integers(0, 80)))
+        window = (start, int(rng.integers(1, pm.n_frames - start + 1)))
+        try:
+            want = _reference_align_window(pm, window, batch, spanish_vocab)
+        except WindowTooSmallError:
+            with pytest.raises(WindowTooSmallError):
+                align_window(pm, window, batch, spanish_vocab)
+            seen["too small"] += 1
+            continue
+        got = align_window(pm, window, batch, spanish_vocab)
+        assert got == want
+        if want.attempts[0][1] == -np.inf:
+            seen["no path for the longest"] += 1
+        if want.best is None:
+            seen["rejected"] += 1
+        elif len(want.best) == len(batch):
+            seen["accepted at full size"] += 1
+        elif len(want.attempts) > len(batch) - len(want.best) + 1:
+            seen["shrink then break"] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 3, seen
+
+
+def test_window_fills_the_lattice_once(spanish_vocab, monkeypatch):
+    fills = []
+
+    def counting(*args, **kwargs):
+        fills.append(args)
+        return compute_trellis(*args, **kwargs)
+
+    monkeypatch.setattr(aligner, "compute_trellis", counting)
+    pm, _, utts = _render(
+        _spans([TEXT_A, TEXT_B, TEXT_C], start_frame=50, pause_frames=150),
+        spanish_vocab,
+        12.0,
+        transcript=[TEXT_A, TEXT_B, GARBAGE],
+    )
+    # shrink off the garbage tail; no path for the longest batch; accept, then break
+    for length, tried in ((pm.n_frames, [3, 2, 1]), (90, [3, 2, 1]), (300, [3, 2])):
+        fills.clear()
+        result = align_window(pm, (0, length), utts, spanish_vocab)
+        assert [n for n, _ in result.attempts] == tried
+        assert len(fills) == 1
 
 
 # --- align_file --------------------------------------------------------------

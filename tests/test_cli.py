@@ -321,6 +321,33 @@ def test_align_reports_bad_file_with_exit_2(synth_dirs, tmp_path):
     assert not (out / "fileb.align.jsonl").exists()
 
 
+def test_align_reports_non_utf8_transcript_with_exit_2(synth_dirs, tmp_path, caplog):
+    data, vocab_path = synth_dirs
+    (data / "fileb.txt").write_bytes(b"una \xff linea\n")
+    out = tmp_path / "out"
+    assert _run_align(data, vocab_path, out) == 2
+    assert (out / "filea.align.jsonl").exists()  # the good file still aligned
+    assert not (out / "fileb.align.jsonl").exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "fileb" in errors[0] and "UnicodeDecodeError" in errors[0]
+
+
+@pytest.mark.parametrize("option", ["--config", "--vocab", "--split-map"])
+def test_non_utf8_setting_file_exits_2(scored_jsonl, tmp_path, caplog, option):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    out = str(tmp_path / "out")
+    if option == "--split-map":
+        argv = ["stats", str(scored_jsonl), "--split-map", str(bad), "--output-dir", out]
+    else:
+        dirs = ["--posterior-dir", str(tmp_path), "--transcript-dir", str(tmp_path)]
+        argv = ["align", *dirs, "--vocab", str(tmp_path / "vocab.txt"), "--output-dir", out]
+        argv += [option, str(bad)]
+    assert main(argv) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "not UTF-8" in errors[0] and "\n" not in errors[0]
+
+
 def test_align_empty_input_dir(tmp_path):
     empty = tmp_path / "empty"
     os.makedirs(empty)

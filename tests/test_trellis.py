@@ -181,6 +181,64 @@ def test_matches_exhaustive_oracle(tie_prone):
         np.testing.assert_array_equal(_path_from_chars(chars), oracle_path)
 
 
+# --- prefix backtrack on one lattice -----------------------------------------
+
+
+def _batch_window(rng):
+    """12 short utterances and a tie-prone window of 25-69 frames with some -inf cells."""
+    utts = [
+        Utterance(i, "".join(rng.choice(list("abc"), rng.integers(1, 4))), word_count=1)
+        for i in range(12)
+    ]
+    rows = -0.125 * rng.integers(1, 9, size=(3, len(VOCAB.symbols))).astype(np.float64)
+    window = rows[rng.integers(0, 3, size=int(rng.integers(25, 70)))]
+    window[rng.random(window.shape) < 0.04] = -np.inf
+    return window, utts
+
+
+def test_prefix_backtrack_matches_a_fresh_fill():
+    rng = np.random.default_rng(77)
+    traced = blocked = 0
+    for _ in range(25):
+        window, utts = _batch_window(rng)
+        full = build_token_sequence(utts, VOCAB)
+        tr = compute_trellis(window, full, VOCAB.blank_index)
+        for n in range(1, len(full.boundaries) + 1):
+            ts = full.prefix(n)
+            assert ts == build_token_sequence(utts[:n], VOCAB)
+            fresh = compute_trellis(window, ts, VOCAB.blank_index)
+            try:
+                want_chars, want_rho = backtrack(fresh, window, ts)
+            except NoPathError:
+                with pytest.raises(NoPathError):
+                    backtrack(tr, window, ts)
+                blocked += 1
+                continue
+            traced += 1
+            chars, rho = backtrack(tr, window, ts)
+            assert chars == want_chars
+            assert np.array_equal(rho, want_rho, equal_nan=True)
+            for first in range(len(ts.tokens) + 1):
+                tail, tail_rho = backtrack(tr, window, ts, first_token=first)
+                assert tail == want_chars[first:]
+                want_tail_rho = want_rho.copy()
+                want_tail_rho[: tail[0].start_frame] = np.nan
+                assert np.array_equal(tail_rho, want_tail_rho, equal_nan=True)
+    assert traced > 100 and blocked > 0
+
+
+def test_backtrack_rejects_a_sequence_that_is_not_a_prefix():
+    window = _logp([[0.4, 0.1, 0.2, 0.2, 0.1]] * 8)
+    ts = _ts("ab")
+    tr = compute_trellis(window, ts, VOCAB.blank_index)
+    for other in (_ts("ba"), _ts("abc"), _ts("abb")):
+        with pytest.raises(ValueError):
+            backtrack(tr, window, other)
+    for first in (-1, len(ts.tokens) + 1):
+        with pytest.raises(ValueError):
+            backtrack(tr, window, ts, first_token=first)
+
+
 # --- fragment and segment scores ---------------------------------------------
 
 
