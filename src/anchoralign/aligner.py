@@ -89,15 +89,6 @@ class AlignParams:
         check_knobs(self)
 
 
-@dataclass(frozen=True)
-class Anchor:
-    """Accepted batch terminator: where alignment is trusted to restart."""
-
-    utt_index: int
-    end_frame: int
-    s_seg: float
-
-
 @dataclass
 class WindowResult:
     """Outcome of aligning one window.
@@ -120,10 +111,14 @@ class AlignmentRun:
     file_id: str
     utterances: list[UtteranceAlignment]
     skipped: list[int]
-    anchors: list[Anchor]
     iterations_log: list[tuple[int, int, int, str]]
     frame_duration_s: float
     total_duration_s: float
+
+    @property
+    def anchors(self) -> list[UtteranceAlignment]:
+        """Each accepted batch's last utterance: where alignment restarted."""
+        return [u for u in self.utterances if u.anchor]
 
 
 def align_window(
@@ -255,7 +250,6 @@ def align_file(
         file_id=file_id,
         utterances=[],
         skipped=[],
-        anchors=[],
         iterations_log=[],
         frame_duration_s=dur,
         total_duration_s=pm.duration_s,
@@ -276,13 +270,6 @@ def align_file(
                 aln.file_id = file_id
             result.best[-1].anchor = True
             run.utterances.extend(result.best)
-            run.anchors.append(
-                Anchor(
-                    utt_index=result.best[-1].utt_index,
-                    end_frame=result.best[-1].end_frame,
-                    s_seg=result.best[-1].s_seg,
-                )
-            )
             run.iterations_log.append(
                 (anchor_frame, win_len, len(batch), f"accepted:{len(result.best)}")
             )

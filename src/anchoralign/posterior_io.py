@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     FrameMapError,
@@ -35,6 +34,30 @@ _CTCP_HEADER = struct.Struct("<4sIIIf")
 ROW_MASS_TOL = 0.1
 
 DEFAULT_FRAME_DURATION_S = 0.02
+
+
+def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
+    """log(sum(exp(a))) over axis (all of a when None), for float64 input.
+
+    The shifted log1p form of Blanchard, Higham & Higham (IMA J. Numer.
+    Anal. 2021), step for step as scipy 1.17 computes it: every element equal
+    to the maximum leaves the sum and is counted in m. Results that are not
+    finite (all -inf) fall back to the plain log(sum(exp(a))).
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=axes, keepdims=True)
+        is_max = a == a_max
+        m = is_max.sum(axis=axes, keepdims=True, dtype=np.float64)
+        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axes, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out).all():
+            plain = np.log(np.exp(a).sum(axis=axes, keepdims=True))
+            out = np.where(np.isfinite(out), out, plain)
+    out = out.squeeze(axis=axes)
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -159,13 +182,15 @@ class PosteriorMatrix:
         t, v = self.data.shape
         if t < 1 or v < 2:
             raise PosteriorFormatError(f"bad posterior shape {self.data.shape}")
-        if not self.frame_duration_s > 0:
-            raise PosteriorFormatError("frame_duration_s must be positive")
+        if not 0 < self.frame_duration_s < math.inf:
+            raise PosteriorFormatError(
+                f"frame_duration_s must be positive and finite, got {self.frame_duration_s}"
+            )
         if np.isnan(self.data).any():
             raise PosteriorFormatError("posterior contains NaN")
         if (self.data > 0).any():
             raise PosteriorFormatError("log probabilities must be <= 0")
-        mass = logsumexp(self.data.astype(np.float64), axis=1)
+        mass = logsumexp(self.data, axis=1)
         if (np.abs(mass) > ROW_MASS_TOL).any():
             worst = int(np.argmax(np.abs(mass)))
             raise PosteriorFormatError(
@@ -214,8 +239,6 @@ def _read_binary_posteriors(path: str | os.PathLike) -> tuple[np.ndarray, float]
     expected = t * v * 4
     if len(payload) != expected:
         raise PosteriorFormatError(f"payload is {len(payload)} bytes, expected {expected}")
-    if not math.isfinite(frame_dur) or frame_dur <= 0:
-        raise PosteriorFormatError(f"bad frame duration {frame_dur!r}")
     data = np.frombuffer(payload, dtype="<f4").reshape(t, v).astype(np.float32)
     # the header stores f32; recover the intended decimal value (f32 keeps 6
     # significant digits) so frame arithmetic downstream stays exact
@@ -348,7 +371,7 @@ def apply_speech_regions(
             run_start = i
     fm = FrameMap(segments=tuple(segments), original_frames=pm.n_frames)
     compressed = PosteriorMatrix(
-        data=pm.data[keep].copy(),
+        data=pm.data[keep],
         frame_duration_s=pm.frame_duration_s,
         vocab_id=pm.vocab_id,
     )

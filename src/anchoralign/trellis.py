@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, NoPathError
+from .posterior_io import logsumexp
 from .textprep import TokenSequence
 
 FRAGMENT_FRAMES = 30

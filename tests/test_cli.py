@@ -5,6 +5,9 @@ import logging
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,21 @@ from anchoralign.cli import (
     resolve_config,
 )
 from anchoralign.errors import ConfigError
+
+# --- dependencies ------------------------------------------------------------
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only dependency; a scipy import would tie the score bits to its release
+    code = "import sys, anchoralign.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 # --- config file and flag precedence -----------------------------------------
 

@@ -1,7 +1,9 @@
 """Vocabulary, posterior container, and speech-region I/O tests."""
 
+import hashlib
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -28,12 +30,59 @@ from anchoralign.errors import (
     SpeechRegionsError,
     VocabFormatError,
 )
+from anchoralign.posterior_io import logsumexp
 
 
 def _rand_logp(rng, n_frames, n_symbols, dtype=np.float32):
     probs = rng.random((n_frames, n_symbols)) + 1e-3
     probs /= probs.sum(axis=1, keepdims=True)
     return np.log(probs).astype(dtype)
+
+
+# --- logsumexp ---------------------------------------------------------------
+
+# sha256 of the bytes _logsumexp_outputs writes, computed with
+# scipy.special.logsumexp 1.17.1; the package's scores inherit these bits
+LOGSUMEXP_SHA256 = "497db8711e4c4573f369e6b1239874710e03255bb06f7218a7d43c125965cd14"
+
+
+def _logsumexp_outputs(lse):
+    """Seeded fragments with tied maxima, -inf frames and all--inf runs, plus
+    posterior rows, through lse over both axes; returns the output bytes."""
+    rng = np.random.default_rng(31)
+    out = []
+    for _ in range(400):
+        frag = np.log(rng.random(int(rng.integers(1, 61))))
+        if rng.random() < 0.5:
+            frag = np.round(frag, int(rng.integers(0, 3)))
+        frag[rng.random(frag.size) < 0.1] = -np.inf
+        if rng.random() < 0.05:
+            frag[:] = -np.inf
+        out.append(np.float64(lse(frag)))
+    rows = _rand_logp(rng, 300, 38).astype(np.float64)
+    rows[:100] = np.round(rows[:100], 1)
+    rows[rng.random(rows.shape) < 0.02] = -np.inf
+    rows[-3:] = -np.inf
+    for axis in (0, 1, None):
+        out.append(lse(rows, axis=axis))
+    return b"".join(np.asarray(x, dtype=np.float64).tobytes() for x in out)
+
+
+def test_logsumexp_bits_are_pinned():
+    assert hashlib.sha256(_logsumexp_outputs(logsumexp)).hexdigest() == LOGSUMEXP_SHA256
+
+
+def test_logsumexp_exact_cases():
+    x = -3.25
+    assert logsumexp(np.array([x, x])) == math.log(2) + x
+    assert logsumexp(np.array([x, -np.inf, x, x])) == math.log(3) + x
+    assert logsumexp(np.array([1000.0, 1000.0])) == math.log(2) + 1000.0
+    assert logsumexp(np.array([-0.5])) == -0.5
+    assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
+    assert isinstance(logsumexp(np.zeros(3)), np.float64)
+    rows = np.array([[0.0, -np.inf], [-np.inf, -np.inf], [x, x]])
+    assert logsumexp(rows, axis=1).tolist() == [0.0, -np.inf, math.log(2) + x]
+    assert logsumexp(rows, axis=0).shape == (2,)
 
 
 # --- vocab -------------------------------------------------------------------
@@ -119,8 +168,9 @@ def test_posterior_validation_errors():
     good = _rand_logp(rng, 5, 3)
     with pytest.raises(PosteriorFormatError):
         PosteriorMatrix(data=good[0], frame_duration_s=0.02)
-    with pytest.raises(PosteriorFormatError):
-        PosteriorMatrix(data=good, frame_duration_s=0.0)
+    for bad_duration in (0.0, math.inf, math.nan):
+        with pytest.raises(PosteriorFormatError):
+            PosteriorMatrix(data=good, frame_duration_s=bad_duration)
     nan = good.copy()
     nan[2, 1] = np.nan
     with pytest.raises(PosteriorFormatError):
@@ -214,6 +264,10 @@ def test_binary_format_errors(tmp_path):
     wrong_version.write_bytes(blob[:4] + b"\x09\x00\x00\x00" + blob[8:])
     with pytest.raises(PosteriorFormatError):
         load_posteriors(wrong_version)
+    infinite_frame = tmp_path / "infinite_frame.ctcp"
+    infinite_frame.write_bytes(blob[:16] + struct.pack("<f", math.inf) + blob[20:])
+    with pytest.raises(PosteriorFormatError):
+        load_posteriors(infinite_frame)
 
 
 # --- text container ----------------------------------------------------------
@@ -238,6 +292,8 @@ def test_text_posteriors_load(tmp_path):
         "x 3 0.05\n-1 -1 -1\n",  # non-numeric header
         "2 3 0.05\n-1.0 -1.0 -1.0\n",  # row count mismatch
         "1 3 0.05\n-1.0 oops -1.0\n",  # unparseable value
+        "1 3 inf\n-1.0986 -1.0986 -1.0986\n",  # infinite frame duration
+        "1 3 nan\n-1.0986 -1.0986 -1.0986\n",  # NaN frame duration
     ],
 )
 def test_text_posteriors_errors(tmp_path, content):

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from anchoralign import (
     SynthSpec,
@@ -23,6 +22,7 @@ from anchoralign import (
     write_manifest,
 )
 from anchoralign.errors import ManifestError
+from anchoralign.posterior_io import logsumexp
 from anchoralign.synthdata import ORACLE_MAX_FRAMES, ORACLE_MAX_PADDED
 
 FRAME_S = 0.02

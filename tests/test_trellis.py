@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from anchoralign import (
     FRAGMENT_FRAMES,
@@ -23,6 +22,7 @@ from anchoralign import (
     segment_score,
 )
 from anchoralign.errors import NoPathError
+from anchoralign.posterior_io import logsumexp
 
 VOCAB = Vocab(symbols=("∅", " ", "a", "b", "c"), blank_index=0, separator_index=1)
 
