@@ -146,7 +146,8 @@ def align_window(
         raise ValueError(f"bad window {window} for {pm.n_frames} frames")
     if not utts:
         raise ValueError("no utterances to align")
-    window_logp = pm.data[start : start + length]
+    # cast once: the fill and every backtrack read this float64 window
+    window_logp = np.asarray(pm.data[start : start + length], dtype=np.float64)
     full = build_token_sequence(utts, vocab)
     tr = compute_trellis(window_logp, full, vocab.blank_index)
     best_n = 0

@@ -18,6 +18,7 @@ CHEBYSHEV_WORST_FRACTION = 0.15
 NORMALIZED_CUTOFF = -1.5
 HISTOGRAM_BIN_WIDTH = 0.25
 HISTOGRAM_FLOOR = -8.0
+HISTOGRAM_MAX_BINS = 100_000
 
 
 class ScoredSpan(Protocol):
@@ -100,17 +101,24 @@ def score_histogram(
     """Count scores into half-open bins [start, start + bin_width) up to 0.
 
     Scores below the floor pool into the lowest bin; scores of exactly 0
-    land in the top bin, so counts always sum to len(alns).
+    land in the top bin, so counts always sum to len(alns). More than
+    HISTOGRAM_MAX_BINS bins raise ConfigError.
     """
     if not (0 < bin_width < math.inf and -math.inf < floor < 0):
         raise ConfigError(
             f"need finite bin_width > 0 and floor < 0, got {bin_width} and {floor}"
         )
+    if not -floor / bin_width <= HISTOGRAM_MAX_BINS:
+        raise ConfigError(
+            f"floor {floor} and bin_width {bin_width} give more than"
+            f" {HISTOGRAM_MAX_BINS} bins"
+        )
     n_bins = math.ceil(-floor / bin_width)
     counts = [0] * n_bins
     for a in alns:
-        idx = int(math.floor((a.s_seg - floor) / bin_width))
-        counts[min(max(idx, 0), n_bins - 1)] += 1
+        # clamped before flooring: a far-off score can overflow to +/-inf here
+        pos = min(max((a.s_seg - floor) / bin_width, 0), n_bins - 1)
+        counts[math.floor(pos)] += 1
     return [(floor + i * bin_width, counts[i]) for i in range(n_bins)]
 
 

@@ -32,6 +32,7 @@ _CTCP_HEADER = struct.Struct("<4sIIIf")
 
 # row log-mass must stay within this distance of log(1)
 ROW_MASS_TOL = 0.1
+_MASS_BLOCK_ROWS = 8192  # rows per row-mass check in PosteriorMatrix validation
 
 DEFAULT_FRAME_DURATION_S = 0.02
 
@@ -50,7 +51,9 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
         a_max = a.max(axis=axes, keepdims=True)
         is_max = a == a_max
         m = is_max.sum(axis=axes, keepdims=True, dtype=np.float64)
-        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axes, keepdims=True)
+        rest = np.where(is_max, -np.inf, a)
+        rest -= a_max
+        s = np.exp(rest, out=rest).sum(axis=axes, keepdims=True)  # in place: one temporary
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
         if not np.isfinite(out).all():
@@ -186,15 +189,21 @@ class PosteriorMatrix:
             raise PosteriorFormatError(
                 f"frame_duration_s must be positive and finite, got {self.frame_duration_s}"
             )
-        if np.isnan(self.data).any():
+        top = self.data.max()  # NaN if any entry is NaN
+        if np.isnan(top):
             raise PosteriorFormatError("posterior contains NaN")
-        if (self.data > 0).any():
+        if top > 0:
             raise PosteriorFormatError("log probabilities must be <= 0")
-        mass = logsumexp(self.data, axis=1)
-        if (np.abs(mass) > ROW_MASS_TOL).any():
-            worst = int(np.argmax(np.abs(mass)))
+        # row blocks bound the float64 temporaries; a row's mass has the same bits
+        worst, worst_mass = -1, 0.0
+        for first in range(0, t, _MASS_BLOCK_ROWS):
+            mass = logsumexp(self.data[first : first + _MASS_BLOCK_ROWS], axis=1)
+            i = int(np.argmax(np.abs(mass)))
+            if abs(mass[i]) > max(abs(worst_mass), ROW_MASS_TOL):
+                worst, worst_mass = first + i, mass[i]
+        if worst >= 0:
             raise PosteriorFormatError(
-                f"row {worst} log-mass {mass[worst]:.4f} outside +/-{ROW_MASS_TOL}"
+                f"row {worst} log-mass {worst_mass:.4f} outside +/-{ROW_MASS_TOL}"
             )
         self.data.flags.writeable = False
 
@@ -235,11 +244,11 @@ def _read_binary_posteriors(path: str | os.PathLike) -> tuple[np.ndarray, float]
             raise PosteriorFormatError("bad magic")
         if version != CTCP_VERSION:
             raise PosteriorFormatError(f"unsupported version {version}")
-        payload = fh.read()
-    expected = t * v * 4
-    if len(payload) != expected:
-        raise PosteriorFormatError(f"payload is {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(t, v).astype(np.float32)
+        size = os.fstat(fh.fileno()).st_size - _CTCP_HEADER.size
+        expected = t * v * 4
+        if size != expected:
+            raise PosteriorFormatError(f"payload is {size} bytes, expected {expected}")
+        data = np.fromfile(fh, dtype="<f4", count=t * v).reshape(t, v)
     # the header stores f32; recover the intended decimal value (f32 keeps 6
     # significant digits) so frame arithmetic downstream stays exact
     return data, float(f"{frame_dur:.6g}")

@@ -23,6 +23,7 @@ from .textprep import TokenSequence
 FRAGMENT_FRAMES = 30
 SCORE_REF_S = 8.0
 SHORT_PENALTY = -4.0
+_EMIT_BLOCK_ROWS = 32  # lattice rows per emission gather in compute_trellis
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,13 @@ class UtteranceAlignment:
 
 
 def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int) -> Trellis:
-    """Fill the lattice for a posterior window (T_w x V, natural log)."""
+    """Fill the lattice for a posterior window (T_w x V, natural log).
+
+    Each row costs three in-place ufunc calls: advance = prev[:-1] + emit,
+    row = prev[1:] + blank, row = max(row, advance). Emissions are gathered
+    for _EMIT_BLOCK_ROWS rows at a time, and only row 0 and column 0 are
+    written before the loop.
+    """
     window = np.asarray(window_logp, dtype=np.float64)
     if window.ndim != 2 or window.shape[0] < 1:
         raise ValueError(f"bad window shape {window.shape}")
@@ -86,14 +93,21 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     if (col_tokens < 0).any() or (col_tokens >= n_symbols).any():
         raise ValueError("token index out of vocab range")
     n_cols = len(col_tokens)  # columns 1..n_cols; plus free-start column 0
-    k = np.full((n_frames + 1, n_cols + 1), -np.inf)
+    k = np.empty((n_frames + 1, n_cols + 1))
+    k[0, 1:] = -np.inf
     k[:, 0] = 0.0
-    blank_lp = window[:, blank_index]
-    for t in range(1, n_frames + 1):
-        prev = k[t - 1]
-        advance = prev[:-1] + window[t - 1, col_tokens]
-        stay = prev[1:] + blank_lp[t - 1]
-        k[t, 1:] = np.maximum(stay, advance)
+    blank = window[:, blank_index].tolist()
+    advance = np.empty(n_cols)
+    prev_left, prev_right, rows = k[:-1, :-1], k[:-1, 1:], k[1:, 1:]
+    for t0 in range(0, n_frames, _EMIT_BLOCK_ROWS):
+        block = slice(t0, t0 + _EMIT_BLOCK_ROWS)
+        emits = window[block].take(col_tokens, axis=1)
+        for left, right, row, emit, stay in zip(
+            prev_left[block], prev_right[block], rows[block], emits, blank[block]
+        ):
+            np.add(left, emit, out=advance)
+            np.add(right, stay, out=row)
+            np.maximum(row, advance, out=row)
     k.flags.writeable = False
     return Trellis(k=k, col_tokens=col_tokens, blank_index=blank_index)
 
@@ -161,24 +175,26 @@ def backtrack(
                 end_frame=end,
             )
         )
+    traced = slice(chars[0].start_frame, psi)  # the chars' spans tile it in order
+    symbols = np.repeat(
+        [ca.symbol for ca in chars], [ca.end_frame - ca.start_frame + 1 for ca in chars]
+    )
     rho = np.full(n_frames, np.nan)
-    for ca in chars:
-        span = slice(ca.start_frame, ca.end_frame + 1)
-        rho[span] = np.maximum(window[span, ca.symbol], blank_lp[span])
+    rho[traced] = np.maximum(window[np.arange(traced.start, psi), symbols], blank_lp[traced])
     return chars, rho
 
 
 def _trailing_blank_column(last_token_col: np.ndarray, blank_lp: np.ndarray) -> np.ndarray:
     """The trailing-blank column after last_token_col, by compute_trellis's update.
 
-    The same float additions and the same choice as its np.maximum(stay,
-    advance) give the same bits as a fill that ends there.
+    Both of its candidates add the same blank cost, and rounding is
+    monotonic, so max(stay, advance) == max(cell, col) + blank bit for bit:
+    the same bits as a fill that ends there, for one addition per row.
     """
     out = [-math.inf]  # row 0: no frame consumed yet
     cell = -math.inf
     for col, blank in zip(last_token_col.tolist(), blank_lp.tolist()):
-        stay, advance = cell + blank, col + blank
-        cell = stay if stay >= advance else advance
+        cell = (cell if cell >= col else col) + blank
         out.append(cell)
     return np.array(out)
 
@@ -197,7 +213,9 @@ def fragment_scores(rho: np.ndarray, fragment_frames: int = FRAGMENT_FRAMES) -> 
     if np.isnan(rho).any():
         raise ValueError("rho contains frames off the traced path")
     full = rho.size - rho.size % fragment_frames
-    out = logsumexp(rho[:full].reshape(-1, fragment_frames), axis=1) - np.log(fragment_frames)
+    out = np.empty(0)
+    if full:  # a block length past the span (even past int64) leaves no full block
+        out = logsumexp(rho[:full].reshape(-1, fragment_frames), axis=1) - np.log(fragment_frames)
     if full < rho.size:
         out = np.append(out, logsumexp(rho[full:]) - np.log(rho.size - full))
     return out

@@ -449,6 +449,9 @@ def test_align_out_of_range_setting_exits_2(overlong_text, tmp_path, caplog, fla
         ["filter", "--method", "normalized", "--score-ref-s", "0"],
         ["stats", "--bin-width", "0"],
         ["stats", "--floor", "1"],
+        ["stats", "--bin-width", "1e-300"],
+        ["stats", "--bin-width", "1e-9"],
+        ["stats", "--floor=-1e300"],
     ],
     ids=" ".join,
 )
@@ -457,6 +460,16 @@ def test_filter_and_stats_out_of_range_exit_2(scored_jsonl, tmp_path, caplog, ar
     assert rc == 2
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and "ConfigError" in errors[0] and "\n" not in errors[0]
+
+
+def test_align_with_fragments_longer_than_any_span_exits_0(synth_dirs, tmp_path):
+    # every span is one short fragment, so every score is capped at the short penalty
+    data, vocab_path = synth_dirs
+    out = tmp_path / "out"
+    flags = ["--fragment-frames", "99999999999999999999", "--threshold", "-5"]
+    assert _run_align(data, vocab_path, out, *flags) == 0
+    rows = [json.loads(line) for line in (out / "filea.align.jsonl").read_text().splitlines()]
+    assert rows and all(row["penalized"] and row["s_seg"] <= -4.0 for row in rows)
 
 
 def test_run_config_validates_at_construction():

@@ -17,6 +17,8 @@ from anchoralign import (
     write_histogram_csv,
     write_recovery_csv,
 )
+from anchoralign.errors import ConfigError
+from anchoralign.filters import HISTOGRAM_MAX_BINS
 
 
 def _aln(s_seg, duration_s=1.0, utt_index=0, file_id="f"):
@@ -142,6 +144,26 @@ def test_histogram_validation():
         score_histogram([], bin_width=0.0)
     with pytest.raises(ValueError):
         score_histogram([], floor=0.0)
+
+
+@pytest.mark.parametrize(
+    "bin_width, floor",
+    [(1e-300, -8.0), (0.25, -1e300), (1e-9, -8.0), (1.0, -HISTOGRAM_MAX_BINS - 0.5)],
+)
+def test_histogram_bin_count_is_capped(bin_width, floor):
+    with pytest.raises(ConfigError, match="bins"):
+        score_histogram([_aln(-1.0)], bin_width=bin_width, floor=floor)
+
+
+def test_histogram_at_the_cap_pools_far_scores():
+    # scores far outside the range would overflow the bin position; they pool at the ends
+    hist = score_histogram(
+        [_aln(-1e308), _aln(-0.5), _aln(0.0)], bin_width=1.0, floor=-HISTOGRAM_MAX_BINS
+    )
+    assert len(hist) == HISTOGRAM_MAX_BINS
+    assert hist[0][1] == 1 and hist[-1][1] == 2
+    narrow = score_histogram([_aln(-1e308), _aln(1e308)], bin_width=1e-4)
+    assert narrow[0][1] == 1 and narrow[-1][1] == 1
 
 
 # --- recovery table ----------------------------------------------------------

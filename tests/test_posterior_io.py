@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from anchoralign.errors import (
     SpeechRegionsError,
     VocabFormatError,
 )
-from anchoralign.posterior_io import logsumexp
+from anchoralign.posterior_io import _MASS_BLOCK_ROWS, logsumexp
 
 
 def _rand_logp(rng, n_frames, n_symbols, dtype=np.float32):
@@ -173,16 +174,50 @@ def test_posterior_validation_errors():
             PosteriorMatrix(data=good, frame_duration_s=bad_duration)
     nan = good.copy()
     nan[2, 1] = np.nan
-    with pytest.raises(PosteriorFormatError):
+    with pytest.raises(PosteriorFormatError, match="NaN"):
         PosteriorMatrix(data=nan, frame_duration_s=0.02)
     positive = good.copy()
     positive[0, 0] = 0.5
-    with pytest.raises(PosteriorFormatError):
+    with pytest.raises(PosteriorFormatError, match="must be <= 0"):
+        PosteriorMatrix(data=positive, frame_duration_s=0.02)
+    positive[4, 2] = np.nan  # NaN is reported first, as before
+    with pytest.raises(PosteriorFormatError, match="NaN"):
         PosteriorMatrix(data=positive, frame_duration_s=0.02)
     # rows are probability distributions; half mass is far outside tolerance
     unnormalized = np.log(np.full((4, 3), 1.0 / 6.0))
     with pytest.raises(PosteriorFormatError):
         PosteriorMatrix(data=unnormalized, frame_duration_s=0.02)
+
+
+def test_row_mass_error_names_the_worst_row_across_blocks():
+    # the check runs in row blocks; the message still names the worst row of the whole matrix
+    rng = np.random.default_rng(6)
+    data = _rand_logp(rng, 2 * _MASS_BLOCK_ROWS + 100, 4)
+    data[10] += np.float32(math.log(0.8))  # out of tolerance, but not the worst
+    worst = 2 * _MASS_BLOCK_ROWS + 7
+    data[worst] += np.float32(math.log(0.5))
+    data[worst + 1] = data[worst]  # a tie: the earlier row is named
+    mass = logsumexp(data.astype(np.float64), axis=1)
+    assert int(np.argmax(np.abs(mass))) == worst
+    with pytest.raises(PosteriorFormatError, match=f"row {worst} log-mass {mass[worst]:.4f} "):
+        PosteriorMatrix(data=data, frame_duration_s=0.02)
+
+
+def test_load_peak_memory_is_bounded(tmp_path):
+    # no bytes copy of the payload and no float64 copy of the matrix: validation
+    # works in row blocks, so the peak stays under twice the float32 matrix
+    rng = np.random.default_rng(7)
+    pm = PosteriorMatrix(data=_rand_logp(rng, 50_000, 38), frame_duration_s=0.02)
+    path = tmp_path / "big.ctcp"
+    save_posteriors(path, pm)
+    del pm
+    tracemalloc.start()
+    try:
+        loaded = load_posteriors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * loaded.data.nbytes
 
 
 # --- binary container --------------------------------------------------------
@@ -258,8 +293,12 @@ def test_binary_format_errors(tmp_path):
     blob = good.read_bytes()
     truncated = tmp_path / "truncated.ctcp"
     truncated.write_bytes(blob[:-4])
-    with pytest.raises(PosteriorFormatError):
+    with pytest.raises(PosteriorFormatError, match="payload is 92 bytes, expected 96"):
         load_posteriors(truncated)
+    padded = tmp_path / "padded.ctcp"
+    padded.write_bytes(blob + b"\0\0\0\0")
+    with pytest.raises(PosteriorFormatError, match="payload is 100 bytes, expected 96"):
+        load_posteriors(padded)
     wrong_version = tmp_path / "version.ctcp"
     wrong_version.write_bytes(blob[:4] + b"\x09\x00\x00\x00" + blob[8:])
     with pytest.raises(PosteriorFormatError):

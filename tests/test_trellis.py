@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import corrupted_utterances
+
 from anchoralign import (
     FRAGMENT_FRAMES,
     SCORE_REF_S,
     SHORT_PENALTY,
+    AlignParams,
+    TokenSequence,
     Utterance,
     Vocab,
+    align_file,
     apply_short_penalty,
     backtrack,
     build_token_sequence,
@@ -21,8 +26,10 @@ from anchoralign import (
     random_window,
     segment_score,
 )
+from anchoralign import aligner
 from anchoralign.errors import NoPathError
 from anchoralign.posterior_io import logsumexp
+from anchoralign.trellis import _EMIT_BLOCK_ROWS, Trellis, _trailing_blank_column
 
 VOCAB = Vocab(symbols=("∅", " ", "a", "b", "c"), blank_index=0, separator_index=1)
 
@@ -239,6 +246,100 @@ def test_backtrack_rejects_a_sequence_that_is_not_a_prefix():
             backtrack(tr, window, ts, first_token=first)
 
 
+# --- reference kernels: the straightforward loops the fast ones must equal ---
+
+
+def _reference_fill(window_logp, ts, blank_index):
+    """The lattice fill as first written: a -inf prefill and a fancy index per row."""
+    window = np.asarray(window_logp, dtype=np.float64)
+    col_tokens = np.array(list(ts.tokens) + [blank_index], dtype=np.int64)
+    k = np.full((window.shape[0] + 1, len(col_tokens) + 1), -np.inf)
+    k[:, 0] = 0.0
+    blank_lp = window[:, blank_index]
+    for t in range(1, window.shape[0] + 1):
+        prev = k[t - 1]
+        advance = prev[:-1] + window[t - 1, col_tokens]
+        stay = prev[1:] + blank_lp[t - 1]
+        k[t, 1:] = np.maximum(stay, advance)
+    k.flags.writeable = False
+    return Trellis(k=k, col_tokens=col_tokens, blank_index=blank_index)
+
+
+def _reference_rho(window, chars, blank_index):
+    """rho as first written: one np.maximum per traced character."""
+    rho = np.full(window.shape[0], np.nan)
+    for ca in chars:
+        span = slice(ca.start_frame, ca.end_frame + 1)
+        rho[span] = np.maximum(window[span, ca.symbol], window[span, blank_index])
+    return rho
+
+
+def _hard_window(rng, n_frames):
+    """Tie-prone dyadic rows mixed with random log probabilities, plus -inf
+    cells and frames whose blank (column 0) is -inf."""
+    rows = -0.125 * rng.integers(1, 9, size=(3, len(VOCAB.symbols))).astype(np.float64)
+    window = rows[rng.integers(0, 3, size=n_frames)]
+    rough = rng.random(n_frames) < 0.3
+    window[rough] = np.log(rng.random((int(rough.sum()), len(VOCAB.symbols))))
+    window[rng.random(window.shape) < 0.05] = -np.inf
+    window[rng.random(n_frames) < 0.1, 0] = -np.inf
+    return window
+
+
+@pytest.mark.parametrize(
+    "n_frames",
+    [1, _EMIT_BLOCK_ROWS - 1, _EMIT_BLOCK_ROWS, _EMIT_BLOCK_ROWS + 1, 3 * _EMIT_BLOCK_ROWS + 5],
+)
+def test_fill_equals_the_reference_fill(n_frames):
+    rng = np.random.default_rng(900 + n_frames)
+    for n_tokens in sorted({1, 2, n_frames // 2 + 1, n_frames, n_frames + 3}):
+        for _ in range(4):
+            window = _hard_window(rng, n_frames)
+            tokens = tuple(int(x) for x in rng.integers(1, 5, size=n_tokens))
+            ts = TokenSequence(tokens, ((0, 0, n_tokens - 1),), n_tokens + 2)
+            got = compute_trellis(window, ts, 0)
+            want = _reference_fill(window, ts, 0)
+            assert np.array_equal(got.k, want.k)
+            assert np.array_equal(got.col_tokens, want.col_tokens)
+            assert np.isneginf(got.k).any()
+            for n in range(n_tokens):  # every prefix's derived trailing-blank column
+                fresh = _reference_fill(window, TokenSequence(tokens[:n], (), n + 2), 0)
+                derived = _trailing_blank_column(got.k[:, n], window[:, 0])
+                assert np.array_equal(derived, fresh.k[:, -1])
+
+
+def test_rho_equals_the_reference_loop():
+    rng = np.random.default_rng(78)
+    compared = 0
+    for _ in range(25):
+        window, utts = _batch_window(rng)
+        full = build_token_sequence(utts, VOCAB)
+        tr = compute_trellis(window, full, VOCAB.blank_index)
+        for n in range(1, len(full.boundaries) + 1):
+            ts = full.prefix(n)
+            for first in range(len(ts.tokens) + 1):
+                try:
+                    chars, rho = backtrack(tr, window, ts, first_token=first)
+                except NoPathError:
+                    continue
+                want = _reference_rho(window, chars, VOCAB.blank_index)
+                assert np.array_equal(rho, want, equal_nan=True)
+                compared += 1
+    assert compared > 1000
+
+
+def test_align_file_equals_a_run_on_the_reference_fill(corpus09, monkeypatch):
+    # the clean corpus on the accept path, and the corrupted one through grows and skips
+    narrow = AlignParams(window_s=30.0, window_step_s=15.0, max_window_s=60.0, threshold=-1.0)
+    cases = [(corpus09.utterances, AlignParams()), (corrupted_utterances(corpus09), narrow)]
+    want = [align_file(corpus09.pm, utts, corpus09.vocab, params) for utts, params in cases]
+    outcomes = {o.split(":")[0] for run in want for *_, o in run.iterations_log}
+    assert outcomes == {"accepted", "grow", "skip"}
+    monkeypatch.setattr(aligner, "compute_trellis", _reference_fill)
+    got = [align_file(corpus09.pm, utts, corpus09.vocab, params) for utts, params in cases]
+    assert got == want
+
+
 # --- fragment and segment scores ---------------------------------------------
 
 
@@ -283,6 +384,12 @@ def test_fragment_scores_match_a_per_block_loop():
         blocks = [rho[i : i + frames] for i in range(0, rho.size, frames)]
         expected = [logsumexp(b) - np.log(b.size) for b in blocks]
         assert fragment_scores(rho, frames).tolist() == expected
+
+
+@pytest.mark.parametrize("frames", [61, 2**62, 2**63, 10**20])
+def test_fragment_longer_than_the_span_is_one_fragment(frames):
+    rho = np.log(np.random.default_rng(13).random(60))
+    assert fragment_scores(rho, frames).tolist() == [logsumexp(rho) - np.log(60)]
 
 
 def test_fragment_validation():
