@@ -2,9 +2,10 @@
 
 The lattice k[t][j] holds the best log probability of having consumed the
 first j tokens after t frames. The free-start column (all zeros) lets the
-text begin at any frame, and a trailing blank column lets it end before
-the window does. Backtracking recovers where each character was emitted
-plus the frame-wise confidence rho used for scoring.
+text begin at any frame, and the path ends on the frame after its last
+character where one trailing blank scores best (end_scores), so the text
+may end before the window does. Backtracking recovers where each character
+was emitted plus the frame-wise confidence rho used for scoring.
 """
 
 import math
@@ -17,6 +18,7 @@ from anchoralign import (
     backtrack,
     build_token_sequence,
     compute_trellis,
+    end_scores,
     fragment_scores,
     segment_score,
 )
@@ -25,7 +27,7 @@ from anchoralign import (
 def main():
     vocab = Vocab(symbols=("*", " ", "a", "b"), blank_index=0, separator_index=1)
     ts = build_token_sequence([Utterance(utt_index=0, text="ab", word_count=1)], vocab)
-    print(f"text 'ab' -> token indices {ts.tokens} plus a trailing blank column\n")
+    print(f"text 'ab' -> token indices {ts.tokens}, then one trailing blank\n")
 
     # one clearly dominant symbol per frame: a, blank (held), b, blank
     probs = np.array(
@@ -39,13 +41,14 @@ def main():
     window = np.log(probs)
 
     tr = compute_trellis(window, ts, vocab.blank_index)
-    print("lattice k (rows = frames consumed, columns = free start, 'a', 'b', blank):")
+    print("lattice k (rows = frames consumed, columns = free start, 'a', 'b'):")
     with np.printoptions(precision=3, suppress=True):
         print(tr.k)
     print()
 
-    best = tr.k[1:, -1].max()
+    best = end_scores(tr, window).max()
     expect = 0.85 * 0.70 * 0.85 * 0.70
+    assert abs(best - math.log(expect)) < 1e-12
     print(f"best full-text log prob {best:.4f} = ln({expect:.4f}) as hand-multiplied\n")
 
     chars, rho = backtrack(tr, window, ts)

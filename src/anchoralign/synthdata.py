@@ -223,11 +223,7 @@ def random_window(
         probs = rng.random((n_frames, n_symbols)) + 1e-3
         probs /= probs.sum(axis=1, keepdims=True)
         window = np.log(probs)
-    ts = TokenSequence(
-        tokens=tokens,
-        boundaries=((0, 0, n_chars - 1),) if n_chars else (),
-        padded_length=n_chars + 2,
-    )
+    ts = TokenSequence(tokens=tokens, boundaries=((0, 0, n_chars - 1),) if n_chars else ())
     return window, ts, blank
 
 

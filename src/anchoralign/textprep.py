@@ -35,20 +35,23 @@ class TokenSequence:
 
     tokens holds the character tokens with one separator between consecutive
     utterances. boundaries maps each utterance to its inclusive (first, last)
-    positions in tokens. padded_length counts tokens plus the two implicit
-    alignment states (free start and trailing blank).
+    positions in tokens.
     """
 
     tokens: tuple[int, ...]
     boundaries: tuple[tuple[int, int, int], ...]
-    padded_length: int
+
+    @property
+    def padded_length(self) -> int:
+        """Tokens plus the two implicit alignment states (free start and trailing blank)."""
+        return len(self.tokens) + 2
 
     def prefix(self, n_utts: int) -> TokenSequence:
         """The sequence of the first n_utts utterances, as build_token_sequence makes it."""
         if not 1 <= n_utts <= len(self.boundaries):
             raise ValueError(f"n_utts must be in 1..{len(self.boundaries)}, got {n_utts}")
         end = self.boundaries[n_utts - 1][2] + 1
-        return TokenSequence(self.tokens[:end], self.boundaries[:n_utts], end + 2)
+        return TokenSequence(self.tokens[:end], self.boundaries[:n_utts])
 
 
 def normalize_text(raw: str, vocab: Vocab) -> str:
@@ -113,9 +116,7 @@ def build_token_sequence(utts: Sequence[Utterance], vocab: Vocab) -> TokenSequen
         if last < first:
             raise EmptyTextError(f"utterance {utt.utt_index} is empty")
         boundaries.append((utt.utt_index, first, last))
-    return TokenSequence(
-        tokens=tuple(tokens), boundaries=tuple(boundaries), padded_length=len(tokens) + 2
-    )
+    return TokenSequence(tokens=tuple(tokens), boundaries=tuple(boundaries))
 
 
 def estimate_time_refs(utts: Sequence[Utterance], total_speech_s: float) -> list[Utterance]:

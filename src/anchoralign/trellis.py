@@ -2,16 +2,16 @@
 
 The lattice aligns a token sequence against a window of log posteriors with a
 free start: column 0 costs nothing at any frame, so the text may begin
-anywhere in the window. Columns 1..K-1 are the character tokens and column K
-is a trailing blank; the best end point is the row maximizing the trailing
-blank column. Advancing into column j at frame t consumes logP(token_j | x_t)
-and staying in a column consumes logP(blank | x_t), so a character held over
-several frames pays blank prices for the extra frames.
+anywhere in the window. Columns 1..K are the character tokens. Advancing into
+column j at frame t consumes logP(token_j | x_t) and staying in a column
+consumes logP(blank | x_t), so a character held over several frames pays
+blank prices for the extra frames. A path ends by emitting one trailing blank
+after its last token; since no log probability is positive, holding that
+blank longer never helps, so the trailing blank needs no column of its own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +29,11 @@ _EMIT_BLOCK_ROWS = 32  # lattice rows per emission gather in compute_trellis
 @dataclass(frozen=True)
 class Trellis:
     """Forward lattice: k[t][j] is the best log joint probability of having
-    consumed tokens 1..j after frame t (row 0 = before any frame)."""
+    consumed tokens 1..j after frame t (row 0 = before any frame), for
+    j = 0..len(tokens)."""
 
     k: np.ndarray
-    col_tokens: np.ndarray
+    tokens: tuple[int, ...]
     blank_index: int
 
 
@@ -78,30 +79,32 @@ class UtteranceAlignment:
 def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int) -> Trellis:
     """Fill the lattice for a posterior window (T_w x V, natural log).
 
-    Each row costs three in-place ufunc calls: advance = prev[:-1] + emit,
-    row = prev[1:] + blank, row = max(row, advance). Emissions are gathered
-    for _EMIT_BLOCK_ROWS rows at a time, and only row 0 and column 0 are
-    written before the loop.
+    Every window value must be <= 0 (a log probability): backtrack's end
+    rule relies on it. Each row costs three in-place ufunc calls:
+    advance = prev[:-1] + emit, row = prev[1:] + blank,
+    row = max(row, advance). Emissions are gathered for _EMIT_BLOCK_ROWS rows
+    at a time, and only row 0 and column 0 are written before the loop.
     """
     window = np.asarray(window_logp, dtype=np.float64)
     if window.ndim != 2 or window.shape[0] < 1:
         raise ValueError(f"bad window shape {window.shape}")
     n_frames, n_symbols = window.shape
-    col_tokens = np.array(list(ts.tokens) + [blank_index], dtype=np.int64)
+    tokens = np.array(ts.tokens, dtype=np.int64)
     if not 0 <= blank_index < n_symbols:
         raise ValueError(f"blank index {blank_index} out of range for {n_symbols} symbols")
-    if (col_tokens < 0).any() or (col_tokens >= n_symbols).any():
+    if (tokens < 0).any() or (tokens >= n_symbols).any():
         raise ValueError("token index out of vocab range")
-    n_cols = len(col_tokens)  # columns 1..n_cols; plus free-start column 0
-    k = np.empty((n_frames + 1, n_cols + 1))
+    if not window.max() <= 0:
+        raise ValueError("window holds a positive or NaN log probability")
+    k = np.empty((n_frames + 1, len(tokens) + 1))  # column 0 is the free start
     k[0, 1:] = -np.inf
     k[:, 0] = 0.0
     blank = window[:, blank_index].tolist()
-    advance = np.empty(n_cols)
+    advance = np.empty(len(tokens))
     prev_left, prev_right, rows = k[:-1, :-1], k[:-1, 1:], k[1:, 1:]
     for t0 in range(0, n_frames, _EMIT_BLOCK_ROWS):
         block = slice(t0, t0 + _EMIT_BLOCK_ROWS)
-        emits = window[block].take(col_tokens, axis=1)
+        emits = window[block].take(tokens, axis=1)
         for left, right, row, emit, stay in zip(
             prev_left[block], prev_right[block], rows[block], emits, blank[block]
         ):
@@ -109,72 +112,80 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
             np.add(right, stay, out=row)
             np.maximum(row, advance, out=row)
     k.flags.writeable = False
-    return Trellis(k=k, col_tokens=col_tokens, blank_index=blank_index)
+    return Trellis(k=k, tokens=ts.tokens, blank_index=blank_index)
+
+
+def end_scores(tr: Trellis, window_logp: np.ndarray, n_tokens: int | None = None) -> np.ndarray:
+    """Score of ending the path on each frame of the window.
+
+    Entry f is k[f][n] + logP(blank | x_f): the best path that has placed
+    the first n_tokens tokens (default: all of tr's) by frame f - 1 and
+    emits its trailing blank on frame f. Its maximum is the best log
+    probability of those tokens in the window.
+    """
+    n = len(tr.tokens) if n_tokens is None else n_tokens
+    if not 0 <= n <= len(tr.tokens):
+        raise ValueError(f"n_tokens {n} out of range for {len(tr.tokens)} tokens")
+    window = np.asarray(window_logp, dtype=np.float64)
+    return tr.k[:-1, n] + window[:, tr.blank_index]
 
 
 def backtrack(
     tr: Trellis, window_logp: np.ndarray, ts: TokenSequence, first_token: int = 0
 ) -> tuple[list[CharAlignment], np.ndarray]:
-    """Trace the best path back from the best trailing-blank row.
+    """Trace the best path back from its best end frame.
 
     ts may be any batch whose tokens are a prefix of the tokens tr was
     filled for: column j of a lattice depends only on columns <= j, so the
-    prefix's token columns are tr's, and its trailing-blank column is
-    derived from column len(ts.tokens) with the fill's own update. One fill
-    of the longest batch thus answers every shorter one, bit for bit.
+    prefix's columns are tr's and one fill of the longest batch answers
+    every shorter one, bit for bit. The path ends on the earliest frame
+    maximizing end_scores, holding its trailing blank for that one frame.
 
     Returns one CharAlignment per token (trailing blank included, with
     token_pos == len(ts.tokens)) and the per-frame score rho over the traced
     span: rho[f] = max(logP(aligned token | x_f), logP(blank | x_f)), NaN for
-    frames off the path. Ties pick the earliest end row and prefer advancing.
-    The walk stops once it has placed the token at position first_token, so
-    chars and rho cover only the tokens from there on (token_pos stays
-    absolute); they equal the tail of the full walk.
+    frames off the path. Ties pick the earliest end frame and prefer
+    advancing. The walk stops once it has placed the token at position
+    first_token, so chars and rho cover only the tokens from there on
+    (token_pos stays absolute); they equal the tail of the full walk.
     """
     window = np.asarray(window_logp, dtype=np.float64)
     k = tr.k
     n_frames = window.shape[0]
     n_tokens = len(ts.tokens)
-    if n_tokens >= len(tr.col_tokens) or tuple(tr.col_tokens[:n_tokens].tolist()) != ts.tokens:
+    if tr.tokens[:n_tokens] != ts.tokens:
         raise ValueError("ts is not a prefix of the tokens the lattice was filled for")
     if not 0 <= first_token <= n_tokens:
         raise ValueError(f"first_token {first_token} out of range for {n_tokens} tokens")
-    n_cols = n_tokens + 1  # ts's trailing blank is column n_cols
-    col_tokens = [*ts.tokens, tr.blank_index]
+    col_tokens = (*ts.tokens, tr.blank_index)
     blank_lp = window[:, tr.blank_index]
-    if n_cols == len(tr.col_tokens):
-        final = k[:, n_cols]
-    else:
-        final = _trailing_blank_column(k[:, n_tokens], blank_lp)
-    best = final[1:].max()
-    if best == -np.inf:
-        raise NoPathError(
-            f"window of {n_frames} frames cannot hold {n_cols} tokens"
-        )
-    psi = int(np.argmax(final[1:])) + 1  # earliest row attaining the max
-    advance_row = [0] * (n_cols + 1)
-    t, j = psi, n_cols
+    ends = end_scores(tr, window, n_tokens)
+    psi = int(np.argmax(ends)) + 1  # earliest row attaining the max
+    if ends[psi - 1] == -np.inf:
+        raise NoPathError(f"window of {n_frames} frames cannot hold {n_tokens + 1} tokens")
+    # advance_row[j] is the row where the path advanced into column j; the
+    # trailing blank (j = n_tokens + 1) fills row psi alone, as if the next
+    # advance came at psi + 1
+    advance_row = [0] * (n_tokens + 1) + [psi, psi + 1]
+    t, j = psi - 1, n_tokens
     while j > first_token:
         if t < 1:
             raise NoPathError("backtrack walked past the window start")
         adv_val = k[t - 1, j - 1] + window[t - 1, col_tokens[j - 1]]
-        stay_val = (final[t - 1] if j == n_cols else k[t - 1, j]) + blank_lp[t - 1]
+        stay_val = k[t - 1, j] + blank_lp[t - 1]
         if adv_val >= stay_val:
             advance_row[j] = t
             j -= 1
         t -= 1
-    chars = []
-    for j in range(first_token + 1, n_cols + 1):
-        start = advance_row[j] - 1
-        end = (advance_row[j + 1] - 2) if j < n_cols else psi - 1
-        chars.append(
-            CharAlignment(
-                token_pos=j - 1,
-                symbol=col_tokens[j - 1],
-                start_frame=start,
-                end_frame=end,
-            )
+    chars = [
+        CharAlignment(
+            token_pos=j - 1,
+            symbol=col_tokens[j - 1],
+            start_frame=advance_row[j] - 1,
+            end_frame=advance_row[j + 1] - 2,
         )
+        for j in range(first_token + 1, n_tokens + 2)
+    ]
     traced = slice(chars[0].start_frame, psi)  # the chars' spans tile it in order
     symbols = np.repeat(
         [ca.symbol for ca in chars], [ca.end_frame - ca.start_frame + 1 for ca in chars]
@@ -182,21 +193,6 @@ def backtrack(
     rho = np.full(n_frames, np.nan)
     rho[traced] = np.maximum(window[np.arange(traced.start, psi), symbols], blank_lp[traced])
     return chars, rho
-
-
-def _trailing_blank_column(last_token_col: np.ndarray, blank_lp: np.ndarray) -> np.ndarray:
-    """The trailing-blank column after last_token_col, by compute_trellis's update.
-
-    Both of its candidates add the same blank cost, and rounding is
-    monotonic, so max(stay, advance) == max(cell, col) + blank bit for bit:
-    the same bits as a fill that ends there, for one addition per row.
-    """
-    out = [-math.inf]  # row 0: no frame consumed yet
-    cell = -math.inf
-    for col, blank in zip(last_token_col.tolist(), blank_lp.tolist()):
-        cell = (cell if cell >= col else col) + blank
-        out.append(cell)
-    return np.array(out)
 
 
 def fragment_scores(rho: np.ndarray, fragment_frames: int = FRAGMENT_FRAMES) -> np.ndarray:

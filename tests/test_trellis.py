@@ -20,6 +20,7 @@ from anchoralign import (
     backtrack,
     build_token_sequence,
     compute_trellis,
+    end_scores,
     fragment_scores,
     normalize_score,
     oracle_best_path,
@@ -29,7 +30,7 @@ from anchoralign import (
 from anchoralign import aligner
 from anchoralign.errors import NoPathError
 from anchoralign.posterior_io import logsumexp
-from anchoralign.trellis import _EMIT_BLOCK_ROWS, Trellis, _trailing_blank_column
+from anchoralign.trellis import _EMIT_BLOCK_ROWS, CharAlignment, Trellis
 
 VOCAB = Vocab(symbols=("∅", " ", "a", "b", "c"), blank_index=0, separator_index=1)
 
@@ -51,9 +52,9 @@ def test_two_frame_lattice_values():
     window = _logp([[0.05, 0.05, 0.9, 0.0, 0.0], [0.8, 0.1, 0.1, 0.0, 0.0]])
     ts = _ts("a")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    assert tr.k.shape == (3, 3)
+    assert tr.k.shape == (3, 2)
     assert tr.k[1][1] == pytest.approx(math.log(0.9), abs=1e-12)
-    assert tr.k[2][2] == pytest.approx(math.log(0.72), abs=1e-12)
+    assert end_scores(tr, window)[1] == pytest.approx(math.log(0.72), abs=1e-12)
     chars, rho = backtrack(tr, window, ts)
     assert chars[0].symbol == VOCAB.index_of["a"]
     assert chars[0].start_frame == 0  # 'a' is emitted on the first frame
@@ -71,7 +72,7 @@ def test_free_start_skips_leading_frames():
     tr = compute_trellis(window, ts, VOCAB.blank_index)
     chars, rho = backtrack(tr, window, ts)
     assert chars[0].start_frame == 3
-    best = tr.k[1:, -1].max()
+    best = end_scores(tr, window).max()
     assert best == pytest.approx(math.log(0.9) + math.log(0.9), abs=1e-12)
     assert np.isnan(rho[:3]).all()  # frames before the path are unscored
 
@@ -102,7 +103,7 @@ def test_exact_tie_prefers_advancing():
     chars, _ = backtrack(tr, window, ts)
     assert [ca.start_frame for ca in chars] == [1, 2, 3]
     lp, path = oracle_best_path(window, ts, VOCAB.blank_index)
-    assert lp == pytest.approx(tr.k[1:, -1].max(), abs=1e-12)
+    assert lp == pytest.approx(end_scores(tr, window).max(), abs=1e-12)
     assert list(path) == [0, 1, 2, 3]  # column consumed per frame
 
 
@@ -133,7 +134,7 @@ def test_certain_posteriors_score_zero():
     ts = _ts("ab")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
     chars, rho = backtrack(tr, window, ts)
-    assert tr.k[1:, -1].max() == 0.0
+    assert end_scores(tr, window).max() == 0.0
     assert [ca.start_frame for ca in chars] == [0, 1, 2]
     np.testing.assert_array_equal(rho, np.zeros(3))
 
@@ -156,6 +157,11 @@ def test_trellis_validation():
         compute_trellis(np.zeros((4, 5)), ts, blank_index=9)
     with pytest.raises(ValueError):
         compute_trellis(np.zeros((4, 2)), ts, VOCAB.blank_index)  # 'a' out of range
+    for bad in (1e-300, np.inf, np.nan):  # backtrack's end rule needs every value <= 0
+        window = np.zeros((4, 5))
+        window[2, 3] = bad
+        with pytest.raises(ValueError):
+            compute_trellis(window, ts, VOCAB.blank_index)
 
 
 def test_lattice_is_read_only():
@@ -184,7 +190,7 @@ def test_matches_exhaustive_oracle(tie_prone):
         oracle_lp, oracle_path = oracle_best_path(window, ts, blank)
         tr = compute_trellis(window, ts, blank)
         chars, _ = backtrack(tr, window, ts)
-        assert abs(tr.k[1:, -1].max() - oracle_lp) <= 1e-9
+        assert abs(end_scores(tr, window).max() - oracle_lp) <= 1e-9
         np.testing.assert_array_equal(_path_from_chars(chars), oracle_path)
 
 
@@ -250,7 +256,8 @@ def test_backtrack_rejects_a_sequence_that_is_not_a_prefix():
 
 
 def _reference_fill(window_logp, ts, blank_index):
-    """The lattice fill as first written: a -inf prefill and a fancy index per row."""
+    """The lattice fill as first written: a -inf prefill, a fancy index per row,
+    and a trailing-blank column after the token columns."""
     window = np.asarray(window_logp, dtype=np.float64)
     col_tokens = np.array(list(ts.tokens) + [blank_index], dtype=np.int64)
     k = np.full((window.shape[0] + 1, len(col_tokens) + 1), -np.inf)
@@ -262,7 +269,57 @@ def _reference_fill(window_logp, ts, blank_index):
         stay = prev[1:] + blank_lp[t - 1]
         k[t, 1:] = np.maximum(stay, advance)
     k.flags.writeable = False
-    return Trellis(k=k, col_tokens=col_tokens, blank_index=blank_index)
+    return Trellis(k=k, tokens=ts.tokens, blank_index=blank_index)
+
+
+def _trailing_blank_column(last_token_col, blank_lp):
+    """The trailing-blank column after last_token_col, by _reference_fill's update.
+
+    Both of its candidates add the same blank cost, and rounding is
+    monotonic, so max(stay, advance) == max(cell, col) + blank bit for bit.
+    """
+    out = [-math.inf]  # row 0: no frame consumed yet
+    cell = -math.inf
+    for col, blank in zip(last_token_col.tolist(), blank_lp.tolist()):
+        cell = (cell if cell >= col else col) + blank
+        out.append(cell)
+    return np.array(out)
+
+
+def _reference_backtrack(tr, window_logp, ts, first_token=0):
+    """backtrack as first written, on a _reference_fill lattice: the path ends
+    on the best row of a trailing-blank column, the stored one for the full
+    batch and a derived one for a prefix, and may stay in it."""
+    window = np.asarray(window_logp, dtype=np.float64)
+    k = tr.k
+    n_frames = window.shape[0]
+    n_tokens = len(ts.tokens)
+    n_cols = n_tokens + 1  # ts's trailing blank is column n_cols
+    col_tokens = [*ts.tokens, tr.blank_index]
+    blank_lp = window[:, tr.blank_index]
+    if n_cols == k.shape[1] - 1:
+        final = k[:, n_cols]
+    else:
+        final = _trailing_blank_column(k[:, n_tokens], blank_lp)
+    if final[1:].max() == -np.inf:
+        raise NoPathError("no path")
+    psi = int(np.argmax(final[1:])) + 1
+    advance_row = [0] * (n_cols + 1)
+    t, j = psi, n_cols
+    while j > first_token:
+        if t < 1:
+            raise NoPathError("backtrack walked past the window start")
+        adv_val = k[t - 1, j - 1] + window[t - 1, col_tokens[j - 1]]
+        stay_val = (final[t - 1] if j == n_cols else k[t - 1, j]) + blank_lp[t - 1]
+        if adv_val >= stay_val:
+            advance_row[j] = t
+            j -= 1
+        t -= 1
+    chars = []
+    for j in range(first_token + 1, n_cols + 1):
+        end = (advance_row[j + 1] - 2) if j < n_cols else psi - 1
+        chars.append(CharAlignment(j - 1, col_tokens[j - 1], advance_row[j] - 1, end))
+    return chars, _reference_rho(window, chars, tr.blank_index)
 
 
 def _reference_rho(window, chars, blank_index):
@@ -296,16 +353,51 @@ def test_fill_equals_the_reference_fill(n_frames):
         for _ in range(4):
             window = _hard_window(rng, n_frames)
             tokens = tuple(int(x) for x in rng.integers(1, 5, size=n_tokens))
-            ts = TokenSequence(tokens, ((0, 0, n_tokens - 1),), n_tokens + 2)
+            ts = TokenSequence(tokens, ((0, 0, n_tokens - 1),))
             got = compute_trellis(window, ts, 0)
             want = _reference_fill(window, ts, 0)
-            assert np.array_equal(got.k, want.k)
-            assert np.array_equal(got.col_tokens, want.col_tokens)
+            assert np.array_equal(got.k, want.k[:, :-1])
+            assert got.tokens == want.tokens
             assert np.isneginf(got.k).any()
             for n in range(n_tokens):  # every prefix's derived trailing-blank column
-                fresh = _reference_fill(window, TokenSequence(tokens[:n], (), n + 2), 0)
+                fresh = _reference_fill(window, TokenSequence(tokens[:n], ()), 0)
                 derived = _trailing_blank_column(got.k[:, n], window[:, 0])
                 assert np.array_equal(derived, fresh.k[:, -1])
+
+
+def _wide_window(rng, n_frames):
+    """Log probabilities spanning e^-40 .. e^40 in magnitude, where additions absorb."""
+    return -np.exp(rng.uniform(-40, 40, size=(n_frames, len(VOCAB.symbols))))
+
+
+@pytest.mark.parametrize("make_window", [_hard_window, _wide_window])
+def test_backtrack_equals_the_reference_backtrack(make_window):
+    rng = np.random.default_rng(31 if make_window is _hard_window else 32)
+    traced = blocked = 0
+    for _ in range(40):
+        n_frames = int(rng.integers(1, 50))
+        window = make_window(rng, n_frames)
+        tokens = tuple(int(x) for x in rng.integers(1, 5, size=int(rng.integers(1, n_frames + 4))))
+        full = TokenSequence(tokens, ((0, 0, len(tokens) - 1),))
+        tr = compute_trellis(window, full, 0)
+        ref = _reference_fill(window, full, 0)
+        for n in range(len(tokens) + 1):
+            ts = TokenSequence(tokens[:n], ())
+            # the last utterance starts after the last separator (token 1)
+            last_start = max((i + 1 for i, x in enumerate(ts.tokens) if x == 1), default=0)
+            for first in sorted({0, last_start, n}):
+                try:
+                    want_chars, want_rho = _reference_backtrack(ref, window, ts, first)
+                except NoPathError:
+                    with pytest.raises(NoPathError):
+                        backtrack(tr, window, ts, first_token=first)
+                    blocked += 1
+                    continue
+                chars, rho = backtrack(tr, window, ts, first_token=first)
+                assert chars == want_chars
+                assert np.array_equal(rho, want_rho, equal_nan=True)
+                traced += 1
+    assert traced > 1000 and blocked > 40
 
 
 def test_rho_equals_the_reference_loop():
