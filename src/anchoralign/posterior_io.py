@@ -7,6 +7,7 @@ default for synthesis and the CLI).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import os
@@ -370,21 +371,23 @@ def apply_speech_regions(
         keep[max(first, 0) : min(last_excl, pm.n_frames)] = False
     if not keep.any():
         raise NoSpeechError("all frames fall in removable non-speech gaps")
-    kept_idx = np.flatnonzero(keep)
-    segments = []
-    run_start = 0
-    for i in range(1, len(kept_idx) + 1):
-        if i == len(kept_idx) or kept_idx[i] != kept_idx[i - 1] + 1:
-            length = i - run_start
-            segments.append((run_start, int(kept_idx[run_start]), length))
-            run_start = i
-    fm = FrameMap(segments=tuple(segments), original_frames=pm.n_frames)
-    compressed = PosteriorMatrix(
-        data=pm.data[keep],
-        frame_duration_s=pm.frame_duration_s,
-        vocab_id=pm.vocab_id,
-    )
+    fm = FrameMap(segments=_kept_runs(keep), original_frames=pm.n_frames)
+    # every check in __post_init__ holds for any row subset of a valid
+    # matrix, so the copy skips it and the file is validated once
+    compressed = copy.copy(pm)
+    data = pm.data[keep]
+    data.flags.writeable = False
+    object.__setattr__(compressed, "data", data)
     return compressed, fm
+
+
+def _kept_runs(keep: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    """FrameMap segments for a non-empty boolean keep mask: one
+    (compressed_start, original_start, length) per run of kept frames."""
+    kept_idx = np.flatnonzero(keep)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(kept_idx) != 1) + 1))
+    lengths = np.diff(starts, append=len(kept_idx))
+    return tuple(zip(starts.tolist(), kept_idx[starts].tolist(), lengths.tolist()))
 
 
 def _gaps(sr: SpeechRegions, total_s: float) -> list[tuple[float, float]]:

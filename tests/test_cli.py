@@ -15,6 +15,7 @@ from conftest import small_file_spec
 
 from anchoralign import (
     AlignParams,
+    PosteriorMatrix,
     load_ground_truth,
     load_posteriors,
     load_vocab,
@@ -303,6 +304,28 @@ def test_align_with_regions_matches_plain_run(synth_dirs, tmp_path):
     assert _run_align(data, vocab_path, with_regions, "--regions-dir", str(data)) == 0
     for name in sorted(os.listdir(plain)):
         assert (with_regions / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_align_validates_each_posterior_once(synth_dirs, tmp_path, monkeypatch):
+    # a compressed matrix is a row subset of the validated one, so it is not validated again
+    calls = []
+    validate, align_one = PosteriorMatrix.__post_init__, cli._align_one
+    compress = cli.apply_speech_regions
+
+    def spy_compress(pm, *args, **kwargs):
+        compressed, fm = compress(pm, *args, **kwargs)
+        calls.append(("compress", compressed.n_frames < pm.n_frames))
+        return compressed, fm
+
+    monkeypatch.setattr(
+        PosteriorMatrix, "__post_init__", lambda pm: calls.append("validate") or validate(pm)
+    )
+    monkeypatch.setattr(cli, "_align_one", lambda job: calls.append("align") or align_one(job))
+    monkeypatch.setattr(cli, "apply_speech_regions", spy_compress)
+    data, vocab_path = synth_dirs
+    argv = ["--regions-dir", str(data), "--max-gap-s", "0.1"]
+    assert _run_align(data, vocab_path, tmp_path / "out", *argv) == 0
+    assert calls == ["align", "validate", ("compress", True)] * 2
 
 
 def test_align_from_config_file(synth_dirs, tmp_path):

@@ -31,7 +31,7 @@ from anchoralign.errors import (
     SpeechRegionsError,
     VocabFormatError,
 )
-from anchoralign.posterior_io import _MASS_BLOCK_ROWS, logsumexp
+from anchoralign.posterior_io import _MASS_BLOCK_ROWS, _kept_runs, logsumexp
 
 
 def _rand_logp(rng, n_frames, n_symbols, dtype=np.float32):
@@ -442,6 +442,49 @@ def test_compression_preserves_payload_and_vocab_id(spanish_vocab, tmp_path):
     assert compressed.vocab_id == pm.vocab_id
     assert np.array_equal(compressed.data[:50], pm.data[:50])
     assert np.array_equal(compressed.data[50:], pm.data[350:])
+
+
+def test_compressed_matrix_is_read_only():
+    pm = _flat_pm(100)
+    compressed, _ = apply_speech_regions(pm, SpeechRegions(regions=((0.0, 2.0),)), max_gap_s=5.0)
+    assert isinstance(compressed, PosteriorMatrix)
+    assert compressed.frame_duration_s == pm.frame_duration_s
+    with pytest.raises(ValueError):
+        compressed.data[0, 0] = 0.0
+
+
+def _kept_runs_loop(keep):
+    """The FrameMap segments as first written: one loop step per kept frame."""
+    kept_idx = np.flatnonzero(keep)
+    segments = []
+    run_start = 0
+    for i in range(1, len(kept_idx) + 1):
+        if i == len(kept_idx) or kept_idx[i] != kept_idx[i - 1] + 1:
+            length = i - run_start
+            segments.append((run_start, int(kept_idx[run_start]), length))
+            run_start = i
+    return tuple(segments)
+
+
+def test_kept_runs_equal_the_reference_loop():
+    rng = np.random.default_rng(15)
+    alternating = np.arange(41) % 2 == 0  # single-frame runs
+    masks = [np.ones(1, bool), np.ones(60, bool), alternating, ~alternating]
+    for n in (2, 7, 500):
+        for p_keep in (0.1, 0.5, 0.95):
+            mask = rng.random(n) < p_keep
+            for first, last in ((True, True), (False, True), (True, False), (False, False)):
+                edged = mask.copy()
+                edged[0], edged[-1] = first, last
+                masks.append(edged)
+    compared = 0
+    for keep in masks:
+        if keep.any():
+            runs = _kept_runs(keep)
+            assert runs == _kept_runs_loop(keep)
+            assert all(type(x) is int for run in runs for x in run)
+            compared += 1
+    assert compared > 30
 
 
 def test_identity_frame_map():

@@ -27,7 +27,7 @@ from anchoralign import (
     random_window,
     segment_score,
 )
-from anchoralign import aligner
+from anchoralign import aligner, trellis
 from anchoralign.errors import NoPathError
 from anchoralign.posterior_io import logsumexp
 from anchoralign.trellis import _EMIT_BLOCK_ROWS, CharAlignment, Trellis
@@ -430,6 +430,78 @@ def test_align_file_equals_a_run_on_the_reference_fill(corpus09, monkeypatch):
     monkeypatch.setattr(aligner, "compute_trellis", _reference_fill)
     got = [align_file(corpus09.pm, utts, corpus09.vocab, params) for utts, params in cases]
     assert got == want
+
+
+# --- the compiled kernel and the numpy fallback ------------------------------
+
+
+def compiled_kernel():
+    """The C kernel's library; skips the test where it does not build."""
+    lib = trellis._load_library()
+    if lib is None:
+        pytest.skip("the C kernel does not build here")
+    return lib
+
+
+def _run(window, ts, blank, first_token):
+    tr = compute_trellis(window, ts, blank)
+    try:
+        chars, rho = backtrack(tr, window, ts, first_token=first_token)
+    except NoPathError:
+        return tr.k.tobytes(), None
+    return tr.k.tobytes(), (chars, rho.tobytes())
+
+
+@pytest.mark.parametrize("tie_prone", [False, True])
+def test_kernels_give_the_same_bits(monkeypatch, tie_prone):
+    lib = compiled_kernel()
+    rng = np.random.default_rng(606 if tie_prone else 607)
+    compared = blocked = 0
+    for _ in range(150):
+        window, ts, blank = random_window(
+            rng, max_frames=60, max_chars=40, max_vocab=6, tie_prone=tie_prone
+        )
+        window[rng.random(window.shape) < 0.1] = -np.inf
+        for first in sorted({0, len(ts.tokens) // 2, len(ts.tokens)}):
+            results = []
+            for chosen in (lib, None):
+                monkeypatch.setattr(trellis, "_kernel", lambda chosen=chosen: chosen)
+                results.append(_run(window, ts, blank, first))
+            assert results[0] == results[1]
+            compared += 1
+            blocked += results[0][1] is None
+    assert compared > 300 and 0 < blocked < compared // 2
+
+
+@pytest.mark.parametrize("cc", ["no-such-compiler", "false"])
+def test_a_failed_build_falls_back_to_the_same_bits(monkeypatch, cc):
+    lib = compiled_kernel()
+    fallback = trellis._load_library(cc)  # the compiler is missing, or the build fails
+    assert fallback is None
+    rng = np.random.default_rng(608)
+    window = np.log(rng.dirichlet(np.ones(6), size=80))
+    ts = TokenSequence(tuple(int(x) for x in rng.integers(1, 6, size=30)), ((0, 0, 29),))
+    results = []
+    for chosen in (lib, fallback):
+        monkeypatch.setattr(trellis, "_kernel", lambda chosen=chosen: chosen)
+        results.append(_run(window, ts, 0, 0))
+    assert results[0] == results[1]
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("ran the compiler")
+
+
+def test_the_library_is_built_once(monkeypatch):
+    compiled_kernel()
+    monkeypatch.setattr(trellis.subprocess, "run", _no_build)
+    assert trellis._load_library() is not None
+
+
+def test_an_unwritable_cache_falls_back_without_compiling(monkeypatch):
+    monkeypatch.setattr(trellis.subprocess, "run", _no_build)
+    monkeypatch.setattr(trellis.os, "access", lambda path, mode: False)
+    assert trellis._load_library("a-compiler-with-no-cached-library") is None
 
 
 # --- fragment and segment scores ---------------------------------------------
