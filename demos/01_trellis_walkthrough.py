@@ -1,11 +1,15 @@
 """Walk the alignment lattice by hand on a toy three-frame window.
 
-The lattice k[t][j] holds the best log probability of having consumed the
-first j tokens after t frames. The free-start column (all zeros) lets the
-text begin at any frame, and the path ends on the frame after its last
-character where one trailing blank scores best (end_scores), so the text
-may end before the window does. Backtracking recovers where each character
-was emitted plus the frame-wise confidence rho used for scoring.
+Cell (t, j) of the lattice scores the best log probability of having
+consumed the first j tokens after t frames. The free-start column (all
+zeros) lets the text begin at any frame. The fill keeps only two rows of
+scores; per cell it stores the decision k[t][j], 1 where the best path into
+the cell advanced into token j on frame t and 0 where it held, and it keeps
+the score column where the text ends. The path ends on the frame after its
+last character where one trailing blank scores best (end_scores), so the
+text may end before the window does. Backtracking follows the decisions to
+recover where each character was emitted, plus the frame-wise confidence rho
+used for scoring.
 """
 
 import math
@@ -41,12 +45,15 @@ def main():
     window = np.log(probs)
 
     tr = compute_trellis(window, ts, vocab.blank_index)
-    print("lattice k (rows = frames consumed, columns = free start, 'a', 'b'):")
-    with np.printoptions(precision=3, suppress=True):
-        print(tr.k)
-    print()
+    print("advance decisions k (rows = frames consumed, columns = free start, 'a', 'b'):")
+    print(tr.k)
+    print("(ties advance, so a cell no path reaches yet, -inf either way, reads 1)\n")
 
-    best = end_scores(tr, window).max()
+    ends = end_scores(tr, window)
+    print("end_scores: log prob of placing 'ab' by frame f - 1 and a blank on frame f:")
+    with np.printoptions(precision=3, suppress=True):
+        print(ends)
+    best = ends.max()
     expect = 0.85 * 0.70 * 0.85 * 0.70
     assert abs(best - math.log(expect)) < 1e-12
     print(f"best full-text log prob {best:.4f} = ln({expect:.4f}) as hand-multiplied\n")

@@ -9,6 +9,11 @@ blank prices for the extra frames. A path ends by emitting one trailing blank
 after its last token; since no log probability is positive, holding that
 blank longer never helps, so the trailing blank needs no column of its own.
 
+The fill keeps two rolling score rows and stores one advance-or-stay byte per
+cell, which is all the backtrack walk reads, plus the score columns where
+utterances end, which is all the end rule reads: (frames + 1) x (tokens + 1)
+bytes and 8 x frames x (utterances + 1) more, not a float64 score lattice.
+
 The fill and the backtrack walk run in C (_lattice.c), compiled with the
 system's `cc` on first use and cached beside this module's bytecode. Where
 that fails, a numpy row kernel and a Python walk run instead; both kernels
@@ -83,9 +88,9 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
         log.debug("lattice kernel: numpy, the C kernel is unavailable (%s)", exc)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.fill.argtypes = [ptr, i64, i64, ptr, i64, ptr, i64]
+    lib.fill.argtypes = [ptr, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr, ptr]
     lib.fill.restype = None
-    lib.walk.argtypes = [ptr, i64, ptr, i64, ptr, i64, i64, i64, i64, ptr]
+    lib.walk.argtypes = [ptr, i64, i64, i64, i64, ptr]
     lib.walk.restype = i64
     log.debug("lattice kernel: C (%s)", path)
     return lib
@@ -100,11 +105,20 @@ def _kernel() -> ctypes.CDLL | None:
 
 @dataclass(frozen=True)
 class Trellis:
-    """Forward lattice: k[t][j] is the best log joint probability of having
-    consumed tokens 1..j after frame t (row 0 = before any frame), for
-    j = 0..len(tokens)."""
+    """Forward lattice of advance decisions, read-only.
+
+    Cell (t, j) is the best path that has consumed tokens 1..j after frame t
+    (row 0 = before any frame), for j = 0..len(tokens). k[t][j] (uint8) is 1
+    where that path advanced into column j on frame t and 0 where it stayed
+    in column j; ties advance, and row 0 and column 0 are 0. ends[t][e]
+    (float64, frames x len(end_columns)) is the path's log joint probability
+    at cell (t, end_columns[e]) for t = 0..frames - 1. end_columns holds 0,
+    the end of every utterance and len(tokens), sorted.
+    """
 
     k: np.ndarray
+    ends: np.ndarray
+    end_columns: tuple[int, ...]
     tokens: tuple[int, ...]
     blank_index: int
 
@@ -149,13 +163,16 @@ class UtteranceAlignment:
 
 
 def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int) -> Trellis:
-    """Fill the lattice for a posterior window (T_w x V, natural log).
+    """Fill the lattice's advance decisions for a posterior window (T_w x V,
+    natural log).
 
     Every window value must be <= 0 (a log probability): backtrack's end
-    rule relies on it. Row 0 is 0 then -inf, column 0 is 0, and each later
-    row is max(prev[1:] + blank, prev[:-1] + emit), keeping the stay value
-    on a tie: the C kernel's fill computes it cell by cell, _fill_rows with
-    three numpy calls per row.
+    rule relies on it. The score row before any frame is 0 then -inf,
+    column 0 scores 0, and each later row scores
+    max(prev[1:] + blank, prev[:-1] + emit), keeping the stay value on a tie;
+    k stores advance >= stay per cell, and ends the score columns at
+    end_columns. The C kernel's fill computes it cell by cell, _fill_rows
+    with numpy calls per row; only two score rows are held at once.
     """
     window = np.ascontiguousarray(window_logp, dtype=np.float64)
     if window.ndim != 2 or window.shape[0] < 1:
@@ -168,11 +185,17 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
         raise ValueError("token index out of vocab range")
     if not window.max() <= 0:
         raise ValueError("window holds a positive or NaN log probability")
-    k = np.empty((n_frames + 1, len(tokens) + 1))  # column 0 is the free start
+    end_columns = tuple(sorted({0, len(tokens), *(last + 1 for *_, last in ts.boundaries)}))
+    if end_columns[0] < 0 or end_columns[-1] > len(tokens):
+        raise ValueError("utterance boundaries out of range for the tokens")
+    columns = np.array(end_columns, dtype=np.int64)
+    k = np.zeros((n_frames + 1, len(tokens) + 1), dtype=np.uint8)  # column 0 is the free start
+    ends = np.empty((n_frames, len(end_columns)))
     lib = _kernel()
     if lib is None:
-        _fill_rows(window, tokens, blank_index, k)
+        _fill_rows(window, tokens, blank_index, k, columns, ends)
     else:
+        scratch = np.empty(2 * k.shape[1])
         lib.fill(
             window.ctypes.data,
             n_frames,
@@ -181,44 +204,67 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
             blank_index,
             k.ctypes.data,
             k.shape[1],
+            columns.ctypes.data,
+            len(columns),
+            ends.ctypes.data,
+            scratch.ctypes.data,
         )
     k.flags.writeable = False
-    return Trellis(k=k, tokens=ts.tokens, blank_index=blank_index)
+    ends.flags.writeable = False
+    return Trellis(
+        k=k, ends=ends, end_columns=end_columns, tokens=ts.tokens, blank_index=blank_index
+    )
 
 
-def _fill_rows(window: np.ndarray, tokens: np.ndarray, blank_index: int, k: np.ndarray) -> None:
-    """The numpy fill of k: three in-place ufunc calls per row,
-    advance = prev[:-1] + emit, row = prev[1:] + blank, row = max(row, advance),
+def _fill_rows(
+    window: np.ndarray,
+    tokens: np.ndarray,
+    blank_index: int,
+    k: np.ndarray,
+    end_columns: np.ndarray,
+    ends: np.ndarray,
+) -> None:
+    """The numpy fill of a zeroed k and of ends on two rolling score rows:
+    per frame, ends[t - 1] = prev[end_columns], advance = prev[:-1] + emit,
+    row = prev[1:] + blank, k[t] = advance >= row and row = max(row, advance),
     with the emissions gathered for _EMIT_BLOCK_ROWS rows at a time."""
-    k[0, 1:] = -np.inf
-    k[:, 0] = 0.0
+    prev, row = np.zeros(k.shape[1]), np.zeros(k.shape[1])  # column 0 stays 0
+    prev[1:] = -np.inf
     blank = window[:, blank_index].tolist()
     advance = np.empty(len(tokens))
-    prev_left, prev_right, rows = k[:-1, :-1], k[:-1, 1:], k[1:, 1:]
+    decisions = k[1:, 1:].view(np.bool_)
     for t0 in range(0, len(window), _EMIT_BLOCK_ROWS):
         block = slice(t0, t0 + _EMIT_BLOCK_ROWS)
         emits = window[block].take(tokens, axis=1)
-        for left, right, row, emit, stay in zip(
-            prev_left[block], prev_right[block], rows[block], emits, blank[block]
-        ):
-            np.add(left, emit, out=advance)
-            np.add(right, stay, out=row)
-            np.maximum(row, advance, out=row)
+        for emit, stay, decided, end_row in zip(emits, blank[block], decisions[block], ends[block]):
+            prev.take(end_columns, out=end_row)
+            np.add(prev[:-1], emit, out=advance)
+            np.add(prev[1:], stay, out=row[1:])
+            np.greater_equal(advance, row[1:], out=decided)
+            np.maximum(row[1:], advance, out=row[1:])
+            prev, row = row, prev
 
 
 def end_scores(tr: Trellis, window_logp: np.ndarray, n_tokens: int | None = None) -> np.ndarray:
     """Score of ending the path on each frame of the window.
 
-    Entry f is k[f][n] + logP(blank | x_f): the best path that has placed
-    the first n_tokens tokens (default: all of tr's) by frame f - 1 and
-    emits its trailing blank on frame f. Its maximum is the best log
-    probability of those tokens in the window.
+    Entry f is the score at cell (f, n) plus logP(blank | x_f): the best
+    path that has placed the first n_tokens tokens (default: all of tr's) by
+    frame f - 1 and emits its trailing blank on frame f. Its maximum is the
+    best log probability of those tokens in the window. n_tokens must be in
+    tr.end_columns, and the window must be the one tr was filled for.
     """
     n = len(tr.tokens) if n_tokens is None else n_tokens
-    if not 0 <= n <= len(tr.tokens):
-        raise ValueError(f"n_tokens {n} out of range for {len(tr.tokens)} tokens")
+    if n not in tr.end_columns:
+        raise ValueError(f"n_tokens {n} ends no utterance of the lattice ({tr.end_columns})")
     window = np.asarray(window_logp, dtype=np.float64)
-    return tr.k[:-1, n] + window[:, tr.blank_index]
+    if (
+        window.ndim != 2
+        or tr.k.shape != (window.shape[0] + 1, len(tr.tokens) + 1)
+        or not 0 <= tr.blank_index < window.shape[1]
+    ):
+        raise ValueError(f"window of shape {window.shape} does not match the lattice")
+    return tr.ends[:, tr.end_columns.index(n)] + window[:, tr.blank_index]
 
 
 def backtrack(
@@ -227,10 +273,12 @@ def backtrack(
     """Trace the best path back from its best end frame.
 
     ts may be any batch whose tokens are a prefix of the tokens tr was
-    filled for: column j of a lattice depends only on columns <= j, so the
-    prefix's columns are tr's and one fill of the longest batch answers
-    every shorter one, bit for bit. The path ends on the earliest frame
-    maximizing end_scores, holding its trailing blank for that one frame.
+    filled for and whose length is in tr.end_columns, as every
+    TokenSequence.prefix of them is: column j of a lattice depends only on
+    columns <= j, so the prefix's decisions are tr's and one fill of the
+    longest batch answers every shorter one, bit for bit. The path ends on
+    the earliest frame maximizing end_scores, holding its trailing blank for
+    that one frame, and the walk back reads only tr.k.
 
     Returns one CharAlignment per token (trailing blank included, with
     token_pos == len(ts.tokens)) and the per-frame score rho over the traced
@@ -240,31 +288,25 @@ def backtrack(
     first_token, so chars and rho cover only the tokens from there on
     (token_pos stays absolute); they equal the tail of the full walk.
     """
-    window = np.ascontiguousarray(window_logp, dtype=np.float64)
-    n_frames, n_symbols = window.shape
+    window = np.asarray(window_logp, dtype=np.float64)
     n_tokens = len(ts.tokens)
-    if tr.tokens[:n_tokens] != ts.tokens:
-        raise ValueError("ts is not a prefix of the tokens the lattice was filled for")
+    if tr.tokens[:n_tokens] != ts.tokens or n_tokens not in tr.end_columns:
+        raise ValueError("ts is not an utterance prefix of the tokens the lattice was filled for")
     if not 0 <= first_token <= n_tokens:
         raise ValueError(f"first_token {first_token} out of range for {n_tokens} tokens")
-    tokens = np.array(ts.tokens, dtype=np.int64)
-    if (
-        tr.k.shape[0] != n_frames + 1
-        or not 0 <= tr.blank_index < n_symbols
-        or (tokens < 0).any()
-        or (tokens >= n_symbols).any()
-    ):
+    ends = end_scores(tr, window, n_tokens)  # checks the window against the lattice
+    n_frames, n_symbols = window.shape
+    if ts.tokens and not 0 <= min(ts.tokens) <= max(ts.tokens) < n_symbols:
         raise ValueError("window does not match the lattice")
     col_tokens = (*ts.tokens, tr.blank_index)
     blank_lp = window[:, tr.blank_index]
-    ends = end_scores(tr, window, n_tokens)
     psi = int(np.argmax(ends)) + 1  # earliest row attaining the max
     if ends[psi - 1] == -np.inf:
         raise NoPathError(f"window of {n_frames} frames cannot hold {n_tokens + 1} tokens")
     # advance_row[j] is the row where the path advanced into column j; the
     # trailing blank (j = n_tokens + 1) fills row psi alone, as if the next
     # advance came at psi + 1
-    advance_row = _walk(tr, window, tokens, psi - 1, first_token) + [psi, psi + 1]
+    advance_row = _walk(tr.k, psi - 1, n_tokens, first_token) + [psi, psi + 1]
     chars = [
         CharAlignment(
             token_pos=j - 1,
@@ -283,38 +325,23 @@ def backtrack(
     return chars, rho
 
 
-def _walk(
-    tr: Trellis, window: np.ndarray, tokens: np.ndarray, t: int, first_token: int
-) -> list[int]:
-    """Walk back from cell (t, len(tokens)) to column first_token, advancing
-    where k[t-1][j-1] + emit >= k[t-1][j] + blank, and return advance_row:
-    entry j is the row where the path advanced into column j (0 for the
-    columns before first_token + 1). backtrack has validated every index."""
+def _walk(k: np.ndarray, t: int, j: int, first_token: int) -> list[int]:
+    """Walk back from cell (t, j) to column first_token, advancing where
+    k[t][j] is set, and return advance_row: entry i is the row where the
+    path advanced into column i (0 for the columns before first_token + 1).
+    backtrack has validated every index."""
     lib = _kernel()
     if lib is not None:
-        k = np.ascontiguousarray(tr.k, dtype=np.float64)
-        advance_row = np.zeros(len(tokens) + 1, dtype=np.int64)
-        walked_past = lib.walk(
-            k.ctypes.data,
-            k.shape[1],
-            window.ctypes.data,
-            window.shape[1],
-            tokens.ctypes.data,
-            tr.blank_index,
-            t,
-            len(tokens),
-            first_token,
-            advance_row.ctypes.data,
-        )
-        if walked_past:
+        k = np.ascontiguousarray(k, dtype=np.uint8)
+        advance_row = np.zeros(j + 1, dtype=np.int64)
+        if lib.walk(k.ctypes.data, k.shape[1], t, j, first_token, advance_row.ctypes.data):
             raise NoPathError("backtrack walked past the window start")
         return advance_row.tolist()
-    k, blank, j = tr.k, tr.blank_index, len(tokens)
     advance_row = [0] * (j + 1)
     while j > first_token:
         if t < 1:
             raise NoPathError("backtrack walked past the window start")
-        if k[t - 1, j - 1] + window[t - 1, tokens[j - 1]] >= k[t - 1, j] + window[t - 1, blank]:
+        if k[t, j]:
             advance_row[j] = t
             j -= 1
         t -= 1

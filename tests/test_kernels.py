@@ -10,13 +10,16 @@ import pytest
 
 from test_trellis import (  # noqa: F401  (collected here once per kernel)
     compiled_kernel,
+    test_a_prefix_ending_inside_an_utterance_raises,
     test_align_file_equals_a_run_on_the_reference_fill,
     test_backtrack_equals_the_reference_backtrack,
     test_backtrack_rejects_a_sequence_that_is_not_a_prefix,
     test_certain_posteriors_score_zero,
     test_earliest_end_row_wins,
+    test_end_scores_rejects_a_window_that_does_not_match,
     test_exact_tie_prefers_advancing,
     test_fill_equals_the_reference_fill,
+    test_fill_memory_is_a_byte_per_cell,
     test_free_start_skips_leading_frames,
     test_impossible_token_probability_raises,
     test_lattice_is_read_only,

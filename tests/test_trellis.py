@@ -1,6 +1,7 @@
 """Lattice fill, backtrack, and scoring tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,8 +53,11 @@ def test_two_frame_lattice_values():
     window = _logp([[0.05, 0.05, 0.9, 0.0, 0.0], [0.8, 0.1, 0.1, 0.0, 0.0]])
     ts = _ts("a")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    assert tr.k.shape == (3, 2)
-    assert tr.k[1][1] == pytest.approx(math.log(0.9), abs=1e-12)
+    assert tr.k.shape == (3, 2) and tr.k.dtype == np.uint8
+    assert tr.k.tolist() == [[0, 0], [0, 1], [0, 0]]  # 'a' advances on frame 1, stays on 2
+    assert tr.end_columns == (0, 1)
+    assert tr.ends.shape == (2, 2)
+    assert tr.ends[1][1] == pytest.approx(math.log(0.9), abs=1e-12)
     assert end_scores(tr, window)[1] == pytest.approx(math.log(0.72), abs=1e-12)
     chars, rho = backtrack(tr, window, ts)
     assert chars[0].symbol == VOCAB.index_of["a"]
@@ -157,6 +161,9 @@ def test_trellis_validation():
         compute_trellis(np.zeros((4, 5)), ts, blank_index=9)
     with pytest.raises(ValueError):
         compute_trellis(np.zeros((4, 2)), ts, VOCAB.blank_index)  # 'a' out of range
+    for last in (-2, len(ts.tokens)):  # an utterance end outside the tokens
+        with pytest.raises(ValueError):
+            compute_trellis(np.zeros((4, 5)), TokenSequence(ts.tokens, ((0, 0, last),)), 0)
     for bad in (1e-300, np.inf, np.nan):  # backtrack's end rule needs every value <= 0
         window = np.zeros((4, 5))
         window[2, 3] = bad
@@ -168,7 +175,61 @@ def test_lattice_is_read_only():
     window = _logp([[0.05, 0.05, 0.9, 0.0, 0.0], [0.8, 0.1, 0.1, 0.0, 0.0]])
     tr = compute_trellis(window, _ts("a"), VOCAB.blank_index)
     with pytest.raises(ValueError):
-        tr.k[0, 0] = 1.0
+        tr.k[0, 0] = 1
+    with pytest.raises(ValueError):
+        tr.ends[0, 0] = 1.0
+
+
+def test_end_scores_rejects_a_window_that_does_not_match():
+    rng = np.random.default_rng(5)
+    window = np.log(rng.uniform(0.05, 1.0, size=(20, len(VOCAB.symbols))))
+    ts = _ts("abc")
+    tr = compute_trellis(window, ts, VOCAB.blank_index)
+    assert end_scores(tr, window).shape == (20,)
+    longer = np.vstack([window, window[:1]])
+    for bad in (window[:1], longer):
+        with pytest.raises(ValueError):
+            end_scores(tr, bad)
+        with pytest.raises(ValueError):
+            backtrack(tr, bad, ts)
+    last_blank = compute_trellis(window, ts, blank_index=4)  # no token is symbol 4
+    with pytest.raises(ValueError):
+        end_scores(last_blank, window[:, :4])
+    with pytest.raises(ValueError):
+        backtrack(last_blank, window[:, :4], ts)
+
+
+def test_a_prefix_ending_inside_an_utterance_raises():
+    utts = [Utterance(0, "ab", word_count=1), Utterance(1, "c", word_count=1)]
+    full = build_token_sequence(utts, VOCAB)  # a b <sep> c
+    window = _logp([[0.4, 0.1, 0.2, 0.2, 0.1]] * 8)
+    tr = compute_trellis(window, full, VOCAB.blank_index)
+    assert tr.end_columns == (0, 2, 4)
+    for n in (0, 2, 4):
+        end_scores(tr, window, n)
+    backtrack(tr, window, full.prefix(1))
+    for n in (1, 3):
+        with pytest.raises(ValueError):
+            end_scores(tr, window, n)
+        with pytest.raises(ValueError):
+            backtrack(tr, window, TokenSequence(full.tokens[:n], ()))
+
+
+def test_fill_memory_is_a_byte_per_cell():
+    rng = np.random.default_rng(9)
+    utts = [Utterance(i, "".join(rng.choice(list("abc"), 99)), word_count=1) for i in range(12)]
+    ts = build_token_sequence(utts, VOCAB)
+    n_frames, n_tokens = 3000, len(ts.tokens)  # 1,199 tokens with the separators
+    window = -rng.exponential(size=(n_frames, len(VOCAB.symbols)))
+    tracemalloc.start()
+    try:
+        tr = compute_trellis(window, ts, VOCAB.blank_index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n_frames + 1) * (n_tokens + 1) / 4  # a float64 lattice is 8 bytes a cell
+    bound = (n_frames + 1) * (n_tokens + 1) + 8 * n_frames * (len(utts) + 1)  # README
+    assert tr.k.nbytes + tr.ends.nbytes == bound
 
 
 # --- oracle cross-checks -----------------------------------------------------
@@ -256,8 +317,8 @@ def test_backtrack_rejects_a_sequence_that_is_not_a_prefix():
 
 
 def _reference_fill(window_logp, ts, blank_index):
-    """The lattice fill as first written: a -inf prefill, a fancy index per row,
-    and a trailing-blank column after the token columns."""
+    """The float64 score lattice as first written: a -inf prefill, a fancy
+    index per row, and a trailing-blank column after the token columns."""
     window = np.asarray(window_logp, dtype=np.float64)
     col_tokens = np.array(list(ts.tokens) + [blank_index], dtype=np.int64)
     k = np.full((window.shape[0] + 1, len(col_tokens) + 1), -np.inf)
@@ -269,7 +330,31 @@ def _reference_fill(window_logp, ts, blank_index):
         stay = prev[1:] + blank_lp[t - 1]
         k[t, 1:] = np.maximum(stay, advance)
     k.flags.writeable = False
-    return Trellis(k=k, tokens=ts.tokens, blank_index=blank_index)
+    return k
+
+
+def _reference_decisions(ref_k, window, tokens, blank_index):
+    """The walk's advance rule applied to a _reference_fill lattice, per cell."""
+    n = len(tokens)
+    decisions = np.zeros((window.shape[0] + 1, n + 1), dtype=np.uint8)
+    emit = window[:, list(tokens)]
+    blank = window[:, [blank_index]]
+    decisions[1:, 1:] = ref_k[:-1, :n] + emit >= ref_k[:-1, 1 : n + 1] + blank
+    return decisions
+
+
+def _reference_trellis(window_logp, ts, blank_index):
+    """A Trellis read off _reference_fill: its decisions and its end columns."""
+    window = np.asarray(window_logp, dtype=np.float64)
+    ref_k = _reference_fill(window, ts, blank_index)
+    end_columns = tuple(sorted({0, len(ts.tokens), *(last + 1 for *_, last in ts.boundaries)}))
+    return Trellis(
+        k=_reference_decisions(ref_k, window, ts.tokens, blank_index),
+        ends=ref_k[:-1, list(end_columns)],
+        end_columns=end_columns,
+        tokens=ts.tokens,
+        blank_index=blank_index,
+    )
 
 
 def _trailing_blank_column(last_token_col, blank_lp):
@@ -286,17 +371,15 @@ def _trailing_blank_column(last_token_col, blank_lp):
     return np.array(out)
 
 
-def _reference_backtrack(tr, window_logp, ts, first_token=0):
-    """backtrack as first written, on a _reference_fill lattice: the path ends
-    on the best row of a trailing-blank column, the stored one for the full
-    batch and a derived one for a prefix, and may stay in it."""
+def _reference_backtrack(k, window_logp, ts, blank_index, first_token=0):
+    """backtrack as first written, on a _reference_fill lattice k: the path
+    ends on the best row of a trailing-blank column, the stored one for the
+    full batch and a derived one for a prefix, and may stay in it."""
     window = np.asarray(window_logp, dtype=np.float64)
-    k = tr.k
-    n_frames = window.shape[0]
     n_tokens = len(ts.tokens)
     n_cols = n_tokens + 1  # ts's trailing blank is column n_cols
-    col_tokens = [*ts.tokens, tr.blank_index]
-    blank_lp = window[:, tr.blank_index]
+    col_tokens = [*ts.tokens, blank_index]
+    blank_lp = window[:, blank_index]
     if n_cols == k.shape[1] - 1:
         final = k[:, n_cols]
     else:
@@ -319,7 +402,7 @@ def _reference_backtrack(tr, window_logp, ts, first_token=0):
     for j in range(first_token + 1, n_cols + 1):
         end = (advance_row[j + 1] - 2) if j < n_cols else psi - 1
         chars.append(CharAlignment(j - 1, col_tokens[j - 1], advance_row[j] - 1, end))
-    return chars, _reference_rho(window, chars, tr.blank_index)
+    return chars, _reference_rho(window, chars, blank_index)
 
 
 def _reference_rho(window, chars, blank_index):
@@ -329,6 +412,11 @@ def _reference_rho(window, chars, blank_index):
         span = slice(ca.start_frame, ca.end_frame + 1)
         rho[span] = np.maximum(window[span, ca.symbol], window[span, blank_index])
     return rho
+
+
+def _token_boundaries(n_tokens):
+    """Boundaries that make each token an utterance, so every prefix ends one."""
+    return tuple((i, i, i) for i in range(n_tokens))
 
 
 def _hard_window(rng, n_frames):
@@ -353,16 +441,21 @@ def test_fill_equals_the_reference_fill(n_frames):
         for _ in range(4):
             window = _hard_window(rng, n_frames)
             tokens = tuple(int(x) for x in rng.integers(1, 5, size=n_tokens))
-            ts = TokenSequence(tokens, ((0, 0, n_tokens - 1),))
+            ts = TokenSequence(tokens, _token_boundaries(n_tokens))
             got = compute_trellis(window, ts, 0)
             want = _reference_fill(window, ts, 0)
-            assert np.array_equal(got.k, want.k[:, :-1])
-            assert got.tokens == want.tokens
-            assert np.isneginf(got.k).any()
+            assert np.array_equal(got.k, _reference_decisions(want, window, tokens, 0))
+            assert got.end_columns == tuple(range(n_tokens + 1))
+            assert np.array_equal(got.ends, want[:-1, :-1])
+            assert got.tokens == tokens
+            one_utt = compute_trellis(window, TokenSequence(tokens, ((0, 0, n_tokens - 1),)), 0)
+            assert np.array_equal(one_utt.k, got.k)
+            assert one_utt.end_columns == (0, n_tokens)
+            assert np.array_equal(one_utt.ends, want[:-1, [0, n_tokens]])
             for n in range(n_tokens):  # every prefix's derived trailing-blank column
                 fresh = _reference_fill(window, TokenSequence(tokens[:n], ()), 0)
-                derived = _trailing_blank_column(got.k[:, n], window[:, 0])
-                assert np.array_equal(derived, fresh.k[:, -1])
+                derived = _trailing_blank_column(want[:, n], window[:, 0])
+                assert np.array_equal(derived, fresh[:, -1])
 
 
 def _wide_window(rng, n_frames):
@@ -378,16 +471,16 @@ def test_backtrack_equals_the_reference_backtrack(make_window):
         n_frames = int(rng.integers(1, 50))
         window = make_window(rng, n_frames)
         tokens = tuple(int(x) for x in rng.integers(1, 5, size=int(rng.integers(1, n_frames + 4))))
-        full = TokenSequence(tokens, ((0, 0, len(tokens) - 1),))
+        full = TokenSequence(tokens, _token_boundaries(len(tokens)))  # every prefix is kept
         tr = compute_trellis(window, full, 0)
         ref = _reference_fill(window, full, 0)
         for n in range(len(tokens) + 1):
-            ts = TokenSequence(tokens[:n], ())
+            ts = TokenSequence(tokens[:n], full.boundaries[:n])
             # the last utterance starts after the last separator (token 1)
             last_start = max((i + 1 for i, x in enumerate(ts.tokens) if x == 1), default=0)
             for first in sorted({0, last_start, n}):
                 try:
-                    want_chars, want_rho = _reference_backtrack(ref, window, ts, first)
+                    want_chars, want_rho = _reference_backtrack(ref, window, ts, 0, first)
                 except NoPathError:
                     with pytest.raises(NoPathError):
                         backtrack(tr, window, ts, first_token=first)
@@ -427,7 +520,7 @@ def test_align_file_equals_a_run_on_the_reference_fill(corpus09, monkeypatch):
     want = [align_file(corpus09.pm, utts, corpus09.vocab, params) for utts, params in cases]
     outcomes = {o.split(":")[0] for run in want for *_, o in run.iterations_log}
     assert outcomes == {"accepted", "grow", "skip"}
-    monkeypatch.setattr(aligner, "compute_trellis", _reference_fill)
+    monkeypatch.setattr(aligner, "compute_trellis", _reference_trellis)
     got = [align_file(corpus09.pm, utts, corpus09.vocab, params) for utts, params in cases]
     assert got == want
 
@@ -445,11 +538,12 @@ def compiled_kernel():
 
 def _run(window, ts, blank, first_token):
     tr = compute_trellis(window, ts, blank)
+    lattice = (tr.k.tobytes(), tr.ends.tobytes(), tr.end_columns)
     try:
         chars, rho = backtrack(tr, window, ts, first_token=first_token)
     except NoPathError:
-        return tr.k.tobytes(), None
-    return tr.k.tobytes(), (chars, rho.tobytes())
+        return lattice, None
+    return lattice, (chars, rho.tobytes())
 
 
 @pytest.mark.parametrize("tie_prone", [False, True])
@@ -462,6 +556,7 @@ def test_kernels_give_the_same_bits(monkeypatch, tie_prone):
             rng, max_frames=60, max_chars=40, max_vocab=6, tie_prone=tie_prone
         )
         window[rng.random(window.shape) < 0.1] = -np.inf
+        ts = TokenSequence(ts.tokens, _token_boundaries(len(ts.tokens)))  # keep every column
         for first in sorted({0, len(ts.tokens) // 2, len(ts.tokens)}):
             results = []
             for chosen in (lib, None):
