@@ -58,16 +58,14 @@ def main():
     assert abs(best - math.log(expect)) < 1e-12
     print(f"best full-text log prob {best:.4f} = ln({expect:.4f}) as hand-multiplied\n")
 
-    chars, rho = backtrack(tr, window, ts)
-    for ca in chars:
-        name = vocab.symbols[ca.symbol] if ca.symbol != vocab.blank_index else "(blank)"
-        print(
-            f"token {ca.token_pos}: {name!r} emitted at frame {ca.start_frame},"
-            f" held through frame {ca.end_frame}"
-        )
+    frames, rho = backtrack(tr, window)
+    print(f"emission frame per token, then the trailing blank's frame: {frames}")
+    names = [repr(vocab.symbols[t]) for t in ts.tokens] + ["the trailing blank"]
+    for name, emitted, next_emitted in zip(names, frames, [*frames[1:], frames[-1] + 1]):
+        print(f"{name} emitted at frame {emitted}, held through frame {next_emitted - 1}")
     print()
 
-    span = rho[chars[0].start_frame : chars[-1].end_frame + 1]
+    span = rho[frames[0] : frames[-1] + 1]
     frags = fragment_scores(span)
     print(f"rho over the traced span: {np.round(span, 3)}")
     print(f"fragment scores {np.round(frags, 4)} -> segment score {segment_score(frags):.4f}")

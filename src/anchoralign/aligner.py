@@ -30,7 +30,6 @@ from .trellis import (
     FRAGMENT_FRAMES,
     SCORE_REF_S,
     SHORT_PENALTY,
-    CharAlignment,
     UtteranceAlignment,
     apply_short_penalty,
     backtrack,
@@ -137,9 +136,9 @@ def align_window(
     Raises WindowTooSmallError when no utterance count admits any path.
 
     The lattice is filled once, for the full list. Each shrink attempt reads
-    its batch's column prefix of it and traces and scores only its last
-    utterance, which is all the acceptance rule reads; the kept batch is
-    traced and scored in full once at the end.
+    its batch's column prefix of it, named by the batch's token count, and
+    traces and scores only its last utterance, which is all the acceptance
+    rule reads; the kept batch is traced and scored in full once at the end.
     """
     start, length = window
     if length < 1 or start < 0 or start + length > pm.n_frames:
@@ -156,13 +155,13 @@ def align_window(
     for n in range(len(utts), 0, -1):
         last_utt = full.boundaries[n - 1]
         try:
-            chars, rho = backtrack(tr, window_logp, full.prefix(n), first_token=last_utt[1])
+            frames, rho = backtrack(tr, window_logp, last_utt[2] + 1, first_token=last_utt[1])
         except NoPathError:
             attempts.append((n, -np.inf))
             if best_n:
                 break
             continue
-        [aln] = _score_batch(chars, rho, [last_utt], start, pm.frame_duration_s, params)
+        [aln] = _score_batch(frames, rho, [last_utt], start, pm.frame_duration_s, params)
         last = aln.s_seg
         attempts.append((n, last))
         if last >= params.threshold:
@@ -180,14 +179,14 @@ def align_window(
         return WindowResult(
             best=None, last_score=float(max(score for _, score in attempts)), attempts=attempts
         )
-    ts = full.prefix(best_n)
-    chars, rho = backtrack(tr, window_logp, ts)
-    best = _score_batch(chars, rho, ts.boundaries, start, pm.frame_duration_s, params)
+    boundaries = full.boundaries[:best_n]
+    frames, rho = backtrack(tr, window_logp, boundaries[-1][2] + 1)
+    best = _score_batch(frames, rho, boundaries, start, pm.frame_duration_s, params)
     return WindowResult(best=best, last_score=float(best_last), attempts=attempts)
 
 
 def _score_batch(
-    chars: list[CharAlignment],
+    frames: np.ndarray,
     rho: np.ndarray,
     boundaries: Sequence[tuple[int, int, int]],
     window_start: int,
@@ -196,14 +195,16 @@ def _score_batch(
 ) -> list[UtteranceAlignment]:
     """Split a traced path into per-utterance alignments with scores.
 
-    boundaries are TokenSequence.boundaries entries; chars may be the tail
-    of a walk that starts at the first of them.
+    boundaries are TokenSequence.boundaries entries, and frames and rho are
+    what backtrack returns for a walk that starts at the first token of the
+    first of them: frames[i] is the emission frame of token
+    boundaries[0][1] + i.
     """
-    offset = chars[0].token_pos
+    offset = boundaries[0][1]
     out = []
     for utt_index, first, last in boundaries:
-        start = chars[first - offset].start_frame
-        end = chars[last - offset].start_frame  # emission frame of the last character
+        start = int(frames[first - offset])
+        end = int(frames[last - offset])  # emission frame of the last character
         length = end - start + 1
         score = segment_score(fragment_scores(rho[start : end + 1], params.fragment_frames))
         score, penalized = apply_short_penalty(

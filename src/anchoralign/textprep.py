@@ -46,13 +46,6 @@ class TokenSequence:
         """Tokens plus the two implicit alignment states (free start and trailing blank)."""
         return len(self.tokens) + 2
 
-    def prefix(self, n_utts: int) -> TokenSequence:
-        """The sequence of the first n_utts utterances, as build_token_sequence makes it."""
-        if not 1 <= n_utts <= len(self.boundaries):
-            raise ValueError(f"n_utts must be in 1..{len(self.boundaries)}, got {n_utts}")
-        end = self.boundaries[n_utts - 1][2] + 1
-        return TokenSequence(self.tokens[:end], self.boundaries[:n_utts])
-
 
 def normalize_text(raw: str, vocab: Vocab) -> str:
     """Lower-case, drop out-of-vocab characters, collapse whitespace runs.

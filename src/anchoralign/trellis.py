@@ -123,21 +123,6 @@ class Trellis:
     blank_index: int
 
 
-@dataclass(frozen=True)
-class CharAlignment:
-    """One token's frame range on the traced path.
-
-    start_frame is the emission frame (where the path advanced into the
-    token); end_frame extends over the following stay frames, which carry
-    blank mass rather than the token itself.
-    """
-
-    token_pos: int
-    symbol: int
-    start_frame: int
-    end_frame: int
-
-
 @dataclass
 class UtteranceAlignment:
     """Aligned span and confidence scores for one utterance.
@@ -268,76 +253,62 @@ def end_scores(tr: Trellis, window_logp: np.ndarray, n_tokens: int | None = None
 
 
 def backtrack(
-    tr: Trellis, window_logp: np.ndarray, ts: TokenSequence, first_token: int = 0
-) -> tuple[list[CharAlignment], np.ndarray]:
-    """Trace the best path back from its best end frame.
+    tr: Trellis, window_logp: np.ndarray, n_tokens: int | None = None, first_token: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trace the best path of the first n_tokens tokens back from its best
+    end frame.
 
-    ts may be any batch whose tokens are a prefix of the tokens tr was
-    filled for and whose length is in tr.end_columns, as every
-    TokenSequence.prefix of them is: column j of a lattice depends only on
-    columns <= j, so the prefix's decisions are tr's and one fill of the
+    n_tokens (default: all of tr's tokens) must be in tr.end_columns, as in
+    end_scores: column j of a lattice depends only on columns <= j, so the
+    decisions of a batch of fewer utterances are tr's, and one fill of the
     longest batch answers every shorter one, bit for bit. The path ends on
     the earliest frame maximizing end_scores, holding its trailing blank for
-    that one frame, and the walk back reads only tr.k.
+    that one frame, and the walk back reads only tr.k. Ties pick the
+    earliest end frame and prefer advancing. The walk stops once it has
+    placed token first_token, so frames and rho cover only the tokens from
+    there on; they equal the tail of the full walk.
 
-    Returns one CharAlignment per token (trailing blank included, with
-    token_pos == len(ts.tokens)) and the per-frame score rho over the traced
-    span: rho[f] = max(logP(aligned token | x_f), logP(blank | x_f)), NaN for
-    frames off the path. Ties pick the earliest end frame and prefer
-    advancing. The walk stops once it has placed the token at position
-    first_token, so chars and rho cover only the tokens from there on
-    (token_pos stays absolute); they equal the tail of the full walk.
+    Returns frames (int64, n_tokens - first_token + 1 entries) and rho.
+    frames[i] is the frame on which token first_token + i is emitted, and
+    that token is held through frame frames[i + 1] - 1; the last entry is
+    the trailing blank's frame, the path's last. rho is the per-frame score
+    over the traced span: rho[f] = max(logP(aligned token | x_f),
+    logP(blank | x_f)), NaN for frames off the path.
     """
     window = np.asarray(window_logp, dtype=np.float64)
-    n_tokens = len(ts.tokens)
-    if tr.tokens[:n_tokens] != ts.tokens or n_tokens not in tr.end_columns:
-        raise ValueError("ts is not an utterance prefix of the tokens the lattice was filled for")
-    if not 0 <= first_token <= n_tokens:
-        raise ValueError(f"first_token {first_token} out of range for {n_tokens} tokens")
-    ends = end_scores(tr, window, n_tokens)  # checks the window against the lattice
+    n = len(tr.tokens) if n_tokens is None else n_tokens
+    ends = end_scores(tr, window, n)  # checks n and the window against the lattice
+    if not 0 <= first_token <= n:
+        raise ValueError(f"first_token {first_token} out of range for {n} tokens")
     n_frames, n_symbols = window.shape
-    if ts.tokens and not 0 <= min(ts.tokens) <= max(ts.tokens) < n_symbols:
+    tokens = tr.tokens[first_token:n]
+    if tokens and not 0 <= min(tokens) <= max(tokens) < n_symbols:
         raise ValueError("window does not match the lattice")
-    col_tokens = (*ts.tokens, tr.blank_index)
-    blank_lp = window[:, tr.blank_index]
     psi = int(np.argmax(ends)) + 1  # earliest row attaining the max
     if ends[psi - 1] == -np.inf:
-        raise NoPathError(f"window of {n_frames} frames cannot hold {n_tokens + 1} tokens")
-    # advance_row[j] is the row where the path advanced into column j; the
-    # trailing blank (j = n_tokens + 1) fills row psi alone, as if the next
-    # advance came at psi + 1
-    advance_row = _walk(tr.k, psi - 1, n_tokens, first_token) + [psi, psi + 1]
-    chars = [
-        CharAlignment(
-            token_pos=j - 1,
-            symbol=col_tokens[j - 1],
-            start_frame=advance_row[j] - 1,
-            end_frame=advance_row[j + 1] - 2,
-        )
-        for j in range(first_token + 1, n_tokens + 2)
-    ]
-    traced = slice(chars[0].start_frame, psi)  # the chars' spans tile it in order
-    symbols = np.repeat(
-        [ca.symbol for ca in chars], [ca.end_frame - ca.start_frame + 1 for ca in chars]
-    )
+        raise NoPathError(f"window of {n_frames} frames cannot hold {n + 1} tokens")
+    # the path advanced into column j on row advance_row[j], emitting token
+    # j - 1 on frame advance_row[j] - 1; the trailing blank fills row psi
+    frames = np.append(_walk(tr.k, psi - 1, n, first_token)[first_token + 1 :], psi) - 1
+    symbols = np.repeat((*tokens, tr.blank_index), np.diff(frames, append=psi))
+    traced = np.arange(frames[0], psi)
     rho = np.full(n_frames, np.nan)
-    rho[traced] = np.maximum(window[np.arange(traced.start, psi), symbols], blank_lp[traced])
-    return chars, rho
+    rho[traced] = np.maximum(window[traced, symbols], window[traced, tr.blank_index])
+    return frames, rho
 
 
-def _walk(k: np.ndarray, t: int, j: int, first_token: int) -> list[int]:
+def _walk(k: np.ndarray, t: int, j: int, first_token: int) -> np.ndarray:
     """Walk back from cell (t, j) to column first_token, advancing where
-    k[t][j] is set, and return advance_row: entry i is the row where the
-    path advanced into column i (0 for the columns before first_token + 1).
-    backtrack has validated every index."""
+    k[t][j] is set, and return advance_row (int64, j + 1 entries): entry i
+    is the row where the path advanced into column i, 0 for the columns up
+    to first_token. backtrack has validated every index."""
+    advance_row = np.zeros(j + 1, dtype=np.int64)
     lib = _kernel()
     if lib is not None:
         k = np.ascontiguousarray(k, dtype=np.uint8)
-        advance_row = np.zeros(j + 1, dtype=np.int64)
         if lib.walk(k.ctypes.data, k.shape[1], t, j, first_token, advance_row.ctypes.data):
             raise NoPathError("backtrack walked past the window start")
-        return advance_row.tolist()
-    advance_row = [0] * (j + 1)
+        return advance_row
     while j > first_token:
         if t < 1:
             raise NoPathError("backtrack walked past the window start")
@@ -382,13 +353,21 @@ def normalize_score(score: float, duration_s: float, ref_s: float = SCORE_REF_S)
     """Scale a log score by duration relative to a reference length.
 
     Long utterances keep their (typically lower) scores comparable to short
-    ones by weighting the log score with duration_s / ref_s.
+    ones by weighting the log score with duration_s / ref_s. A result that
+    overflows, as a tiny ref_s or an extreme score can make it, raises
+    ConfigError: no output format can hold it.
     """
     if not 0 < ref_s < np.inf:
         raise ConfigError(f"score_ref_s must be > 0 and finite, got {ref_s}")
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
-    return score * duration_s / ref_s
+    normalized = score * duration_s / ref_s
+    if not np.isfinite(normalized):
+        raise ConfigError(
+            f"normalized score of s_seg {score} over {duration_s} s"
+            f" with score_ref_s {ref_s} is {normalized}"
+        )
+    return normalized
 
 
 def apply_short_penalty(

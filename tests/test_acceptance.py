@@ -64,11 +64,10 @@ def _verdict(capsys, number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"acceptance {number} ({name}): {detail}"
 
 
-def _path_from_chars(chars) -> np.ndarray:
-    psi = chars[-1].end_frame + 1
-    path = np.zeros(psi, dtype=np.int64)
-    for col, ca in enumerate(chars, start=1):
-        path[ca.start_frame :] = col
+def _path_from_frames(frames) -> np.ndarray:
+    path = np.zeros(frames[-1] + 1, dtype=np.int64)
+    for col, frame in enumerate(frames, start=1):
+        path[frame:] = col
     return path
 
 
@@ -95,9 +94,9 @@ def test_oracle_equivalence(capsys):
         window, ts, blank = random_window(rng, tie_prone=bool(i % 2))
         oracle_lp, oracle_path = oracle_best_path(window, ts, blank)
         tr = compute_trellis(window, ts, blank)
-        chars, _ = backtrack(tr, window, ts)
+        frames, _ = backtrack(tr, window)
         worst_delta = max(worst_delta, abs(float(end_scores(tr, window).max()) - oracle_lp))
-        if not np.array_equal(_path_from_chars(chars), oracle_path):
+        if not np.array_equal(_path_from_frames(frames), oracle_path):
             path_mismatches += 1
     elapsed = time.monotonic() - started
     ok = worst_delta <= 1e-9 and path_mismatches == 0 and elapsed < 60.0
@@ -120,18 +119,18 @@ def test_hand_verified_lattice(capsys):
     # frame 1: P(a)=0.9, frame 2: P(blank)=0.8 -> best joint 0.72
     window = np.log([[0.05, 0.05, 0.90], [0.80, 0.15, 0.05]])
     tr = compute_trellis(window, ts, vocab.blank_index)
-    chars, _ = backtrack(tr, window, ts)
+    frames, _ = backtrack(tr, window)
     final_k = float(end_scores(tr, window)[1])
     k_ok = abs(final_k - math.log(0.72)) <= 1e-12
-    # 'a' emits on the first frame (frame 1 counting from one)
-    place_ok = chars[0].start_frame == 0 and chars[0].end_frame == 0
+    # 'a' emits on the first frame (frame 1 counting from one) and is held no longer
+    place_ok = frames[0] == 0 and frames[1] - 1 == 0
     _verdict(
         capsys,
         2,
         "hand-verified lattice",
         k_ok and place_ok,
         f"end score on frame 2 {final_k:.12f} vs ln 0.72 {math.log(0.72):.12f}, "
-        f"'a' at frame {chars[0].start_frame + 1} of 2",
+        f"'a' at frame {frames[0] + 1} of 2",
     )
 
 

@@ -151,7 +151,7 @@ def _reference_align_window(pm, window, utts, vocab, params=AlignParams()):
         ts = build_token_sequence(utts[:n], vocab)
         try:
             tr = compute_trellis(window_logp, ts, vocab.blank_index)
-            chars, rho = backtrack(tr, window_logp, ts)
+            frames, rho = backtrack(tr, window_logp)
         except NoPathError:
             attempts.append((n, -np.inf))
             if best is not None:
@@ -159,7 +159,7 @@ def _reference_align_window(pm, window, utts, vocab, params=AlignParams()):
             continue
         alns = []
         for (_, first, last), utt in zip(ts.boundaries, utts[:n]):
-            s, e = chars[first].start_frame, chars[last].start_frame
+            s, e = int(frames[first]), int(frames[last])
             score = segment_score(fragment_scores(rho[s : e + 1], params.fragment_frames))
             score, penalized = apply_short_penalty(
                 score, e - s + 1, params.fragment_frames, params.short_penalty

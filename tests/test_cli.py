@@ -149,8 +149,8 @@ def synth_dirs(tmp_path):
     return data, vocab_path
 
 
-def _run_align(data, vocab_path, out_dir, *extra):
-    argv = [
+def _align_argv(data, vocab_path, out_dir, *extra):
+    return [
         "align",
         "--posterior-dir",
         str(data),
@@ -162,7 +162,10 @@ def _run_align(data, vocab_path, out_dir, *extra):
         str(out_dir),
         *extra,
     ]
-    return main(argv)
+
+
+def _run_align(data, vocab_path, out_dir, *extra):
+    return main(_align_argv(data, vocab_path, out_dir, *extra))
 
 
 # --- synth -------------------------------------------------------------------
@@ -465,11 +468,31 @@ def test_align_out_of_range_setting_exits_2(overlong_text, tmp_path, caplog, fla
     assert len(errors) == 1 and "ConfigError" in errors[0] and "\n" not in errors[0]
 
 
+def test_align_with_a_score_ref_that_overflows_the_normalized_score_exits_2(
+    synth_dirs, tmp_path
+):
+    # -0.2 / 1e-320 is -inf, which no jsonl row can hold
+    data, vocab_path = synth_dirs
+    argv = _align_argv(data, vocab_path, tmp_path / "out", "--score-ref-s", "1e-320")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "anchoralign.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("failed: ConfigError: normalized score") == 2  # both files
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["filter", "--method", "chebyshev", "--worst-fraction", "0"],
         ["filter", "--method", "normalized", "--score-ref-s", "0"],
+        ["filter", "--method", "normalized", "--score-ref-s", "1e-320"],
         ["stats", "--bin-width", "0"],
         ["stats", "--floor", "1"],
         ["stats", "--bin-width", "1e-300"],

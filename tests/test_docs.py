@@ -1,4 +1,4 @@
-"""The README's library example and every demo script run as written."""
+"""The README's library example, every demo script and the public names work as written."""
 
 import os
 import re
@@ -47,3 +47,11 @@ def test_demo_runs(demo, tmp_path):
     proc = _run_python([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_every_public_name_resolves_once():
+    names = anchoralign.__all__
+    assert len(names) == len(set(names))
+    namespace = {}
+    exec("from anchoralign import *", namespace)  # a stale name raises AttributeError here
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(names)

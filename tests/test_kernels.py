@@ -1,17 +1,23 @@
-"""The lattice tests of test_trellis.py, run on each lattice kernel.
+"""The lattice tests of test_trellis.py and test_acceptance.py, run on each
+lattice kernel.
 
 trellis runs its fill and backtrack walk in C when the library builds and on
 numpy otherwise. pytest collects the test functions imported below again in
 this module, where the autouse `kernel` fixture runs each of them once per
-kernel; in test_trellis.py they run on whichever kernel the process loaded.
+kernel; in their own modules they run on whichever kernel the process loaded.
 """
 
 import pytest
 
+from test_acceptance import (  # noqa: F401  (collected here once per kernel)
+    test_hand_verified_lattice,
+    test_oracle_equivalence,
+)
 from test_trellis import (  # noqa: F401  (collected here once per kernel)
     compiled_kernel,
     test_a_prefix_ending_inside_an_utterance_raises,
     test_align_file_equals_a_run_on_the_reference_fill,
+    test_align_file_outputs_are_pinned,
     test_backtrack_equals_the_reference_backtrack,
     test_backtrack_rejects_a_sequence_that_is_not_a_prefix,
     test_certain_posteriors_score_zero,

@@ -177,9 +177,9 @@ def test_peak_one_alignment_recovers_truth_exactly(spanish_vocab):
         [Utterance(utt_index=0, text="mesa alta", word_count=2)], spanish_vocab
     )
     tr = compute_trellis(pm.data.astype(np.float64), ts, spanish_vocab.blank_index)
-    chars, _ = backtrack(tr, pm.data.astype(np.float64), ts)
-    assert chars[0].start_frame == truths[0][1]
-    assert chars[-2].start_frame == truths[0][2]  # last character before the blank
+    frames, _ = backtrack(tr, pm.data.astype(np.float64))
+    assert frames[0] == truths[0][1]
+    assert frames[-2] == truths[0][2]  # last character before the blank
     assert end_scores(tr, pm.data.astype(np.float64)).max() == 0.0
 
 

@@ -1,5 +1,7 @@
 """Lattice fill, backtrack, and scoring tests."""
 
+import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -29,9 +31,9 @@ from anchoralign import (
     segment_score,
 )
 from anchoralign import aligner, trellis
-from anchoralign.errors import NoPathError
+from anchoralign.errors import ConfigError, NoPathError
 from anchoralign.posterior_io import logsumexp
-from anchoralign.trellis import _EMIT_BLOCK_ROWS, CharAlignment, Trellis
+from anchoralign.trellis import _EMIT_BLOCK_ROWS, Trellis
 
 VOCAB = Vocab(symbols=("∅", " ", "a", "b", "c"), blank_index=0, separator_index=1)
 
@@ -59,11 +61,9 @@ def test_two_frame_lattice_values():
     assert tr.ends.shape == (2, 2)
     assert tr.ends[1][1] == pytest.approx(math.log(0.9), abs=1e-12)
     assert end_scores(tr, window)[1] == pytest.approx(math.log(0.72), abs=1e-12)
-    chars, rho = backtrack(tr, window, ts)
-    assert chars[0].symbol == VOCAB.index_of["a"]
-    assert chars[0].start_frame == 0  # 'a' is emitted on the first frame
-    assert chars[-1].symbol == VOCAB.blank_index
-    assert chars[-1].start_frame == 1
+    frames, rho = backtrack(tr, window)
+    assert frames.dtype == np.int64
+    assert frames.tolist() == [0, 1]  # 'a' on the first frame, the trailing blank on the second
     np.testing.assert_allclose(rho, [math.log(0.9), math.log(0.8)], atol=1e-12)
 
 
@@ -74,8 +74,8 @@ def test_free_start_skips_leading_frames():
     window = _logp([quiet, quiet, quiet, spike, quiet])
     ts = _ts("a")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    chars, rho = backtrack(tr, window, ts)
-    assert chars[0].start_frame == 3
+    frames, rho = backtrack(tr, window)
+    assert frames[0] == 3
     best = end_scores(tr, window).max()
     assert best == pytest.approx(math.log(0.9) + math.log(0.9), abs=1e-12)
     assert np.isnan(rho[:3]).all()  # frames before the path are unscored
@@ -87,8 +87,8 @@ def test_earliest_end_row_wins():
     vocab = Vocab(symbols=("∅", " ", "a"), blank_index=0, separator_index=1)
     ts = build_token_sequence([Utterance(utt_index=0, text="a", word_count=1)], vocab)
     tr = compute_trellis(window, ts, vocab.blank_index)
-    chars, _ = backtrack(tr, window, ts)
-    assert chars[-1].end_frame == 1  # path ends at row 2, not later
+    frames, _ = backtrack(tr, window)
+    assert frames[-1] == 1  # path ends at row 2, not later
 
 
 def test_exact_tie_prefers_advancing():
@@ -104,8 +104,8 @@ def test_exact_tie_prefers_advancing():
     )
     ts = _ts("ab")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    chars, _ = backtrack(tr, window, ts)
-    assert [ca.start_frame for ca in chars] == [1, 2, 3]
+    frames, _ = backtrack(tr, window)
+    assert frames.tolist() == [1, 2, 3]
     lp, path = oracle_best_path(window, ts, VOCAB.blank_index)
     assert lp == pytest.approx(end_scores(tr, window).max(), abs=1e-12)
     assert list(path) == [0, 1, 2, 3]  # column consumed per frame
@@ -116,7 +116,7 @@ def test_no_path_raises():
     with pytest.raises(NoPathError):
         ts = _ts("abc")  # 4 tokens with the trailing blank, only 2 frames
         tr = compute_trellis(window, ts, VOCAB.blank_index)
-        backtrack(tr, window, ts)
+        backtrack(tr, window)
 
 
 def test_impossible_token_probability_raises():
@@ -124,7 +124,7 @@ def test_impossible_token_probability_raises():
     ts = _ts("a")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
     with pytest.raises(NoPathError):
-        backtrack(tr, window, ts)
+        backtrack(tr, window)
 
 
 def test_certain_posteriors_score_zero():
@@ -137,9 +137,9 @@ def test_certain_posteriors_score_zero():
     )
     ts = _ts("ab")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    chars, rho = backtrack(tr, window, ts)
+    frames, rho = backtrack(tr, window)
     assert end_scores(tr, window).max() == 0.0
-    assert [ca.start_frame for ca in chars] == [0, 1, 2]
+    assert frames.tolist() == [0, 1, 2]
     np.testing.assert_array_equal(rho, np.zeros(3))
 
 
@@ -147,7 +147,7 @@ def test_rho_takes_blank_when_blank_is_stronger():
     window = _logp([[0.6, 0.1, 0.3, 0.0, 0.0], [0.9, 0.05, 0.05, 0.0, 0.0]])
     ts = _ts("a")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    _, rho = backtrack(tr, window, ts)
+    _, rho = backtrack(tr, window)
     assert rho[0] == pytest.approx(math.log(0.6), abs=1e-12)
 
 
@@ -191,12 +191,12 @@ def test_end_scores_rejects_a_window_that_does_not_match():
         with pytest.raises(ValueError):
             end_scores(tr, bad)
         with pytest.raises(ValueError):
-            backtrack(tr, bad, ts)
+            backtrack(tr, bad)
     last_blank = compute_trellis(window, ts, blank_index=4)  # no token is symbol 4
     with pytest.raises(ValueError):
         end_scores(last_blank, window[:, :4])
     with pytest.raises(ValueError):
-        backtrack(last_blank, window[:, :4], ts)
+        backtrack(last_blank, window[:, :4])
 
 
 def test_a_prefix_ending_inside_an_utterance_raises():
@@ -207,12 +207,12 @@ def test_a_prefix_ending_inside_an_utterance_raises():
     assert tr.end_columns == (0, 2, 4)
     for n in (0, 2, 4):
         end_scores(tr, window, n)
-    backtrack(tr, window, full.prefix(1))
+    backtrack(tr, window, 2)
     for n in (1, 3):
         with pytest.raises(ValueError):
             end_scores(tr, window, n)
         with pytest.raises(ValueError):
-            backtrack(tr, window, TokenSequence(full.tokens[:n], ()))
+            backtrack(tr, window, n)
 
 
 def test_fill_memory_is_a_byte_per_cell():
@@ -235,11 +235,10 @@ def test_fill_memory_is_a_byte_per_cell():
 # --- oracle cross-checks -----------------------------------------------------
 
 
-def _path_from_chars(chars):
-    psi = chars[-1].end_frame + 1
-    path = np.zeros(psi, dtype=np.int64)
-    for col, ca in enumerate(chars, start=1):
-        path[ca.start_frame :] = col
+def _path_from_frames(frames):
+    path = np.zeros(frames[-1] + 1, dtype=np.int64)
+    for col, frame in enumerate(frames, start=1):
+        path[frame:] = col
     return path
 
 
@@ -250,9 +249,9 @@ def test_matches_exhaustive_oracle(tie_prone):
         window, ts, blank = random_window(rng, tie_prone=tie_prone)
         oracle_lp, oracle_path = oracle_best_path(window, ts, blank)
         tr = compute_trellis(window, ts, blank)
-        chars, _ = backtrack(tr, window, ts)
+        frames, _ = backtrack(tr, window)
         assert abs(end_scores(tr, window).max() - oracle_lp) <= 1e-9
-        np.testing.assert_array_equal(_path_from_chars(chars), oracle_path)
+        np.testing.assert_array_equal(_path_from_frames(frames), oracle_path)
 
 
 # --- prefix backtrack on one lattice -----------------------------------------
@@ -278,25 +277,26 @@ def test_prefix_backtrack_matches_a_fresh_fill():
         full = build_token_sequence(utts, VOCAB)
         tr = compute_trellis(window, full, VOCAB.blank_index)
         for n in range(1, len(full.boundaries) + 1):
-            ts = full.prefix(n)
-            assert ts == build_token_sequence(utts[:n], VOCAB)
+            ts = build_token_sequence(utts[:n], VOCAB)
+            n_tokens = full.boundaries[n - 1][2] + 1  # what align_window passes
+            assert ts.tokens == full.tokens[:n_tokens]
             fresh = compute_trellis(window, ts, VOCAB.blank_index)
             try:
-                want_chars, want_rho = backtrack(fresh, window, ts)
+                want_frames, want_rho = backtrack(fresh, window)
             except NoPathError:
                 with pytest.raises(NoPathError):
-                    backtrack(tr, window, ts)
+                    backtrack(tr, window, n_tokens)
                 blocked += 1
                 continue
             traced += 1
-            chars, rho = backtrack(tr, window, ts)
-            assert chars == want_chars
+            frames, rho = backtrack(tr, window, n_tokens)
+            assert np.array_equal(frames, want_frames)
             assert np.array_equal(rho, want_rho, equal_nan=True)
-            for first in range(len(ts.tokens) + 1):
-                tail, tail_rho = backtrack(tr, window, ts, first_token=first)
-                assert tail == want_chars[first:]
+            for first in range(n_tokens + 1):
+                tail, tail_rho = backtrack(tr, window, n_tokens, first_token=first)
+                assert np.array_equal(tail, want_frames[first:])
                 want_tail_rho = want_rho.copy()
-                want_tail_rho[: tail[0].start_frame] = np.nan
+                want_tail_rho[: tail[0]] = np.nan
                 assert np.array_equal(tail_rho, want_tail_rho, equal_nan=True)
     assert traced > 100 and blocked > 0
 
@@ -305,12 +305,12 @@ def test_backtrack_rejects_a_sequence_that_is_not_a_prefix():
     window = _logp([[0.4, 0.1, 0.2, 0.2, 0.1]] * 8)
     ts = _ts("ab")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    for other in (_ts("ba"), _ts("abc"), _ts("abb")):
+    for n_tokens in (-1, 1, len(ts.tokens) + 1):  # no utterance prefix of "ab" has that many
         with pytest.raises(ValueError):
-            backtrack(tr, window, other)
+            backtrack(tr, window, n_tokens)
     for first in (-1, len(ts.tokens) + 1):
         with pytest.raises(ValueError):
-            backtrack(tr, window, ts, first_token=first)
+            backtrack(tr, window, first_token=first)
 
 
 # --- reference kernels: the straightforward loops the fast ones must equal ---
@@ -374,7 +374,8 @@ def _trailing_blank_column(last_token_col, blank_lp):
 def _reference_backtrack(k, window_logp, ts, blank_index, first_token=0):
     """backtrack as first written, on a _reference_fill lattice k: the path
     ends on the best row of a trailing-blank column, the stored one for the
-    full batch and a derived one for a prefix, and may stay in it."""
+    full batch and a derived one for a prefix, and may stay in it. Returns
+    the emission frame of each traced column and _reference_rho."""
     window = np.asarray(window_logp, dtype=np.float64)
     n_tokens = len(ts.tokens)
     n_cols = n_tokens + 1  # ts's trailing blank is column n_cols
@@ -398,19 +399,17 @@ def _reference_backtrack(k, window_logp, ts, blank_index, first_token=0):
             advance_row[j] = t
             j -= 1
         t -= 1
-    chars = []
-    for j in range(first_token + 1, n_cols + 1):
-        end = (advance_row[j + 1] - 2) if j < n_cols else psi - 1
-        chars.append(CharAlignment(j - 1, col_tokens[j - 1], advance_row[j] - 1, end))
-    return chars, _reference_rho(window, chars, blank_index)
+    frames = np.array([advance_row[j] - 1 for j in range(first_token + 1, n_cols + 1)])
+    ends = [*frames[1:], psi]  # each column is held until the next one's emission
+    return frames, _reference_rho(window, frames, ends, col_tokens[first_token:], blank_index)
 
 
-def _reference_rho(window, chars, blank_index):
-    """rho as first written: one np.maximum per traced character."""
+def _reference_rho(window, frames, ends, symbols, blank_index):
+    """rho as first written: one np.maximum per traced column, over frames
+    frames[i] .. ends[i] - 1 of symbols[i]."""
     rho = np.full(window.shape[0], np.nan)
-    for ca in chars:
-        span = slice(ca.start_frame, ca.end_frame + 1)
-        rho[span] = np.maximum(window[span, ca.symbol], window[span, blank_index])
+    for start, end, symbol in zip(frames, ends, symbols):
+        rho[start:end] = np.maximum(window[start:end, symbol], window[start:end, blank_index])
     return rho
 
 
@@ -480,14 +479,14 @@ def test_backtrack_equals_the_reference_backtrack(make_window):
             last_start = max((i + 1 for i, x in enumerate(ts.tokens) if x == 1), default=0)
             for first in sorted({0, last_start, n}):
                 try:
-                    want_chars, want_rho = _reference_backtrack(ref, window, ts, 0, first)
+                    want_frames, want_rho = _reference_backtrack(ref, window, ts, 0, first)
                 except NoPathError:
                     with pytest.raises(NoPathError):
-                        backtrack(tr, window, ts, first_token=first)
+                        backtrack(tr, window, n, first_token=first)
                     blocked += 1
                     continue
-                chars, rho = backtrack(tr, window, ts, first_token=first)
-                assert chars == want_chars
+                frames, rho = backtrack(tr, window, n, first_token=first)
+                assert frames.dtype == np.int64 and np.array_equal(frames, want_frames)
                 assert np.array_equal(rho, want_rho, equal_nan=True)
                 traced += 1
     assert traced > 1000 and blocked > 40
@@ -500,29 +499,55 @@ def test_rho_equals_the_reference_loop():
         window, utts = _batch_window(rng)
         full = build_token_sequence(utts, VOCAB)
         tr = compute_trellis(window, full, VOCAB.blank_index)
-        for n in range(1, len(full.boundaries) + 1):
-            ts = full.prefix(n)
-            for first in range(len(ts.tokens) + 1):
+        for *_, last in full.boundaries:
+            for first in range(last + 2):
                 try:
-                    chars, rho = backtrack(tr, window, ts, first_token=first)
+                    frames, rho = backtrack(tr, window, last + 1, first_token=first)
                 except NoPathError:
                     continue
-                want = _reference_rho(window, chars, VOCAB.blank_index)
+                ends = [*frames[1:], frames[-1] + 1]
+                symbols = (*full.tokens[first : last + 1], VOCAB.blank_index)
+                want = _reference_rho(window, frames, ends, symbols, VOCAB.blank_index)
                 assert np.array_equal(rho, want, equal_nan=True)
                 compared += 1
     assert compared > 1000
 
 
-def test_align_file_equals_a_run_on_the_reference_fill(corpus09, monkeypatch):
-    # the clean corpus on the accept path, and the corrupted one through grows and skips
+def _align_cases(corpus):
+    """The clean corpus on the accept path, and the corrupted one through grows and skips."""
     narrow = AlignParams(window_s=30.0, window_step_s=15.0, max_window_s=60.0, threshold=-1.0)
-    cases = [(corpus09.utterances, AlignParams()), (corrupted_utterances(corpus09), narrow)]
+    return [(corpus.utterances, AlignParams()), (corrupted_utterances(corpus), narrow)]
+
+
+def test_align_file_equals_a_run_on_the_reference_fill(corpus09, monkeypatch):
+    cases = _align_cases(corpus09)
     want = [align_file(corpus09.pm, utts, corpus09.vocab, params) for utts, params in cases]
     outcomes = {o.split(":")[0] for run in want for *_, o in run.iterations_log}
     assert outcomes == {"accepted", "grow", "skip"}
     monkeypatch.setattr(aligner, "compute_trellis", _reference_trellis)
     got = [align_file(corpus09.pm, utts, corpus09.vocab, params) for utts, params in cases]
     assert got == want
+
+
+# sha256 of what _run_digest_lines writes for _align_cases, computed before
+# backtrack returned frame arrays; every aligned span and score keeps these bits
+ALIGN_FILE_SHA256 = "2888ec09f7830df9fca30c9abcb592459fc5048feaefb65301351428946dfef3"
+
+
+def _run_digest_lines(run):
+    """Every UtteranceAlignment field (floats as float.hex) and iterations_log."""
+    for aln in run.utterances:
+        values = (getattr(aln, f.name) for f in dataclasses.fields(aln))
+        yield " ".join(v.hex() if isinstance(v, float) else repr(v) for v in values)
+    yield from (repr(entry) for entry in run.iterations_log)
+
+
+def test_align_file_outputs_are_pinned(corpus09):
+    digest = hashlib.sha256()
+    for utts, params in _align_cases(corpus09):
+        run = align_file(corpus09.pm, utts, corpus09.vocab, params)
+        digest.update("\n".join(_run_digest_lines(run)).encode() + b"\n\n")
+    assert digest.hexdigest() == ALIGN_FILE_SHA256
 
 
 # --- the compiled kernel and the numpy fallback ------------------------------
@@ -540,10 +565,10 @@ def _run(window, ts, blank, first_token):
     tr = compute_trellis(window, ts, blank)
     lattice = (tr.k.tobytes(), tr.ends.tobytes(), tr.end_columns)
     try:
-        chars, rho = backtrack(tr, window, ts, first_token=first_token)
+        frames, rho = backtrack(tr, window, first_token=first_token)
     except NoPathError:
         return lattice, None
-    return lattice, (chars, rho.tobytes())
+    return lattice, (frames.tobytes(), rho.tobytes())
 
 
 @pytest.mark.parametrize("tie_prone", [False, True])
@@ -686,6 +711,13 @@ def test_normalize_score_validation():
         normalize_score(-1.0, 0.0)
     with pytest.raises(ValueError):
         normalize_score(-1.0, 4.0, ref_s=0.0)
+
+
+@pytest.mark.parametrize("score,duration,ref_s", [(-0.2, 2.0, 1e-320), (-1e308, 20.0, 8.0)])
+def test_normalize_score_rejects_a_result_that_overflows(score, duration, ref_s):
+    with pytest.raises(ConfigError, match="score_ref_s"):
+        normalize_score(score, duration, ref_s)
+    assert normalize_score(0.0, duration, ref_s) == 0.0
 
 
 @pytest.mark.parametrize(
