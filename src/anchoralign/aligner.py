@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ConfigError, NoPathError, WindowTooSmallError
 from .posterior_io import FrameMap, PosteriorMatrix, Vocab, map_frames_back
 from .textprep import Utterance, build_token_sequence
@@ -259,13 +258,21 @@ def align_file(
     cursor = 0
     anchor_frame = 0
     window_nominal_s = params.window_s
+    # a grow clamped at the file end that packs no further utterance asks for
+    # the window just rejected; align_window is deterministic, so reuse it
+    last_window, last_result = None, None
     while cursor < len(utts) and anchor_frame < n_frames:
         win_len = min(int(round(window_nominal_s / dur)), n_frames - anchor_frame)
         batch = _pack_window(utts, cursor, window_nominal_s, params.max_utts_per_window)
-        try:
-            result = align_window(pm, (anchor_frame, win_len), batch, vocab, params)
-        except WindowTooSmallError:
-            result = WindowResult(best=None, last_score=-np.inf)
+        window = (anchor_frame, win_len, cursor, len(batch))
+        if window == last_window:
+            result = last_result
+        else:
+            try:
+                result = align_window(pm, (anchor_frame, win_len), batch, vocab, params)
+            except WindowTooSmallError:
+                result = WindowResult(best=None, last_score=-np.inf)
+            last_window, last_result = window, result
         if result.best is not None:
             for aln in result.best:
                 aln.accepted = True

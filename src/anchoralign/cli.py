@@ -23,6 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from ._lazy import np
 from .aligner import (
     AlignmentRun,
     AlignParams,
@@ -338,6 +339,9 @@ def cmd_align(args: argparse.Namespace) -> int:
         log.warning("no posterior/transcript pairs to align")
         return 0
     jobs = [(file_id, cfg, vocab) for file_id in paired]
+    # numpy's lazy import runs here, once: forked workers share the parent's
+    # copy, and no file's posterior load pays for it
+    np.ndarray
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             results = list(pool.map(_align_one, jobs))
@@ -362,9 +366,24 @@ def cmd_align(args: argparse.Namespace) -> int:
     return 2 if failures else 0
 
 
+def _filtered_name(path: str) -> str:
+    """The file name filter writes an input's kept rows to: a trailing
+    .jsonl becomes .filtered.jsonl, any other name gains .filtered.jsonl."""
+    name = os.path.basename(path)
+    return name.removesuffix(".jsonl") + ".filtered.jsonl"
+
+
 def cmd_filter(args: argparse.Namespace) -> int:
+    input_of: dict[str, str] = {}
+    for path in args.inputs:
+        name = _filtered_name(path)
+        if name in input_of:
+            raise ConfigError(
+                f"inputs {input_of[name]} and {path} would both be written to {name}"
+            )
+        input_of[name] = path
     os.makedirs(args.output_dir, exist_ok=True)
-    per_file = [(path, load_alignment_jsonl(path)) for path in args.inputs]
+    per_file = [(name, load_alignment_jsonl(path)) for name, path in input_of.items()]
     everything = [row for _, rows in per_file for row in rows]
     cutoff = {} if args.cutoff is None else {"cutoff": args.cutoff}
     if args.method == "absolute":
@@ -374,12 +393,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     else:
         kept, report = filter_normalized(everything, ref_s=args.ref_s, **cutoff)
     kept_rows = set(kept)
-    for path, rows in per_file:
-        name = os.path.basename(path)
-        if name.endswith(".jsonl"):
-            name = name[: -len(".jsonl")] + ".filtered.jsonl"
-        else:
-            name = name + ".filtered.jsonl"
+    for name, rows in per_file:
         lines = [row.line for row in rows if row in kept_rows]
         _atomic_write_text(os.path.join(args.output_dir, name), "".join(l + "\n" for l in lines))
     write_filter_report_csv(os.path.join(args.output_dir, "filter_report.csv"), [report])

@@ -7,8 +7,6 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
-import numpy as np
-
 from .errors import ConfigError
 from .posterior_io import _atomic_write_text
 from .trellis import SCORE_REF_S, normalize_score
@@ -56,16 +54,60 @@ def filter_chebyshev(
 
     The cutoff is mean - k * std with k = sqrt(1 / worst_fraction); by
     Chebyshev's inequality applied to the sample itself, fewer than
-    worst_fraction of the scores can sit below it. Zero variance keeps all.
+    worst_fraction of the scores can sit below it. Zero variance keeps all:
+    the cutoff is then the mean, however large k is.
     """
     if not 0.0 < worst_fraction < 1.0:
         raise ConfigError(f"worst_fraction must be in (0, 1), got {worst_fraction}")
     if not alns:
         return [], _report("chebyshev", alns, [], -math.inf)
-    scores = np.array([a.s_seg for a in alns], dtype=np.float64)
-    cutoff = float(scores.mean() - math.sqrt(1.0 / worst_fraction) * scores.std())
+    mean, std = _mean_std([float(a.s_seg) for a in alns])
+    # a tiny worst_fraction makes k inf, and inf * 0.0 is NaN
+    cutoff = mean - math.sqrt(1.0 / worst_fraction) * std if std else mean
     kept = [a for a in alns if a.s_seg >= cutoff]
     return kept, _report("chebyshev", alns, kept, cutoff)
+
+
+def _mean_std(values: list[float]) -> tuple[float, float]:
+    """np.mean and np.std of float64 values, bit for bit: the sum over n,
+    and the root of the sum of squared deviations over n."""
+    n = len(values)
+    mean = _sum(values) / n
+    return mean, math.sqrt(_sum([(v - mean) * (v - mean) for v in values]) / n)
+
+
+def _sum(values: list[float]) -> float:
+    """Sum of float64 values in the order np.add.reduce adds them: the
+    reduction's identity 0.0 plus their pairwise sum."""
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def _pairwise_sum(values: list[float], first: int, n: int) -> float:
+    """numpy's pairwise summation of values[first : first + n], addition for
+    addition (the pairwise_sum template of numpy's umath/loops_utils.h.src).
+
+    Under 8 values it is a plain loop. Up to 128 it keeps 8 running sums, one
+    per position modulo 8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    and adds the remainder. Above 128 it splits at n // 2 rounded down to a
+    multiple of 8 and adds the two halves' sums.
+    """
+    if n < 8:
+        res = 0.0
+        for i in range(first, first + n):
+            res += values[i]
+        return res
+    if n <= 128:
+        r = values[first : first + 8]
+        blocks_end = first + n - n % 8
+        for i in range(first + 8, blocks_end, 8):
+            r = [acc + v for acc, v in zip(r, values[i : i + 8])]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(blocks_end, first + n):
+            res += values[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, first, half) + _pairwise_sum(values, first + half, n - half)
 
 
 def filter_normalized(

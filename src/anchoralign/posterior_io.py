@@ -16,8 +16,7 @@ import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     FrameMapError,
     NoSpeechError,

@@ -12,8 +12,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ManifestError
 from .posterior_io import DEFAULT_FRAME_DURATION_S, PosteriorMatrix, Vocab, _atomic_write_text
 from .textprep import TokenSequence

@@ -28,13 +28,13 @@ import functools
 import hashlib
 import importlib.util
 import logging
+import math
 import os
 import platform
 import subprocess
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ConfigError, NoPathError
 from .posterior_io import logsumexp
 from .textprep import TokenSequence
@@ -357,12 +357,12 @@ def normalize_score(score: float, duration_s: float, ref_s: float = SCORE_REF_S)
     overflows, as a tiny ref_s or an extreme score can make it, raises
     ConfigError: no output format can hold it.
     """
-    if not 0 < ref_s < np.inf:
+    if not 0 < ref_s < math.inf:
         raise ConfigError(f"score_ref_s must be > 0 and finite, got {ref_s}")
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
     normalized = score * duration_s / ref_s
-    if not np.isfinite(normalized):
+    if not math.isfinite(normalized):
         raise ConfigError(
             f"normalized score of s_seg {score} over {duration_s} s"
             f" with score_ref_s {ref_s} is {normalized}"

@@ -346,6 +346,34 @@ def test_file_skips_trailing_text_without_audio(spanish_vocab):
     _assert_matches_truth(run.utterances, truths)
 
 
+def test_file_fills_a_window_that_grows_cannot_change_once(spanish_vocab, monkeypatch):
+    # past the last real utterance the window is clamped at the file's end and
+    # holds the one extra line, so every grow asks for the same window again
+    fills = []
+
+    def counting(*args, **kwargs):
+        fills.append(args[0].shape[0])
+        return compute_trellis(*args, **kwargs)
+
+    monkeypatch.setattr(aligner, "compute_trellis", counting)
+    pm, _, utts = _render(
+        _spans([TEXT_A, TEXT_B, TEXT_C], 50, 150),
+        spanish_vocab,
+        467 * FRAME_S,
+        transcript=[TEXT_A, TEXT_B, TEXT_C, "el gato duerme sobre la manta gris"],
+    )
+    params = AlignParams(window_s=6.0, window_step_s=6.0, max_window_s=60.0)
+    run = align_file(pm, utts, spanish_vocab, params)
+    assert run.iterations_log == [
+        (0, 300, 2, "accepted:2"),
+        (264, 203, 2, "accepted:1"),
+        *[(447, 20, 1, "grow")] * 9,
+        (447, 20, 1, "skip"),
+    ]
+    assert run.skipped == [3]
+    assert fills == [300, 203, 20]
+
+
 def test_file_anchor_ordering(spanish_vocab):
     pm, _, utts = _render(
         _spans([TEXT_A, TEXT_B, TEXT_C, TEXT_B, TEXT_A], 50, 150), spanish_vocab, 20.0

@@ -48,6 +48,58 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_parser_filter_and_stats_load_no_numpy(scored_jsonl, tmp_path):
+    # numpy loads on first use: the parser, filter and stats never touch an array
+    code = """
+import json, sys
+from anchoralign import _lazy, cli
+
+def numpy_modules():
+    return [m for m in sys.modules if m.startswith("numpy.")]
+
+cli.build_parser()
+seen = {"parser": numpy_modules()}
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    seen[" ".join(argv[:3])] = numpy_modules()
+_lazy.np.zeros(1)
+seen["after an array"] = bool(numpy_modules())
+print(json.dumps(seen))
+"""
+    jsonl, out = str(scored_jsonl), str(tmp_path / "out")
+    runs = [
+        *(["filter", "--method", method, jsonl, "--output-dir", out]
+          for method in ("absolute", "chebyshev", "normalized")),
+        ["stats", jsonl, "--filtered", jsonl, "--output-dir", out],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen.pop("after an array") is True  # the check would see a loaded numpy
+    assert seen == {
+        "parser": [],
+        "filter --method absolute": [],
+        "filter --method chebyshev": [],
+        "filter --method normalized": [],
+        f"stats {jsonl} --filtered": [],
+    }
+
+
+def test_lazy_import_of_a_missing_module_raises():
+    from anchoralign._lazy import lazy_import
+
+    with pytest.raises(ModuleNotFoundError) as info:
+        lazy_import("anchoralign_no_such_module")
+    assert info.value.name == "anchoralign_no_such_module"
+
+
 # --- config file and flag precedence -----------------------------------------
 
 
@@ -635,6 +687,40 @@ def test_filter_and_stats_malformed_row_exit_2(scored_jsonl, tmp_path, caplog, c
     assert rc == 2
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and f"{scored_jsonl}:6: " in errors[0] and "\n" not in errors[0]
+
+
+@pytest.mark.parametrize("same_name", ["other dir", "same path"])
+def test_filter_refuses_inputs_that_share_an_output_name(scored_jsonl, tmp_path, caplog, same_name):
+    # both inputs would be written to f.align.filtered.jsonl, the second over the first
+    if same_name == "other dir":
+        second = tmp_path / "b" / scored_jsonl.name
+        second.parent.mkdir()
+        second.write_text(scored_jsonl.read_text(encoding="utf-8"), encoding="utf-8")
+    else:
+        second = scored_jsonl
+    out = tmp_path / "out"
+    rc = main(["filter", str(scored_jsonl), str(second), "--output-dir", str(out)])
+    assert rc == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+    assert f"{scored_jsonl} and {second}" in errors[0] and "f.align.filtered.jsonl" in errors[0]
+    assert not out.exists()
+
+
+def test_filter_chebyshev_on_equal_scores_keeps_every_row(tmp_path):
+    path = tmp_path / "f.align.jsonl"
+    rows = [
+        {"file_id": "f", "start_s": i, "end_s": i + 1.0, "s_seg": -0.5} for i in range(5)
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["filter", str(path), "--method", "chebyshev", "--worst-fraction", "1e-320"]
+    assert main([*argv, "--output-dir", str(out)]) == 0
+    assert (out / "f.align.filtered.jsonl").read_text(encoding="utf-8") == path.read_text(
+        encoding="utf-8"
+    )
+    report = (out / "filter_report.csv").read_text(encoding="utf-8").splitlines()
+    assert report[1] == "chebyshev,5,5,0.0014,0.0014,-0.500000"
 
 
 @pytest.mark.parametrize("method, cutoff", [("absolute", "-1.000000"), ("normalized", "-1.500000")])

@@ -17,6 +17,7 @@ from anchoralign import (
     write_histogram_csv,
     write_recovery_csv,
 )
+from anchoralign import filters
 from anchoralign.errors import ConfigError
 from anchoralign.filters import HISTOGRAM_MAX_BINS
 
@@ -93,6 +94,46 @@ def test_chebyshev_zero_variance_keeps_all():
     kept, report = filter_chebyshev(alns)
     assert len(kept) == 10
     assert report.cutoff == pytest.approx(-1.3)
+
+
+@pytest.mark.parametrize("score", [-0.5, -1.3])
+def test_chebyshev_zero_variance_keeps_all_under_any_worst_fraction(score):
+    # k = sqrt(1 / 1e-320) is inf, and inf * 0.0 is NaN, which keeps nothing;
+    # ten copies of -1.3 do not sum to exactly 10 * -1.3, so their std is tiny, not 0
+    alns = [_aln(score) for _ in range(10)]
+    kept, report = filter_chebyshev(alns, worst_fraction=1e-320)
+    assert len(kept) == 10
+    assert report.cutoff <= score
+
+
+PAIRWISE_EDGE_SIZES = [1, 7, 8, 9, 127, 128, 129, 130, 256, 257]
+
+
+def test_mean_and_std_equal_numpy_bit_for_bit():
+    # the pure-Python port must add in numpy's pairwise order: under 8 values,
+    # 8 running sums up to 128, halves rounded to a multiple of 8 above it
+    rng = np.random.default_rng(2022)
+    sizes = PAIRWISE_EDGE_SIZES + rng.integers(1, 2500, size=40).tolist()
+    for n in sizes:
+        for values in (
+            rng.normal(-1.0, 0.7, n),
+            rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-6, 9, n),
+            -rng.exponential(3.0, n) - 1e8,
+            np.round(rng.normal(-2.0, 1.0, n), 1),
+        ):
+            got = filters._mean_std(values.tolist())
+            want = (float(np.mean(values)), float(np.std(values)))
+            assert [x.hex() for x in got] == [x.hex() for x in want], n
+            assert filters._sum(values.tolist()).hex() == float(np.add.reduce(values)).hex()
+
+
+def test_chebyshev_cutoff_equals_the_numpy_formula():
+    rng = np.random.default_rng(7)
+    for n in PAIRWISE_EDGE_SIZES + [1000]:
+        scores = -np.abs(rng.standard_cauchy(n))
+        _, report = filter_chebyshev([_aln(float(s)) for s in scores], worst_fraction=0.15)
+        reference = scores.mean() - math.sqrt(1.0 / 0.15) * scores.std()
+        assert report.cutoff.hex() == float(reference).hex()
 
 
 def test_chebyshev_bounds_removal_on_any_distribution():
