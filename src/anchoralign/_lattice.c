@@ -1,49 +1,182 @@
 /* Lattice fill and backtrack walk for anchoralign.trellis.
  *
  * trellis.py compiles this file on first use and calls it through ctypes;
- * it validates every argument before the call. All arrays are C-contiguous:
- * window is n_frames x n_symbols, k is (n_frames + 1) x width bytes, ends is
+ * it validates every argument and allocates every buffer before the call,
+ * so nothing here calls malloc. All arrays are C-contiguous: window is
+ * n_frames x n_symbols, k is (n_frames + 1) x width bytes, ends is
  * n_frames x n_ends, tokens are vocabulary indices. The fill keeps two
  * rolling score rows and stores one advance decision per cell; each sum and
  * comparison is the one the numpy kernel makes, so the two write the same
- * bits. Build with -ffp-contract=off and without -ffast-math to keep it so.
+ * bits for any slab count. Build with -ffp-contract=off and without
+ * -ffast-math to keep it so.
  */
+#define _POSIX_C_SOURCE 200809L
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stdint.h>
 
-/* Fill the decisions k for width - 1 tokens. The score row before any frame
- * is 0 then -inf; column 0 scores 0 on every row; and row t scores
- * max(stay, advance) with stay = prev[j] + blank[t-1] and
- * advance = prev[j-1] + w[t-1][tokens[j-1]], keeping stay on a tie as
- * np.maximum(stay, advance) does. k[t][j] = advance >= stay, the walk's rule,
- * under which ties advance; the caller zeroes row 0 and column 0 of k.
- * Before row t is scored, ends[t-1][e] takes row t - 1's score in column
- * end_columns[e]. scratch holds 2 x width doubles. */
-void fill(const double *window, int64_t n_frames, int64_t n_symbols,
-          const int64_t *tokens, int64_t blank, uint8_t *k, int64_t width,
-          const int64_t *end_columns, int64_t n_ends, double *ends, double *scratch)
+/* polls of the left slab's row count between sched_yield calls */
+#define SPINS_PER_YIELD 256
+/* Rows a slab lets its left neighbour run ahead when it has to wait, so that
+ * it reads the neighbour's row count about once per LAG_ROWS rows, not once
+ * per row. On a 6000 x 683 window on a 2-core x86-64 VM, two slabs took
+ * 1.21 ns a cell waiting for 1 row and 0.85 waiting for 16. */
+#define LAG_ROWS 16
+
+/* gcc vectorises score_row with 32-byte vectors in the AVX2 clone; AVX2
+ * add, compare and blend are exact per lane, so both clones write the same
+ * bits. Elsewhere only the default clone is built. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__linux__)
+#define ROW_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define ROW_CLONES
+#endif
+
+struct lattice {
+    const double *window;
+    int64_t n_frames, n_symbols;
+    const int64_t *tokens;
+    int64_t blank;
+    uint8_t *k;
+    int64_t width;
+    const int64_t *end_columns;
+    int64_t n_ends;
+    double *ends;
+};
+
+/* The lattice columns [lo, hi), filled row by row by one thread. prev and
+ * row hold hi - lo + 1 scores, entry 0 being column lo - 1; emit holds the
+ * hi - lo emissions of one row. Unless it is the last slab, the slab writes
+ * its score in column hi - 1 on row t to right[t] and then stores t in
+ * rows_done (release), which the slab to its right loads (acquire). It
+ * writes ends for end_columns[end_lo .. end_hi), the end columns in its
+ * range, column 0 being the first slab's. */
+struct slab {
+    _Alignas(64) _Atomic int64_t rows_done;
+    const struct lattice *lat;
+    int64_t lo, hi, end_lo, end_hi;
+    double *prev, *row, *emit, *right;
+    struct slab *left; /* NULL for the first slab, whose column lo - 1 is column 0 */
+};
+
+/* Score one row of n columns from the previous one: advance =
+ * prev[i] + emit[i] and stay = prev[i + 1] + stay_cost, row[i + 1] =
+ * max(stay, advance) keeping stay on a tie as np.maximum(stay, advance)
+ * does, and advances[i] = advance >= stay, the walk's rule, under which
+ * ties advance. */
+ROW_CLONES static void score_row(int64_t n, const double *restrict prev,
+                                 const double *restrict emit, double stay_cost,
+                                 double *restrict row, uint8_t *restrict advances)
 {
-    double *prev = scratch, *row = scratch + width;
-    prev[0] = 0.0;
-    for (int64_t j = 1; j < width; j++)
-        prev[j] = -INFINITY;
-    for (int64_t t = 1; t <= n_frames; t++) {
-        const double *w = window + (t - 1) * n_symbols;
-        const double stay_cost = w[blank];
-        uint8_t *advances = k + t * width;
-        for (int64_t e = 0; e < n_ends; e++)
-            ends[(t - 1) * n_ends + e] = prev[end_columns[e]];
-        row[0] = 0.0;
-        for (int64_t j = 1; j < width; j++) {
-            const double advance = prev[j - 1] + w[tokens[j - 1]];
-            const double stay = prev[j] + stay_cost;
-            advances[j] = advance >= stay;
-            row[j] = stay >= advance ? stay : advance;
+    for (int64_t i = 0; i < n; i++) {
+        const double advance = prev[i] + emit[i];
+        const double stay = prev[i + 1] + stay_cost;
+        advances[i] = advance >= stay;
+        row[i + 1] = stay >= advance ? stay : advance;
+    }
+}
+
+/* Wait until the slab s has published at least `rows` rows; return the
+ * count it has published. */
+static int64_t wait_rows(struct slab *s, int64_t rows)
+{
+    int64_t done;
+    for (int spins = 0;
+         (done = atomic_load_explicit(&s->rows_done, memory_order_acquire)) < rows;)
+        if (++spins == SPINS_PER_YIELD) {
+            sched_yield();
+            spins = 0;
+        }
+    return done;
+}
+
+/* Fill one slab's columns on every row. Row t of column j reads row t - 1
+ * at columns j - 1 and j only, so a slab may fill row t once the slab to
+ * its left has published row t - 1; the first slab never waits. */
+static void *fill_slab(void *arg)
+{
+    struct slab *s = arg;
+    const struct lattice *lat = s->lat;
+    const int64_t n = s->hi - s->lo;
+    double *prev = s->prev, *row = s->row;
+    int64_t left_rows = 0; /* rows the left slab is known to have published */
+    prev[0] = row[0] = s->left ? -INFINITY : 0.0;
+    for (int64_t i = 1; i <= n; i++)
+        prev[i] = -INFINITY;
+    for (int64_t t = 1; t <= lat->n_frames; t++) {
+        const double *w = lat->window + (t - 1) * lat->n_symbols;
+        if (s->left && t > 1) {
+            if (left_rows < t - 1)
+                left_rows = wait_rows(s->left, t - 1 + LAG_ROWS < lat->n_frames
+                                                   ? t - 1 + LAG_ROWS
+                                                   : lat->n_frames);
+            prev[0] = s->left->right[t - 1];
+        }
+        for (int64_t e = s->end_lo; e < s->end_hi; e++)
+            lat->ends[(t - 1) * lat->n_ends + e] = prev[lat->end_columns[e] - s->lo + 1];
+        for (int64_t i = 0; i < n; i++)
+            s->emit[i] = w[lat->tokens[s->lo - 1 + i]];
+        score_row(n, prev, s->emit, w[lat->blank], row, lat->k + t * lat->width + s->lo);
+        if (s->right) {
+            s->right[t] = row[n];
+            atomic_store_explicit(&s->rows_done, t, memory_order_release);
         }
         double *swap = prev;
         prev = row;
         row = swap;
     }
+    return NULL;
+}
+
+/* Fill the decisions k for width - 1 tokens in n_slabs column slabs, one
+ * thread each. The score row before any frame is 0 then -inf; column 0
+ * scores 0 on every row; and row t scores max(stay, advance) with
+ * stay = prev[j] + blank[t-1] and advance = prev[j-1] + w[t-1][tokens[j-1]]
+ * as score_row does; the caller zeroes row 0 and column 0 of k. Before row t
+ * is scored, ends[t-1][e] takes row t - 1's score in column end_columns[e].
+ * scratch holds 3 x (width - 1) + 2 x n_slabs doubles for the slabs' rows
+ * and emissions, then n_frames + 1 for each slab but the last. A slab whose
+ * thread does not start runs on the calling thread after the slabs to its
+ * left, so no thread outlives the call and the bits never depend on it. */
+void fill(const double *window, int64_t n_frames, int64_t n_symbols,
+          const int64_t *tokens, int64_t blank, uint8_t *k, int64_t width,
+          const int64_t *end_columns, int64_t n_ends, double *ends, int64_t n_slabs,
+          double *scratch)
+{
+    const struct lattice lat = {window, n_frames, n_symbols, tokens, blank,
+                                k,      width,    end_columns, n_ends, ends};
+    struct slab slabs[n_slabs];
+    pthread_t threads[n_slabs];
+    int started[n_slabs];
+    int64_t e = 0;
+    for (int64_t i = 0; i < n_slabs; i++) {
+        struct slab *s = &slabs[i];
+        atomic_init(&s->rows_done, 0);
+        s->lat = &lat;
+        s->lo = 1 + (width - 1) * i / n_slabs;
+        s->hi = 1 + (width - 1) * (i + 1) / n_slabs;
+        s->end_lo = e;
+        while (e < n_ends && end_columns[e] < s->hi)
+            e++;
+        s->end_hi = e;
+        s->prev = scratch;
+        s->row = s->prev + (s->hi - s->lo + 1);
+        s->emit = s->row + (s->hi - s->lo + 1);
+        s->right = i + 1 < n_slabs ? s->emit + (s->hi - s->lo) : NULL;
+        scratch = s->emit + (s->hi - s->lo) + (s->right ? n_frames + 1 : 0);
+        s->left = i ? &slabs[i - 1] : NULL;
+    }
+    for (int64_t i = 1; i < n_slabs; i++)
+        started[i] = pthread_create(&threads[i], NULL, fill_slab, &slabs[i]) == 0;
+    fill_slab(&slabs[0]);
+    for (int64_t i = 1; i < n_slabs; i++)
+        if (!started[i])
+            fill_slab(&slabs[i]);
+    for (int64_t i = 1; i < n_slabs; i++)
+        if (started[i])
+            pthread_join(threads[i], NULL);
 }
 
 /* Walk back from cell (t, j) until column first_token is reached, advancing

@@ -14,13 +14,13 @@ the ANCHOR_ALIGN_LOG environment variable (quiet, info, debug).
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import dataclasses
 import json
 import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ._lazy import np
@@ -68,7 +68,7 @@ from .synthdata import (
     write_ground_truth,
 )
 from .textprep import MAX_WORDS_PER_UTT, estimate_time_refs, load_utterances
-from .trellis import SCORE_REF_S, UtteranceAlignment
+from .trellis import SCORE_REF_S, UtteranceAlignment, share_cpus
 
 log = logging.getLogger("anchoralign.cli")
 
@@ -343,7 +343,11 @@ def cmd_align(args: argparse.Namespace) -> int:
     # copy, and no file's posterior load pays for it
     np.ndarray
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
+        # the module's __getattr__ imports multiprocessing only here
+        pool_size = min(cfg.workers, len(jobs))
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=pool_size, initializer=share_cpus, initargs=(pool_size,)
+        ) as pool:
             results = list(pool.map(_align_one, jobs))
     else:
         results = [_align_one(job) for job in jobs]

@@ -18,6 +18,16 @@ The fill and the backtrack walk run in C (_lattice.c), compiled with the
 system's `cc` on first use and cached beside this module's bytecode. Where
 that fails, a numpy row kernel and a Python walk run instead; both kernels
 make the same IEEE additions and comparisons, so they return the same bits.
+
+The C fill splits the columns into slabs that run at once, one thread each,
+as a wavefront: a slab fills row t once the slab to its left has finished
+row t - 1, and each slab's row loop is vectorised (an AVX2 clone on x86-64).
+A fill gets one slab per CPU it may use, each at least _MIN_SLAB_COLUMNS
+wide: max(1, min(usable CPUs // processes filling at once,
+width // _MIN_SLAB_COLUMNS)). A serial run fills in one process; a process
+pool's workers each take their share through share_cpus. Every cell makes
+the same sums and comparison whatever the slab count, so the lattice's bits,
+and every output, do not depend on it. No thread outlives a fill.
 """
 
 from __future__ import annotations
@@ -43,9 +53,17 @@ FRAGMENT_FRAMES = 30
 SCORE_REF_S = 8.0
 SHORT_PENALTY = -4.0
 _EMIT_BLOCK_ROWS = 32  # lattice rows per emission gather in the numpy fill
+# Columns a slab of the C fill has at least. Measured on a 2-core x86-64 VM,
+# two slabs against one: syncing costs a slab about 75-100 ns a row, against
+# about 1.4 ns a cell of row work, and starting and joining the thread about
+# 40 us a fill. With 256-column slabs the sync is under a third of a row's
+# work and the thread pays for itself within about 150 rows; on 6000-row
+# windows two slabs took 0.79 ns a cell against 0.88 at width 192 and 1.04
+# against 1.50 at width 256, and at width 96 they were even.
+_MIN_SLAB_COLUMNS = 256
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_lattice.c")
 # no -ffast-math or -march=native: either may change the sums' bits
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_CFLAGS = ("-O3", "-pthread", "-fPIC", "-shared", "-ffp-contract=off")
 _BUILD_TIMEOUT_S = 120
 
 log = logging.getLogger("anchoralign.trellis")
@@ -88,7 +106,7 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
         log.debug("lattice kernel: numpy, the C kernel is unavailable (%s)", exc)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.fill.argtypes = [ptr, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr, ptr]
+    lib.fill.argtypes = [ptr, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr, i64, ptr]
     lib.fill.restype = None
     lib.walk.argtypes = [ptr, i64, i64, i64, i64, ptr]
     lib.walk.restype = i64
@@ -101,6 +119,31 @@ def _kernel() -> ctypes.CDLL | None:
     """The compiled lattice kernel, loaded on the process's first fill or
     walk; None runs the numpy fill and the Python walk."""
     return _load_library()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, the machine's CPU count elsewhere."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# threads one C fill may use: the usable CPUs over the processes filling at once
+_fill_cpus = _usable_cpus()
+
+
+def share_cpus(processes: int) -> None:
+    """Split the usable CPUs among `processes` processes filling at once; a
+    process pool's initializer, run in each worker."""
+    global _fill_cpus
+    _fill_cpus = max(1, _usable_cpus() // processes)
+
+
+def _slab_count(width: int) -> int:
+    """Column slabs, one thread each, for a C fill of width columns: one per
+    CPU the fill may use, each at least _MIN_SLAB_COLUMNS wide."""
+    return max(1, min(_fill_cpus, width // _MIN_SLAB_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -156,8 +199,9 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     column 0 scores 0, and each later row scores
     max(prev[1:] + blank, prev[:-1] + emit), keeping the stay value on a tie;
     k stores advance >= stay per cell, and ends the score columns at
-    end_columns. The C kernel's fill computes it cell by cell, _fill_rows
-    with numpy calls per row; only two score rows are held at once.
+    end_columns. The C kernel's fill computes it cell by cell in
+    _slab_count(width) column slabs, _fill_rows with numpy calls per row;
+    only two score rows per slab are held at once.
     """
     window = np.ascontiguousarray(window_logp, dtype=np.float64)
     if window.ndim != 2 or window.shape[0] < 1:
@@ -180,7 +224,11 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     if lib is None:
         _fill_rows(window, tokens, blank_index, k, columns, ends)
     else:
-        scratch = np.empty(2 * k.shape[1])
+        width = k.shape[1]
+        slabs = _slab_count(width)
+        # each slab's two score rows and emission row, and a boundary column
+        # for each slab but the last, as _lattice.c's fill lays them out
+        scratch = np.empty(3 * (width - 1) + 2 * slabs + (slabs - 1) * (n_frames + 1))
         lib.fill(
             window.ctypes.data,
             n_frames,
@@ -188,10 +236,11 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
             tokens.ctypes.data,
             blank_index,
             k.ctypes.data,
-            k.shape[1],
+            width,
             columns.ctypes.data,
             len(columns),
             ends.ctypes.data,
+            slabs,
             scratch.ctypes.data,
         )
     k.flags.writeable = False

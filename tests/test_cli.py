@@ -1,5 +1,6 @@
 """Command-line interface tests: config handling and the full pipeline."""
 
+import concurrent.futures
 import json
 import logging
 import math
@@ -22,7 +23,7 @@ from anchoralign import (
     synth_posteriors,
     write_manifest,
 )
-from anchoralign import cli
+from anchoralign import cli, trellis
 from anchoralign.cli import (
     RunConfig,
     _parse_formats,
@@ -39,6 +40,22 @@ from anchoralign.errors import ConfigError
 def test_cli_import_loads_no_scipy():
     # numpy is the only dependency; a scipy import would tie the score bits to its release
     code = "import sys, anchoralign.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only align --workers > 1 needs multiprocessing; every other command starts without it
+    code = (
+        "import sys, anchoralign.cli; anchoralign.cli.build_parser();"
+        " print([m for m in sys.modules"
+        " if m.startswith('multiprocessing') or m == 'concurrent.futures.process'])"
+    )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -332,8 +349,9 @@ def test_align_pool_is_capped_at_the_file_count(synth_dirs, tmp_path, monkeypatc
     sizes = []
 
     class SerialPool:  # records the pool size and starts no process
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            assert initializer is trellis.share_cpus and initargs == (max_workers,)
 
         def __enter__(self):
             return self
@@ -344,7 +362,7 @@ def test_align_pool_is_capped_at_the_file_count(synth_dirs, tmp_path, monkeypatc
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     data, vocab_path = synth_dirs
     assert _run_align(data, vocab_path, tmp_path / "out", "--workers", "64") == 0
     assert sizes == [2]

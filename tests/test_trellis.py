@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from anchoralign import (
 from anchoralign import aligner, trellis
 from anchoralign.errors import ConfigError, NoPathError
 from anchoralign.posterior_io import logsumexp
-from anchoralign.trellis import _EMIT_BLOCK_ROWS, Trellis
+from anchoralign.trellis import _EMIT_BLOCK_ROWS, _MIN_SLAB_COLUMNS, Trellis
 
 VOCAB = Vocab(symbols=("∅", " ", "a", "b", "c"), blank_index=0, separator_index=1)
 
@@ -215,12 +216,14 @@ def test_a_prefix_ending_inside_an_utterance_raises():
             backtrack(tr, window, n)
 
 
-def test_fill_memory_is_a_byte_per_cell():
+def test_fill_memory_is_a_byte_per_cell(monkeypatch):
     rng = np.random.default_rng(9)
     utts = [Utterance(i, "".join(rng.choice(list("abc"), 99)), word_count=1) for i in range(12)]
     ts = build_token_sequence(utts, VOCAB)
     n_frames, n_tokens = 3000, len(ts.tokens)  # 1,199 tokens with the separators
     window = -rng.exponential(size=(n_frames, len(VOCAB.symbols)))
+    monkeypatch.setattr(trellis, "_fill_cpus", 4)  # the C fill's slab buffers count too
+    assert trellis._slab_count(n_tokens + 1) == 4
     tracemalloc.start()
     try:
         tr = compute_trellis(window, ts, VOCAB.blank_index)
@@ -591,6 +594,92 @@ def test_kernels_give_the_same_bits(monkeypatch, tie_prone):
             compared += 1
             blocked += results[0][1] is None
     assert compared > 300 and 0 < blocked < compared // 2
+
+
+# --- the C fill's column slabs -----------------------------------------------
+
+# widths just below, at and above the thresholds of 2 and 3 slabs
+_SPLIT_WIDTHS = [n * _MIN_SLAB_COLUMNS + d for n in (2, 3) for d in (-1, 0, 1)]
+
+
+def _split_sequence(rng, width):
+    """Tokens for a lattice of width columns whose utterances end on columns
+    m - 1, m and m + 1 around the first column m of every slab after the
+    first, for 2 and 3 slabs, as _lattice.c splits the columns."""
+    n_tokens = width - 1
+    starts = [1 + n_tokens * i // n for n in (2, 3) for i in range(1, n)]
+    ends = sorted({c for m in starts for c in (m - 1, m, m + 1)} | {n_tokens})
+    tokens = tuple(int(x) for x in rng.integers(1, len(VOCAB.symbols), size=n_tokens))
+    firsts = [0, *ends[:-1]]
+    return TokenSequence(tokens, tuple((i, a, b - 1) for i, (a, b) in enumerate(zip(firsts, ends))))
+
+
+def _split_cases(rng):
+    """(window, ts) pairs at each split width: a 1-row window, and one of
+    twice the width's rows, long enough for a path, with -inf emissions."""
+    for width in _SPLIT_WIDTHS:
+        ts = _split_sequence(rng, width)
+        for n_frames in (1, 2 * width):
+            yield _hard_window(rng, n_frames), ts
+
+
+def test_every_slab_count_gives_the_same_bits(monkeypatch):
+    lib = compiled_kernel()
+    rng = np.random.default_rng(611)
+    counts, traced = set(), 0
+    for window, ts in _split_cases(rng):
+        monkeypatch.setattr(trellis, "_kernel", lambda: None)
+        want = _run(window, ts, 0, 0)
+        monkeypatch.setattr(trellis, "_kernel", lambda: lib)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(trellis, "_fill_cpus", cpus)
+            counts.add(trellis._slab_count(len(ts.tokens) + 1))
+            assert _run(window, ts, 0, 0) == want
+        traced += want[1] is not None
+    assert counts == {1, 2, 3} and traced == len(_SPLIT_WIDTHS)
+
+
+def test_a_split_fill_equals_the_reference_fill(monkeypatch):
+    monkeypatch.setattr(trellis, "_fill_cpus", 3)  # as many slabs as each width allows
+    rng = np.random.default_rng(612)
+    for window, ts in _split_cases(rng):
+        got, want = compute_trellis(window, ts, 0), _reference_trellis(window, ts, 0)
+        assert np.array_equal(got.k, want.k) and np.array_equal(got.ends, want.ends)
+        assert got.end_columns == want.end_columns
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_no_thread_outlives_a_fill(monkeypatch):
+    compiled_kernel()
+    monkeypatch.setattr(trellis, "_fill_cpus", 3)
+    rng = np.random.default_rng(613)
+    ts = _split_sequence(rng, _SPLIT_WIDTHS[-1])
+    assert trellis._slab_count(len(ts.tokens) + 1) == 3
+    before = len(os.listdir("/proc/self/task"))
+    compute_trellis(_hard_window(rng, 50), ts, 0)
+    assert len(os.listdir("/proc/self/task")) == before
+
+
+def test_a_slab_whose_thread_does_not_start_gives_the_same_bits(monkeypatch, tmp_path):
+    compiled_kernel()
+    header = tmp_path / "no_threads.h"  # every pthread_create fails as at a thread limit
+    header.write_text(
+        "#include <errno.h>\n#include <pthread.h>\n#define pthread_create(t, a, f, arg) EAGAIN\n"
+    )
+    cc = tmp_path / "cc-no-threads"
+    cc.write_text(f'#!/bin/sh\nexec cc -include "{header}" "$@"\n')
+    cc.chmod(0o755)
+    monkeypatch.setattr(trellis, "__file__", str(tmp_path / "trellis.py"))  # cache it in tmp_path
+    no_threads = trellis._load_library(str(cc))
+    assert no_threads is not None
+    monkeypatch.setattr(trellis, "_fill_cpus", 3)
+    rng = np.random.default_rng(614)
+    for window, ts in _split_cases(rng):
+        results = []
+        for chosen in (None, no_threads):
+            monkeypatch.setattr(trellis, "_kernel", lambda chosen=chosen: chosen)
+            results.append(_run(window, ts, 0, 0))
+        assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("cc", ["no-such-compiler", "false"])
