@@ -9,7 +9,8 @@ the score column where the text ends. The path ends on the frame after its
 last character where one trailing blank scores best (end_scores), so the
 text may end before the window does. Backtracking follows the decisions to
 recover where each character was emitted, plus the frame-wise confidence rho
-used for scoring.
+used for scoring. The lattice keeps its own copy of the window, so the end
+rule and the backtrack take only the lattice.
 """
 
 import math
@@ -49,7 +50,7 @@ def main():
     print(tr.k)
     print("(ties advance, so a cell no path reaches yet, -inf either way, reads 1)\n")
 
-    ends = end_scores(tr, window)
+    ends = end_scores(tr)
     print("end_scores: log prob of placing 'ab' by frame f - 1 and a blank on frame f:")
     with np.printoptions(precision=3, suppress=True):
         print(ends)
@@ -58,7 +59,7 @@ def main():
     assert abs(best - math.log(expect)) < 1e-12
     print(f"best full-text log prob {best:.4f} = ln({expect:.4f}) as hand-multiplied\n")
 
-    frames, rho = backtrack(tr, window)
+    frames, rho = backtrack(tr)
     print(f"emission frame per token, then the trailing blank's frame: {frames}")
     names = [repr(vocab.symbols[t]) for t in ts.tokens] + ["the trailing blank"]
     for name, emitted, next_emitted in zip(names, frames, [*frames[1:], frames[-1] + 1]):

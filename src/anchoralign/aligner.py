@@ -7,7 +7,8 @@ accepted batch may score badly (imperfect transcripts still pass through,
 flagged by their scores). Each window's lattice is filled once, for its
 whole batch; a batch of fewer utterances is a column prefix of it, so the
 shrink attempts read that prefix instead of refilling. The accepted batch's
-last utterance becomes the new anchor. Failed windows grow by
+last utterance becomes the new anchor. A window rejected for its scores
+and one too short to hold any batch's text fail alike: they grow by
 window_step_s, and once the window would exceed max_window_s the first
 pending utterance is skipped and the anchor advances by its estimated
 duration.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ._lazy import np
-from .errors import ConfigError, NoPathError, WindowTooSmallError
+from .errors import ConfigError, NoPathError
 from .posterior_io import FrameMap, PosteriorMatrix, Vocab, map_frames_back
 from .textprep import Utterance, build_token_sequence
 from .trellis import (
@@ -93,8 +94,9 @@ class WindowResult:
 
     best is the accepted batch (None if no utterance count produced an
     acceptable last score); last_score is the accepted last utterance's
-    score, or the best rejected last score seen. attempts records
-    (utterance_count, last_score) per try, newest last.
+    score, or the best rejected last score seen, -inf when no count had a
+    path. attempts records (utterance_count, last_score) per try, newest
+    last.
     """
 
     best: list[UtteranceAlignment] | None
@@ -131,8 +133,9 @@ def align_window(
     Tries the full utterance list first and drops utterances off the tail
     until the last utterance of the batch scores at or above the threshold;
     shrinking then continues while the last score keeps strictly improving,
-    and ties keep the larger batch. Frames in the result are absolute.
-    Raises WindowTooSmallError when no utterance count admits any path.
+    and ties keep the larger batch. Frames in the result are absolute. A
+    window where no utterance count admits a path is rejected like any
+    other: best is None and every attempt scores -inf.
 
     The lattice is filled once, for the full list. Each shrink attempt reads
     its batch's column prefix of it, named by the batch's token count, and
@@ -144,17 +147,15 @@ def align_window(
         raise ValueError(f"bad window {window} for {pm.n_frames} frames")
     if not utts:
         raise ValueError("no utterances to align")
-    # cast once: the fill and every backtrack read this float64 window
-    window_logp = np.asarray(pm.data[start : start + length], dtype=np.float64)
     full = build_token_sequence(utts, vocab)
-    tr = compute_trellis(window_logp, full, vocab.blank_index)
+    tr = compute_trellis(pm.data[start : start + length], full, vocab.blank_index)
     best_n = 0
     best_last = -np.inf
     attempts: list[tuple[int, float]] = []
     for n in range(len(utts), 0, -1):
         last_utt = full.boundaries[n - 1]
         try:
-            frames, rho = backtrack(tr, window_logp, last_utt[2] + 1, first_token=last_utt[1])
+            frames, rho = backtrack(tr, last_utt[2] + 1, first_token=last_utt[1])
         except NoPathError:
             attempts.append((n, -np.inf))
             if best_n:
@@ -171,15 +172,11 @@ def align_window(
         elif best_n:
             break
     if not best_n:
-        if all(score == -np.inf for _, score in attempts):
-            raise WindowTooSmallError(
-                f"window of {length} frames admits no path for any utterance count"
-            )
         return WindowResult(
             best=None, last_score=float(max(score for _, score in attempts)), attempts=attempts
         )
     boundaries = full.boundaries[:best_n]
-    frames, rho = backtrack(tr, window_logp, boundaries[-1][2] + 1)
+    frames, rho = backtrack(tr, boundaries[-1][2] + 1)
     best = _score_batch(frames, rho, boundaries, start, pm.frame_duration_s, params)
     return WindowResult(best=best, last_score=float(best_last), attempts=attempts)
 
@@ -268,14 +265,10 @@ def align_file(
         if window == last_window:
             result = last_result
         else:
-            try:
-                result = align_window(pm, (anchor_frame, win_len), batch, vocab, params)
-            except WindowTooSmallError:
-                result = WindowResult(best=None, last_score=-np.inf)
+            result = align_window(pm, (anchor_frame, win_len), batch, vocab, params)
             last_window, last_result = window, result
         if result.best is not None:
             for aln in result.best:
-                aln.accepted = True
                 aln.file_id = file_id
             result.best[-1].anchor = True
             run.utterances.extend(result.best)

@@ -193,7 +193,7 @@ def _jsonl_record(aln: UtteranceAlignment, text: str, pass_id: int) -> dict:
         "s_seg": float(aln.s_seg),
         "s_seg_norm": float(aln.s_seg_norm),
         "penalized": bool(aln.penalized),
-        "accepted": bool(aln.accepted),
+        "accepted": True,  # run.utterances holds only accepted batches
         "anchor": bool(aln.anchor),
         "pass": pass_id,
     }
@@ -351,7 +351,6 @@ def cmd_align(args: argparse.Namespace) -> int:
             results = list(pool.map(_align_one, jobs))
     else:
         results = [_align_one(job) for job in jobs]
-    results.sort(key=lambda r: r["file_id"])
     log_lines: list[str] = []
     failures = 0
     for res in results:

@@ -37,10 +37,6 @@ class NoPathError(AnchorAlignError):
     """The lattice admits no finite-probability path (window shorter than the text)."""
 
 
-class WindowTooSmallError(AnchorAlignError):
-    """No candidate utterance count fits inside the current window."""
-
-
 class ManifestError(AnchorAlignError):
     """Synthetic-corpus manifest is malformed."""
 

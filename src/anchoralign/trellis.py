@@ -22,10 +22,11 @@ make the same IEEE additions and comparisons, so they return the same bits.
 The C fill splits the columns into slabs that run at once, one thread each,
 as a wavefront: a slab fills row t once the slab to its left has finished
 row t - 1, and each slab's row loop is vectorised (an AVX2 clone on x86-64).
-A fill gets one slab per CPU it may use, each at least _MIN_SLAB_COLUMNS
-wide: max(1, min(usable CPUs // processes filling at once,
-width // _MIN_SLAB_COLUMNS)). A serial run fills in one process; a process
-pool's workers each take their share through share_cpus. Every cell makes
+A fill of at least _MIN_SLAB_ROWS rows gets one slab per CPU it may use,
+each at least _MIN_SLAB_COLUMNS wide: max(1, min(usable CPUs // processes
+filling at once, width // _MIN_SLAB_COLUMNS)); a shorter fill gets one. A
+serial run fills in one process; a process pool's workers each take their
+share through share_cpus. Every cell makes
 the same sums and comparison whatever the slab count, so the lattice's bits,
 and every output, do not depend on it. No thread outlives a fill.
 """
@@ -61,6 +62,12 @@ _EMIT_BLOCK_ROWS = 32  # lattice rows per emission gather in the numpy fill
 # windows two slabs took 0.79 ns a cell against 0.88 at width 192 and 1.04
 # against 1.50 at width 256, and at width 96 they were even.
 _MIN_SLAB_COLUMNS = 256
+# Rows a fill has before it splits into slabs. Measured on the same VM, one
+# slab against two, with the median of 9 runs: under 128 rows two slabs lost
+# at every width tried, 1.9-2.1x as long for 1 row at widths 683 and 1024,
+# where the thread's start is the whole difference. At 128 rows they took
+# 1.24x as long at width 683, 1.03x at 1024 and 0.79x at 2048.
+_MIN_SLAB_ROWS = 128
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_lattice.c")
 # no -ffast-math or -march=native: either may change the sums' bits
 _CFLAGS = ("-O3", "-pthread", "-fPIC", "-shared", "-ffp-contract=off")
@@ -140,25 +147,32 @@ def share_cpus(processes: int) -> None:
     _fill_cpus = max(1, _usable_cpus() // processes)
 
 
-def _slab_count(width: int) -> int:
-    """Column slabs, one thread each, for a C fill of width columns: one per
-    CPU the fill may use, each at least _MIN_SLAB_COLUMNS wide."""
+def _slab_count(n_frames: int, width: int) -> int:
+    """Column slabs, one thread each, for a C fill of n_frames rows and width
+    columns: one per CPU the fill may use, each at least _MIN_SLAB_COLUMNS
+    wide, and one slab for fewer than _MIN_SLAB_ROWS rows."""
+    if n_frames < _MIN_SLAB_ROWS:
+        return 1
     return max(1, min(_fill_cpus, width // _MIN_SLAB_COLUMNS))
 
 
 @dataclass(frozen=True)
 class Trellis:
-    """Forward lattice of advance decisions, read-only.
+    """Forward lattice of advance decisions, read-only, bound to the window
+    it was filled from.
 
-    Cell (t, j) is the best path that has consumed tokens 1..j after frame t
-    (row 0 = before any frame), for j = 0..len(tokens). k[t][j] (uint8) is 1
-    where that path advanced into column j on frame t and 0 where it stayed
-    in column j; ties advance, and row 0 and column 0 are 0. ends[t][e]
-    (float64, frames x len(end_columns)) is the path's log joint probability
-    at cell (t, end_columns[e]) for t = 0..frames - 1. end_columns holds 0,
-    the end of every utterance and len(tokens), sorted.
+    window is that window as a read-only float64 copy (T_w x V), which
+    end_scores and backtrack read. Cell (t, j) is the best path that has
+    consumed tokens 1..j after frame t (row 0 = before any frame), for
+    j = 0..len(tokens). k[t][j] (uint8) is 1 where that path advanced into
+    column j on frame t and 0 where it stayed in column j; ties advance, and
+    row 0 and column 0 are 0. ends[t][e] (float64, frames x
+    len(end_columns)) is the path's log joint probability at cell
+    (t, end_columns[e]) for t = 0..frames - 1. end_columns holds 0, the end
+    of every utterance and len(tokens), sorted.
     """
 
+    window: np.ndarray
     k: np.ndarray
     ends: np.ndarray
     end_columns: tuple[int, ...]
@@ -182,7 +196,6 @@ class UtteranceAlignment:
     s_seg: float
     s_seg_norm: float
     penalized: bool
-    accepted: bool = False
     anchor: bool = False
     file_id: str = ""
     duration_s: float = 0.0
@@ -192,7 +205,8 @@ class UtteranceAlignment:
 
 def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int) -> Trellis:
     """Fill the lattice's advance decisions for a posterior window (T_w x V,
-    natural log).
+    natural log), keeping a read-only float64 copy of the window in the
+    Trellis.
 
     Every window value must be <= 0 (a log probability): backtrack's end
     rule relies on it. The score row before any frame is 0 then -inf,
@@ -200,10 +214,10 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     max(prev[1:] + blank, prev[:-1] + emit), keeping the stay value on a tie;
     k stores advance >= stay per cell, and ends the score columns at
     end_columns. The C kernel's fill computes it cell by cell in
-    _slab_count(width) column slabs, _fill_rows with numpy calls per row;
-    only two score rows per slab are held at once.
+    _slab_count(n_frames, width) column slabs, _fill_rows with numpy calls
+    per row; only two score rows per slab are held at once.
     """
-    window = np.ascontiguousarray(window_logp, dtype=np.float64)
+    window = np.array(window_logp, dtype=np.float64, order="C")  # the Trellis's own copy
     if window.ndim != 2 or window.shape[0] < 1:
         raise ValueError(f"bad window shape {window.shape}")
     n_frames, n_symbols = window.shape
@@ -225,7 +239,7 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
         _fill_rows(window, tokens, blank_index, k, columns, ends)
     else:
         width = k.shape[1]
-        slabs = _slab_count(width)
+        slabs = _slab_count(n_frames, width)
         # each slab's two score rows and emission row, and a boundary column
         # for each slab but the last, as _lattice.c's fill lays them out
         scratch = np.empty(3 * (width - 1) + 2 * slabs + (slabs - 1) * (n_frames + 1))
@@ -243,10 +257,15 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
             slabs,
             scratch.ctypes.data,
         )
-    k.flags.writeable = False
-    ends.flags.writeable = False
+    for array in (window, k, ends):
+        array.flags.writeable = False
     return Trellis(
-        k=k, ends=ends, end_columns=end_columns, tokens=ts.tokens, blank_index=blank_index
+        window=window,
+        k=k,
+        ends=ends,
+        end_columns=end_columns,
+        tokens=ts.tokens,
+        blank_index=blank_index,
     )
 
 
@@ -279,30 +298,23 @@ def _fill_rows(
             prev, row = row, prev
 
 
-def end_scores(tr: Trellis, window_logp: np.ndarray, n_tokens: int | None = None) -> np.ndarray:
-    """Score of ending the path on each frame of the window.
+def end_scores(tr: Trellis, n_tokens: int | None = None) -> np.ndarray:
+    """Score of ending the path on each frame of tr's window.
 
     Entry f is the score at cell (f, n) plus logP(blank | x_f): the best
     path that has placed the first n_tokens tokens (default: all of tr's) by
     frame f - 1 and emits its trailing blank on frame f. Its maximum is the
     best log probability of those tokens in the window. n_tokens must be in
-    tr.end_columns, and the window must be the one tr was filled for.
+    tr.end_columns.
     """
     n = len(tr.tokens) if n_tokens is None else n_tokens
     if n not in tr.end_columns:
         raise ValueError(f"n_tokens {n} ends no utterance of the lattice ({tr.end_columns})")
-    window = np.asarray(window_logp, dtype=np.float64)
-    if (
-        window.ndim != 2
-        or tr.k.shape != (window.shape[0] + 1, len(tr.tokens) + 1)
-        or not 0 <= tr.blank_index < window.shape[1]
-    ):
-        raise ValueError(f"window of shape {window.shape} does not match the lattice")
-    return tr.ends[:, tr.end_columns.index(n)] + window[:, tr.blank_index]
+    return tr.ends[:, tr.end_columns.index(n)] + tr.window[:, tr.blank_index]
 
 
 def backtrack(
-    tr: Trellis, window_logp: np.ndarray, n_tokens: int | None = None, first_token: int = 0
+    tr: Trellis, n_tokens: int | None = None, first_token: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trace the best path of the first n_tokens tokens back from its best
     end frame.
@@ -324,24 +336,20 @@ def backtrack(
     over the traced span: rho[f] = max(logP(aligned token | x_f),
     logP(blank | x_f)), NaN for frames off the path.
     """
-    window = np.asarray(window_logp, dtype=np.float64)
     n = len(tr.tokens) if n_tokens is None else n_tokens
-    ends = end_scores(tr, window, n)  # checks n and the window against the lattice
+    ends = end_scores(tr, n)  # checks n
     if not 0 <= first_token <= n:
         raise ValueError(f"first_token {first_token} out of range for {n} tokens")
-    n_frames, n_symbols = window.shape
-    tokens = tr.tokens[first_token:n]
-    if tokens and not 0 <= min(tokens) <= max(tokens) < n_symbols:
-        raise ValueError("window does not match the lattice")
+    window = tr.window
     psi = int(np.argmax(ends)) + 1  # earliest row attaining the max
     if ends[psi - 1] == -np.inf:
-        raise NoPathError(f"window of {n_frames} frames cannot hold {n + 1} tokens")
+        raise NoPathError(f"window of {len(window)} frames cannot hold {n + 1} tokens")
     # the path advanced into column j on row advance_row[j], emitting token
     # j - 1 on frame advance_row[j] - 1; the trailing blank fills row psi
     frames = np.append(_walk(tr.k, psi - 1, n, first_token)[first_token + 1 :], psi) - 1
-    symbols = np.repeat((*tokens, tr.blank_index), np.diff(frames, append=psi))
+    symbols = np.repeat((*tr.tokens[first_token:n], tr.blank_index), np.diff(frames, append=psi))
     traced = np.arange(frames[0], psi)
-    rho = np.full(n_frames, np.nan)
+    rho = np.full(len(window), np.nan)
     rho[traced] = np.maximum(window[traced, symbols], window[traced, tr.blank_index])
     return frames, rho
 

@@ -94,8 +94,8 @@ def test_oracle_equivalence(capsys):
         window, ts, blank = random_window(rng, tie_prone=bool(i % 2))
         oracle_lp, oracle_path = oracle_best_path(window, ts, blank)
         tr = compute_trellis(window, ts, blank)
-        frames, _ = backtrack(tr, window)
-        worst_delta = max(worst_delta, abs(float(end_scores(tr, window).max()) - oracle_lp))
+        frames, _ = backtrack(tr)
+        worst_delta = max(worst_delta, abs(float(end_scores(tr).max()) - oracle_lp))
         if not np.array_equal(_path_from_frames(frames), oracle_path):
             path_mismatches += 1
     elapsed = time.monotonic() - started
@@ -119,8 +119,8 @@ def test_hand_verified_lattice(capsys):
     # frame 1: P(a)=0.9, frame 2: P(blank)=0.8 -> best joint 0.72
     window = np.log([[0.05, 0.05, 0.90], [0.80, 0.15, 0.05]])
     tr = compute_trellis(window, ts, vocab.blank_index)
-    frames, _ = backtrack(tr, window)
-    final_k = float(end_scores(tr, window)[1])
+    frames, _ = backtrack(tr)
+    final_k = float(end_scores(tr)[1])
     k_ok = abs(final_k - math.log(0.72)) <= 1e-12
     # 'a' emits on the first frame (frame 1 counting from one) and is held no longer
     place_ok = frames[0] == 0 and frames[1] - 1 == 0

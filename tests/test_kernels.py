@@ -23,7 +23,6 @@ from test_trellis import (  # noqa: F401  (collected here once per kernel)
     test_backtrack_rejects_a_sequence_that_is_not_a_prefix,
     test_certain_posteriors_score_zero,
     test_earliest_end_row_wins,
-    test_end_scores_rejects_a_window_that_does_not_match,
     test_exact_tie_prefers_advancing,
     test_fill_equals_the_reference_fill,
     test_fill_memory_is_a_byte_per_cell,
@@ -35,6 +34,7 @@ from test_trellis import (  # noqa: F401  (collected here once per kernel)
     test_prefix_backtrack_matches_a_fresh_fill,
     test_rho_equals_the_reference_loop,
     test_rho_takes_blank_when_blank_is_stronger,
+    test_the_lattice_keeps_a_read_only_float64_copy_of_its_window,
     test_trellis_validation,
     test_two_frame_lattice_values,
 )

@@ -34,7 +34,7 @@ from anchoralign import (
 from anchoralign import aligner, trellis
 from anchoralign.errors import ConfigError, NoPathError
 from anchoralign.posterior_io import logsumexp
-from anchoralign.trellis import _EMIT_BLOCK_ROWS, _MIN_SLAB_COLUMNS, Trellis
+from anchoralign.trellis import _EMIT_BLOCK_ROWS, _MIN_SLAB_COLUMNS, _MIN_SLAB_ROWS, Trellis
 
 VOCAB = Vocab(symbols=("∅", " ", "a", "b", "c"), blank_index=0, separator_index=1)
 
@@ -61,8 +61,8 @@ def test_two_frame_lattice_values():
     assert tr.end_columns == (0, 1)
     assert tr.ends.shape == (2, 2)
     assert tr.ends[1][1] == pytest.approx(math.log(0.9), abs=1e-12)
-    assert end_scores(tr, window)[1] == pytest.approx(math.log(0.72), abs=1e-12)
-    frames, rho = backtrack(tr, window)
+    assert end_scores(tr)[1] == pytest.approx(math.log(0.72), abs=1e-12)
+    frames, rho = backtrack(tr)
     assert frames.dtype == np.int64
     assert frames.tolist() == [0, 1]  # 'a' on the first frame, the trailing blank on the second
     np.testing.assert_allclose(rho, [math.log(0.9), math.log(0.8)], atol=1e-12)
@@ -75,9 +75,9 @@ def test_free_start_skips_leading_frames():
     window = _logp([quiet, quiet, quiet, spike, quiet])
     ts = _ts("a")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    frames, rho = backtrack(tr, window)
+    frames, rho = backtrack(tr)
     assert frames[0] == 3
-    best = end_scores(tr, window).max()
+    best = end_scores(tr).max()
     assert best == pytest.approx(math.log(0.9) + math.log(0.9), abs=1e-12)
     assert np.isnan(rho[:3]).all()  # frames before the path are unscored
 
@@ -88,7 +88,7 @@ def test_earliest_end_row_wins():
     vocab = Vocab(symbols=("∅", " ", "a"), blank_index=0, separator_index=1)
     ts = build_token_sequence([Utterance(utt_index=0, text="a", word_count=1)], vocab)
     tr = compute_trellis(window, ts, vocab.blank_index)
-    frames, _ = backtrack(tr, window)
+    frames, _ = backtrack(tr)
     assert frames[-1] == 1  # path ends at row 2, not later
 
 
@@ -105,10 +105,10 @@ def test_exact_tie_prefers_advancing():
     )
     ts = _ts("ab")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    frames, _ = backtrack(tr, window)
+    frames, _ = backtrack(tr)
     assert frames.tolist() == [1, 2, 3]
     lp, path = oracle_best_path(window, ts, VOCAB.blank_index)
-    assert lp == pytest.approx(end_scores(tr, window).max(), abs=1e-12)
+    assert lp == pytest.approx(end_scores(tr).max(), abs=1e-12)
     assert list(path) == [0, 1, 2, 3]  # column consumed per frame
 
 
@@ -117,7 +117,7 @@ def test_no_path_raises():
     with pytest.raises(NoPathError):
         ts = _ts("abc")  # 4 tokens with the trailing blank, only 2 frames
         tr = compute_trellis(window, ts, VOCAB.blank_index)
-        backtrack(tr, window)
+        backtrack(tr)
 
 
 def test_impossible_token_probability_raises():
@@ -125,7 +125,7 @@ def test_impossible_token_probability_raises():
     ts = _ts("a")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
     with pytest.raises(NoPathError):
-        backtrack(tr, window)
+        backtrack(tr)
 
 
 def test_certain_posteriors_score_zero():
@@ -138,8 +138,8 @@ def test_certain_posteriors_score_zero():
     )
     ts = _ts("ab")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    frames, rho = backtrack(tr, window)
-    assert end_scores(tr, window).max() == 0.0
+    frames, rho = backtrack(tr)
+    assert end_scores(tr).max() == 0.0
     assert frames.tolist() == [0, 1, 2]
     np.testing.assert_array_equal(rho, np.zeros(3))
 
@@ -148,7 +148,7 @@ def test_rho_takes_blank_when_blank_is_stronger():
     window = _logp([[0.6, 0.1, 0.3, 0.0, 0.0], [0.9, 0.05, 0.05, 0.0, 0.0]])
     ts = _ts("a")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    _, rho = backtrack(tr, window)
+    _, rho = backtrack(tr)
     assert rho[0] == pytest.approx(math.log(0.6), abs=1e-12)
 
 
@@ -181,23 +181,27 @@ def test_lattice_is_read_only():
         tr.ends[0, 0] = 1.0
 
 
-def test_end_scores_rejects_a_window_that_does_not_match():
+def test_the_lattice_keeps_a_read_only_float64_copy_of_its_window():
     rng = np.random.default_rng(5)
-    window = np.log(rng.uniform(0.05, 1.0, size=(20, len(VOCAB.symbols))))
+    window = np.log(rng.uniform(0.05, 1.0, size=(20, len(VOCAB.symbols)))).astype(np.float32)
     ts = _ts("abc")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    assert end_scores(tr, window).shape == (20,)
-    longer = np.vstack([window, window[:1]])
-    for bad in (window[:1], longer):
-        with pytest.raises(ValueError):
-            end_scores(tr, bad)
-        with pytest.raises(ValueError):
-            backtrack(tr, bad)
-    last_blank = compute_trellis(window, ts, blank_index=4)  # no token is symbol 4
+    assert tr.window.dtype == np.float64
+    assert np.array_equal(tr.window, window.astype(np.float64))
     with pytest.raises(ValueError):
-        end_scores(last_blank, window[:, :4])
-    with pytest.raises(ValueError):
-        backtrack(last_blank, window[:, :4])
+        tr.window[0, 0] = 0.0
+    assert end_scores(tr).shape == (20,)
+    cast = window.astype(np.float64)
+    from_cast = compute_trellis(cast, ts, VOCAB.blank_index)
+    cast[0, 0] = 0.0  # the caller's array stays writable, and apart from the lattice's copy
+    assert from_cast.window[0, 0] == tr.window[0, 0] < 0
+    assert tr.k.tobytes() == from_cast.k.tobytes()
+    assert tr.ends.tobytes() == from_cast.ends.tobytes()
+    for first in range(len(ts.tokens) + 1):
+        frames, rho = backtrack(tr, first_token=first)
+        want_frames, want_rho = backtrack(from_cast, first_token=first)
+        assert frames.tobytes() == want_frames.tobytes()
+        assert rho.tobytes() == want_rho.tobytes()
 
 
 def test_a_prefix_ending_inside_an_utterance_raises():
@@ -207,13 +211,13 @@ def test_a_prefix_ending_inside_an_utterance_raises():
     tr = compute_trellis(window, full, VOCAB.blank_index)
     assert tr.end_columns == (0, 2, 4)
     for n in (0, 2, 4):
-        end_scores(tr, window, n)
-    backtrack(tr, window, 2)
+        end_scores(tr, n)
+    backtrack(tr, 2)
     for n in (1, 3):
         with pytest.raises(ValueError):
-            end_scores(tr, window, n)
+            end_scores(tr, n)
         with pytest.raises(ValueError):
-            backtrack(tr, window, n)
+            backtrack(tr, n)
 
 
 def test_fill_memory_is_a_byte_per_cell(monkeypatch):
@@ -223,7 +227,7 @@ def test_fill_memory_is_a_byte_per_cell(monkeypatch):
     n_frames, n_tokens = 3000, len(ts.tokens)  # 1,199 tokens with the separators
     window = -rng.exponential(size=(n_frames, len(VOCAB.symbols)))
     monkeypatch.setattr(trellis, "_fill_cpus", 4)  # the C fill's slab buffers count too
-    assert trellis._slab_count(n_tokens + 1) == 4
+    assert trellis._slab_count(n_frames, n_tokens + 1) == 4
     tracemalloc.start()
     try:
         tr = compute_trellis(window, ts, VOCAB.blank_index)
@@ -252,8 +256,8 @@ def test_matches_exhaustive_oracle(tie_prone):
         window, ts, blank = random_window(rng, tie_prone=tie_prone)
         oracle_lp, oracle_path = oracle_best_path(window, ts, blank)
         tr = compute_trellis(window, ts, blank)
-        frames, _ = backtrack(tr, window)
-        assert abs(end_scores(tr, window).max() - oracle_lp) <= 1e-9
+        frames, _ = backtrack(tr)
+        assert abs(end_scores(tr).max() - oracle_lp) <= 1e-9
         np.testing.assert_array_equal(_path_from_frames(frames), oracle_path)
 
 
@@ -285,18 +289,18 @@ def test_prefix_backtrack_matches_a_fresh_fill():
             assert ts.tokens == full.tokens[:n_tokens]
             fresh = compute_trellis(window, ts, VOCAB.blank_index)
             try:
-                want_frames, want_rho = backtrack(fresh, window)
+                want_frames, want_rho = backtrack(fresh)
             except NoPathError:
                 with pytest.raises(NoPathError):
-                    backtrack(tr, window, n_tokens)
+                    backtrack(tr, n_tokens)
                 blocked += 1
                 continue
             traced += 1
-            frames, rho = backtrack(tr, window, n_tokens)
+            frames, rho = backtrack(tr, n_tokens)
             assert np.array_equal(frames, want_frames)
             assert np.array_equal(rho, want_rho, equal_nan=True)
             for first in range(n_tokens + 1):
-                tail, tail_rho = backtrack(tr, window, n_tokens, first_token=first)
+                tail, tail_rho = backtrack(tr, n_tokens, first_token=first)
                 assert np.array_equal(tail, want_frames[first:])
                 want_tail_rho = want_rho.copy()
                 want_tail_rho[: tail[0]] = np.nan
@@ -310,10 +314,10 @@ def test_backtrack_rejects_a_sequence_that_is_not_a_prefix():
     tr = compute_trellis(window, ts, VOCAB.blank_index)
     for n_tokens in (-1, 1, len(ts.tokens) + 1):  # no utterance prefix of "ab" has that many
         with pytest.raises(ValueError):
-            backtrack(tr, window, n_tokens)
+            backtrack(tr, n_tokens)
     for first in (-1, len(ts.tokens) + 1):
         with pytest.raises(ValueError):
-            backtrack(tr, window, first_token=first)
+            backtrack(tr, first_token=first)
 
 
 # --- reference kernels: the straightforward loops the fast ones must equal ---
@@ -352,6 +356,7 @@ def _reference_trellis(window_logp, ts, blank_index):
     ref_k = _reference_fill(window, ts, blank_index)
     end_columns = tuple(sorted({0, len(ts.tokens), *(last + 1 for *_, last in ts.boundaries)}))
     return Trellis(
+        window=window,
         k=_reference_decisions(ref_k, window, ts.tokens, blank_index),
         ends=ref_k[:-1, list(end_columns)],
         end_columns=end_columns,
@@ -485,10 +490,10 @@ def test_backtrack_equals_the_reference_backtrack(make_window):
                     want_frames, want_rho = _reference_backtrack(ref, window, ts, 0, first)
                 except NoPathError:
                     with pytest.raises(NoPathError):
-                        backtrack(tr, window, n, first_token=first)
+                        backtrack(tr, n, first_token=first)
                     blocked += 1
                     continue
-                frames, rho = backtrack(tr, window, n, first_token=first)
+                frames, rho = backtrack(tr, n, first_token=first)
                 assert frames.dtype == np.int64 and np.array_equal(frames, want_frames)
                 assert np.array_equal(rho, want_rho, equal_nan=True)
                 traced += 1
@@ -505,7 +510,7 @@ def test_rho_equals_the_reference_loop():
         for *_, last in full.boundaries:
             for first in range(last + 2):
                 try:
-                    frames, rho = backtrack(tr, window, last + 1, first_token=first)
+                    frames, rho = backtrack(tr, last + 1, first_token=first)
                 except NoPathError:
                     continue
                 ends = [*frames[1:], frames[-1] + 1]
@@ -538,9 +543,17 @@ ALIGN_FILE_SHA256 = "2888ec09f7830df9fca30c9abcb592459fc5048feaefb65301351428946
 
 
 def _run_digest_lines(run):
-    """Every UtteranceAlignment field (floats as float.hex) and iterations_log."""
+    """Every UtteranceAlignment field (floats as float.hex) and iterations_log.
+
+    The pin predates the removal of the accepted field, which was True on
+    every aligned utterance, so each line still carries a True after
+    penalized."""
     for aln in run.utterances:
-        values = (getattr(aln, f.name) for f in dataclasses.fields(aln))
+        values = []
+        for f in dataclasses.fields(aln):
+            values.append(getattr(aln, f.name))
+            if f.name == "penalized":
+                values.append(True)
         yield " ".join(v.hex() if isinstance(v, float) else repr(v) for v in values)
     yield from (repr(entry) for entry in run.iterations_log)
 
@@ -568,7 +581,7 @@ def _run(window, ts, blank, first_token):
     tr = compute_trellis(window, ts, blank)
     lattice = (tr.k.tobytes(), tr.ends.tobytes(), tr.end_columns)
     try:
-        frames, rho = backtrack(tr, window, first_token=first_token)
+        frames, rho = backtrack(tr, first_token=first_token)
     except NoPathError:
         return lattice, None
     return lattice, (frames.tobytes(), rho.tobytes())
@@ -616,15 +629,26 @@ def _split_sequence(rng, width):
 
 def _split_cases(rng):
     """(window, ts) pairs at each split width: a 1-row window, and one of
-    twice the width's rows, long enough for a path, with -inf emissions."""
+    twice the width's rows, long enough for a path, with -inf emissions.
+    Tests that split them set _MIN_SLAB_ROWS to 1 so the 1-row fills split
+    too."""
     for width in _SPLIT_WIDTHS:
         ts = _split_sequence(rng, width)
         for n_frames in (1, 2 * width):
             yield _hard_window(rng, n_frames), ts
 
 
+def test_short_fills_take_one_slab(monkeypatch):
+    monkeypatch.setattr(trellis, "_fill_cpus", 2)
+    width = 4 * _MIN_SLAB_COLUMNS
+    assert trellis._slab_count(_MIN_SLAB_ROWS - 1, width) == 1
+    assert trellis._slab_count(_MIN_SLAB_ROWS, width) == 2
+    assert trellis._slab_count(_MIN_SLAB_ROWS, 2 * _MIN_SLAB_COLUMNS - 1) == 1
+
+
 def test_every_slab_count_gives_the_same_bits(monkeypatch):
     lib = compiled_kernel()
+    monkeypatch.setattr(trellis, "_MIN_SLAB_ROWS", 1)
     rng = np.random.default_rng(611)
     counts, traced = set(), 0
     for window, ts in _split_cases(rng):
@@ -633,7 +657,7 @@ def test_every_slab_count_gives_the_same_bits(monkeypatch):
         monkeypatch.setattr(trellis, "_kernel", lambda: lib)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(trellis, "_fill_cpus", cpus)
-            counts.add(trellis._slab_count(len(ts.tokens) + 1))
+            counts.add(trellis._slab_count(len(window), len(ts.tokens) + 1))
             assert _run(window, ts, 0, 0) == want
         traced += want[1] is not None
     assert counts == {1, 2, 3} and traced == len(_SPLIT_WIDTHS)
@@ -641,6 +665,7 @@ def test_every_slab_count_gives_the_same_bits(monkeypatch):
 
 def test_a_split_fill_equals_the_reference_fill(monkeypatch):
     monkeypatch.setattr(trellis, "_fill_cpus", 3)  # as many slabs as each width allows
+    monkeypatch.setattr(trellis, "_MIN_SLAB_ROWS", 1)
     rng = np.random.default_rng(612)
     for window, ts in _split_cases(rng):
         got, want = compute_trellis(window, ts, 0), _reference_trellis(window, ts, 0)
@@ -652,9 +677,10 @@ def test_a_split_fill_equals_the_reference_fill(monkeypatch):
 def test_no_thread_outlives_a_fill(monkeypatch):
     compiled_kernel()
     monkeypatch.setattr(trellis, "_fill_cpus", 3)
+    monkeypatch.setattr(trellis, "_MIN_SLAB_ROWS", 1)
     rng = np.random.default_rng(613)
     ts = _split_sequence(rng, _SPLIT_WIDTHS[-1])
-    assert trellis._slab_count(len(ts.tokens) + 1) == 3
+    assert trellis._slab_count(50, len(ts.tokens) + 1) == 3
     before = len(os.listdir("/proc/self/task"))
     compute_trellis(_hard_window(rng, 50), ts, 0)
     assert len(os.listdir("/proc/self/task")) == before
@@ -673,6 +699,7 @@ def test_a_slab_whose_thread_does_not_start_gives_the_same_bits(monkeypatch, tmp
     no_threads = trellis._load_library(str(cc))
     assert no_threads is not None
     monkeypatch.setattr(trellis, "_fill_cpus", 3)
+    monkeypatch.setattr(trellis, "_MIN_SLAB_ROWS", 1)
     rng = np.random.default_rng(614)
     for window, ts in _split_cases(rng):
         results = []
