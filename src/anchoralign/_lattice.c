@@ -179,13 +179,12 @@ void fill(const double *window, int64_t n_frames, int64_t n_symbols,
             pthread_join(threads[i], NULL);
 }
 
-/* Walk back from cell (t, j) until column first_token is reached, advancing
- * where k[t][j] is set, and record in advance_row[j] the row where the path
- * advanced into column j. Returns 0, or -1 if the walk runs past row 0 first. */
-int64_t walk(const uint8_t *k, int64_t width, int64_t t, int64_t j, int64_t first_token,
-             int64_t *advance_row)
+/* Walk back from cell (t, j) to column 0, advancing where k[t][j] is set,
+ * and record in advance_row[j] the row where the path advanced into column
+ * j. Returns 0, or -1 if the walk runs past row 0 first. */
+int64_t walk(const uint8_t *k, int64_t width, int64_t t, int64_t j, int64_t *advance_row)
 {
-    while (j > first_token) {
+    while (j > 0) {
         if (t < 1)
             return -1;
         if (k[t * width + j]) {

@@ -93,15 +93,18 @@ class WindowResult:
     """Outcome of aligning one window.
 
     best is the accepted batch (None if no utterance count produced an
-    acceptable last score); last_score is the accepted last utterance's
-    score, or the best rejected last score seen, -inf when no count had a
-    path. attempts records (utterance_count, last_score) per try, newest
-    last.
+    acceptable last score). attempts records (utterance_count, last_score)
+    per try, newest last, -inf for a count with no path.
     """
 
     best: list[UtteranceAlignment] | None
-    last_score: float
-    attempts: list[tuple[int, float]] = field(default_factory=list)
+    attempts: list[tuple[int, float]]
+
+    @property
+    def last_score(self) -> float:
+        """The best attempt's score: the accepted one's if any, else -inf
+        when no count had a path."""
+        return float(max(score for _, score in self.attempts))
 
 
 @dataclass
@@ -137,10 +140,10 @@ def align_window(
     window where no utterance count admits a path is rejected like any
     other: best is None and every attempt scores -inf.
 
-    The lattice is filled once, for the full list. Each shrink attempt reads
-    its batch's column prefix of it, named by the batch's token count, and
-    traces and scores only its last utterance, which is all the acceptance
-    rule reads; the kept batch is traced and scored in full once at the end.
+    The lattice is filled once, for the full list. Each shrink attempt
+    traces its batch's column prefix of it, named by the batch's token
+    count, and scores only its last utterance, which is all the acceptance
+    rule reads; the kept batch is scored from its attempt's trace.
     """
     start, length = window
     if length < 1 or start < 0 or start + length > pm.n_frames:
@@ -155,30 +158,26 @@ def align_window(
     for n in range(len(utts), 0, -1):
         last_utt = full.boundaries[n - 1]
         try:
-            frames, rho = backtrack(tr, last_utt[2] + 1, first_token=last_utt[1])
+            trace = backtrack(tr, last_utt[2] + 1)
         except NoPathError:
             attempts.append((n, -np.inf))
             if best_n:
                 break
             continue
-        [aln] = _score_batch(frames, rho, [last_utt], start, pm.frame_duration_s, params)
+        [aln] = _score_batch(*trace, [last_utt], start, pm.frame_duration_s, params)
         last = aln.s_seg
         attempts.append((n, last))
         if last >= params.threshold:
             if not best_n or last > best_last:
-                best_n, best_last = n, last
+                best_n, best_last, kept = n, last, trace
             else:
                 break
         elif best_n:
             break
     if not best_n:
-        return WindowResult(
-            best=None, last_score=float(max(score for _, score in attempts)), attempts=attempts
-        )
-    boundaries = full.boundaries[:best_n]
-    frames, rho = backtrack(tr, boundaries[-1][2] + 1)
-    best = _score_batch(frames, rho, boundaries, start, pm.frame_duration_s, params)
-    return WindowResult(best=best, last_score=float(best_last), attempts=attempts)
+        return WindowResult(best=None, attempts=attempts)
+    best = _score_batch(*kept, full.boundaries[:best_n], start, pm.frame_duration_s, params)
+    return WindowResult(best=best, attempts=attempts)
 
 
 def _score_batch(
@@ -191,16 +190,15 @@ def _score_batch(
 ) -> list[UtteranceAlignment]:
     """Split a traced path into per-utterance alignments with scores.
 
-    boundaries are TokenSequence.boundaries entries, and frames and rho are
-    what backtrack returns for a walk that starts at the first token of the
-    first of them: frames[i] is the emission frame of token
-    boundaries[0][1] + i.
+    frames and rho are what backtrack returns, frames[i] being the emission
+    frame of token i, and boundaries are TokenSequence.boundaries entries
+    of utterances on that path. Frames in the result are absolute: the
+    window's start is added to each.
     """
-    offset = boundaries[0][1]
     out = []
     for utt_index, first, last in boundaries:
-        start = int(frames[first - offset])
-        end = int(frames[last - offset])  # emission frame of the last character
+        start = int(frames[first])
+        end = int(frames[last])  # emission frame of the last character
         length = end - start + 1
         score = segment_score(fragment_scores(rho[start : end + 1], params.fragment_frames))
         score, penalized = apply_short_penalty(

@@ -42,7 +42,8 @@ class FilterReport:
 def filter_absolute(
     alns: Sequence[ScoredSpan], cutoff: float = ABSOLUTE_CUTOFF
 ) -> tuple[list[ScoredSpan], FilterReport]:
-    """Keep utterances whose score is at or above a fixed cutoff."""
+    """Keep utterances whose score is at or above a fixed cutoff; a NaN
+    cutoff raises ConfigError."""
     kept = [a for a in alns if a.s_seg >= cutoff]
     return kept, _report("absolute", alns, kept, cutoff)
 
@@ -118,13 +119,16 @@ def filter_normalized(
     """Keep utterances by duration-normalized score.
 
     Recomputes the normalized score from s_seg and the utterance duration,
-    so long utterances are not punished for accumulating more log mass.
+    so long utterances are not punished for accumulating more log mass. A
+    NaN cutoff raises ConfigError.
     """
     kept = [a for a in alns if normalize_score(a.s_seg, a.duration_s, ref_s) >= cutoff]
     return kept, _report("normalized", alns, kept, cutoff)
 
 
 def _report(method, alns, kept, cutoff) -> FilterReport:
+    if math.isnan(cutoff):  # it keeps no row; -inf and inf keep every row and none
+        raise ConfigError(f"cutoff must be a number, got {cutoff}")
     return FilterReport(
         method=method,
         input_count=len(alns),

@@ -22,13 +22,13 @@ make the same IEEE additions and comparisons, so they return the same bits.
 The C fill splits the columns into slabs that run at once, one thread each,
 as a wavefront: a slab fills row t once the slab to its left has finished
 row t - 1, and each slab's row loop is vectorised (an AVX2 clone on x86-64).
-A fill of at least _MIN_SLAB_ROWS rows gets one slab per CPU it may use,
-each at least _MIN_SLAB_COLUMNS wide: max(1, min(usable CPUs // processes
-filling at once, width // _MIN_SLAB_COLUMNS)); a shorter fill gets one. A
-serial run fills in one process; a process pool's workers each take their
-share through share_cpus. Every cell makes
-the same sums and comparison whatever the slab count, so the lattice's bits,
-and every output, do not depend on it. No thread outlives a fill.
+A fill of at least _MIN_SLAB_CELLS cells (rows x width) gets one slab per
+CPU it may use, each at least _MIN_SLAB_COLUMNS wide: max(1, min(usable
+CPUs // processes filling at once, width // _MIN_SLAB_COLUMNS)); a smaller
+fill gets one. A serial run fills in one process; a process pool's workers
+each take their share through share_cpus. Every cell makes the same sums
+and comparison whatever the slab count, so the lattice's bits, and every
+output, do not depend on it. No thread outlives a fill.
 """
 
 from __future__ import annotations
@@ -62,12 +62,12 @@ _EMIT_BLOCK_ROWS = 32  # lattice rows per emission gather in the numpy fill
 # windows two slabs took 0.79 ns a cell against 0.88 at width 192 and 1.04
 # against 1.50 at width 256, and at width 96 they were even.
 _MIN_SLAB_COLUMNS = 256
-# Rows a fill has before it splits into slabs. Measured on the same VM, one
-# slab against two, with the median of 9 runs: under 128 rows two slabs lost
-# at every width tried, 1.9-2.1x as long for 1 row at widths 683 and 1024,
-# where the thread's start is the whole difference. At 128 rows they took
-# 1.24x as long at width 683, 1.03x at 1024 and 0.79x at 2048.
-_MIN_SLAB_ROWS = 128
+# Cells (rows x width) a fill has before it splits into slabs. Measured on the
+# same VM in process, two slabs against one, medians of 15-41 interleaved
+# runs: up to 300,000 cells they lost at some widths (1.04-1.06x as long at
+# width 683, 1.14x at 768 and 150,000 cells); from 350,000 cells they won at
+# every width from 512 to 2048, taking 0.69-0.87x as long.
+_MIN_SLAB_CELLS = 350_000
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_lattice.c")
 # no -ffast-math or -march=native: either may change the sums' bits
 _CFLAGS = ("-O3", "-pthread", "-fPIC", "-shared", "-ffp-contract=off")
@@ -115,7 +115,7 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.fill.argtypes = [ptr, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr, i64, ptr]
     lib.fill.restype = None
-    lib.walk.argtypes = [ptr, i64, i64, i64, i64, ptr]
+    lib.walk.argtypes = [ptr, i64, i64, i64, ptr]
     lib.walk.restype = i64
     log.debug("lattice kernel: C (%s)", path)
     return lib
@@ -150,8 +150,8 @@ def share_cpus(processes: int) -> None:
 def _slab_count(n_frames: int, width: int) -> int:
     """Column slabs, one thread each, for a C fill of n_frames rows and width
     columns: one per CPU the fill may use, each at least _MIN_SLAB_COLUMNS
-    wide, and one slab for fewer than _MIN_SLAB_ROWS rows."""
-    if n_frames < _MIN_SLAB_ROWS:
+    wide, and one slab for fewer than _MIN_SLAB_CELLS cells."""
+    if n_frames * width < _MIN_SLAB_CELLS:
         return 1
     return max(1, min(_fill_cpus, width // _MIN_SLAB_COLUMNS))
 
@@ -185,9 +185,9 @@ class UtteranceAlignment:
     """Aligned span and confidence scores for one utterance.
 
     start_frame/end_frame are the emission frames of the first and last
-    character token, window-relative until the aligner shifts them to the
-    compressed file timeline. start_s/end_s appear once mapped back to the
-    original timeline.
+    character token on the gap-compressed file timeline: the aligner adds
+    the window's start as it builds them. start_s/end_s appear once mapped
+    back to the original timeline.
     """
 
     utt_index: int
@@ -313,9 +313,7 @@ def end_scores(tr: Trellis, n_tokens: int | None = None) -> np.ndarray:
     return tr.ends[:, tr.end_columns.index(n)] + tr.window[:, tr.blank_index]
 
 
-def backtrack(
-    tr: Trellis, n_tokens: int | None = None, first_token: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Trace the best path of the first n_tokens tokens back from its best
     end frame.
 
@@ -325,48 +323,44 @@ def backtrack(
     longest batch answers every shorter one, bit for bit. The path ends on
     the earliest frame maximizing end_scores, holding its trailing blank for
     that one frame, and the walk back reads only tr.k. Ties pick the
-    earliest end frame and prefer advancing. The walk stops once it has
-    placed token first_token, so frames and rho cover only the tokens from
-    there on; they equal the tail of the full walk.
+    earliest end frame and prefer advancing.
 
-    Returns frames (int64, n_tokens - first_token + 1 entries) and rho.
-    frames[i] is the frame on which token first_token + i is emitted, and
-    that token is held through frame frames[i + 1] - 1; the last entry is
-    the trailing blank's frame, the path's last. rho is the per-frame score
-    over the traced span: rho[f] = max(logP(aligned token | x_f),
-    logP(blank | x_f)), NaN for frames off the path.
+    Returns frames (int64, n_tokens + 1 entries) and rho. frames[i] is the
+    frame on which token i is emitted, and that token is held through frame
+    frames[i + 1] - 1; the last entry is the trailing blank's frame, the
+    path's last. rho is the per-frame score over the traced span:
+    rho[f] = max(logP(aligned token | x_f), logP(blank | x_f)), NaN for
+    frames off the path.
     """
     n = len(tr.tokens) if n_tokens is None else n_tokens
     ends = end_scores(tr, n)  # checks n
-    if not 0 <= first_token <= n:
-        raise ValueError(f"first_token {first_token} out of range for {n} tokens")
     window = tr.window
     psi = int(np.argmax(ends)) + 1  # earliest row attaining the max
     if ends[psi - 1] == -np.inf:
         raise NoPathError(f"window of {len(window)} frames cannot hold {n + 1} tokens")
     # the path advanced into column j on row advance_row[j], emitting token
     # j - 1 on frame advance_row[j] - 1; the trailing blank fills row psi
-    frames = np.append(_walk(tr.k, psi - 1, n, first_token)[first_token + 1 :], psi) - 1
-    symbols = np.repeat((*tr.tokens[first_token:n], tr.blank_index), np.diff(frames, append=psi))
+    frames = np.append(_walk(tr.k, psi - 1, n)[1:], psi) - 1
+    symbols = np.repeat((*tr.tokens[:n], tr.blank_index), np.diff(frames, append=psi))
     traced = np.arange(frames[0], psi)
     rho = np.full(len(window), np.nan)
     rho[traced] = np.maximum(window[traced, symbols], window[traced, tr.blank_index])
     return frames, rho
 
 
-def _walk(k: np.ndarray, t: int, j: int, first_token: int) -> np.ndarray:
-    """Walk back from cell (t, j) to column first_token, advancing where
-    k[t][j] is set, and return advance_row (int64, j + 1 entries): entry i
-    is the row where the path advanced into column i, 0 for the columns up
-    to first_token. backtrack has validated every index."""
+def _walk(k: np.ndarray, t: int, j: int) -> np.ndarray:
+    """Walk back from cell (t, j) to column 0, advancing where k[t][j] is
+    set, and return advance_row (int64, j + 1 entries): entry i is the row
+    where the path advanced into column i, 0 for column 0. backtrack has
+    validated every index."""
     advance_row = np.zeros(j + 1, dtype=np.int64)
     lib = _kernel()
     if lib is not None:
         k = np.ascontiguousarray(k, dtype=np.uint8)
-        if lib.walk(k.ctypes.data, k.shape[1], t, j, first_token, advance_row.ctypes.data):
+        if lib.walk(k.ctypes.data, k.shape[1], t, j, advance_row.ctypes.data):
             raise NoPathError("backtrack walked past the window start")
         return advance_row
-    while j > first_token:
+    while j > 0:
         if t < 1:
             raise NoPathError("backtrack walked past the window start")
         if k[t, j]:

@@ -123,7 +123,8 @@ def test_window_too_small_for_any_path(spanish_vocab):
     pm, _, utts = _render(_spans([TEXT_A, TEXT_B], 50, 150), spanish_vocab, 8.0)
     result = align_window(pm, (0, 10), utts, spanish_vocab)  # 32 and 66 tokens, 10 frames
     no_path = [(2, -np.inf), (1, -np.inf)]
-    assert result == WindowResult(best=None, last_score=-np.inf, attempts=no_path)
+    assert result == WindowResult(best=None, attempts=no_path)
+    assert result.last_score == -np.inf
 
 
 def test_window_validation(spanish_vocab):
@@ -186,8 +187,10 @@ def _reference_align_window(pm, window, utts, vocab, params=AlignParams()):
                 break
         elif best is not None:
             break
+    result = WindowResult(best=best, attempts=attempts)
     last_score = best_last if best is not None else max(score for _, score in attempts)
-    return WindowResult(best=best, last_score=float(last_score), attempts=attempts)
+    assert result.last_score == last_score
+    return result
 
 
 def test_window_matches_the_refill_reference(spanish_vocab):
@@ -241,6 +244,25 @@ def test_window_fills_the_lattice_once(spanish_vocab, monkeypatch):
         result = align_window(pm, (0, length), utts, spanish_vocab)
         assert [n for n, _ in result.attempts] == tried
         assert len(fills) == 1
+
+
+def test_window_traces_each_attempt_once(spanish_vocab, monkeypatch):
+    traces = []
+
+    def counting(*args, **kwargs):
+        traces.append(args)
+        return backtrack(*args, **kwargs)
+
+    monkeypatch.setattr(aligner, "backtrack", counting)
+    pm, _, utts = _render(
+        _spans([TEXT_A, TEXT_B, TEXT_C], start_frame=50, pause_frames=150),
+        spanish_vocab,
+        12.0,
+        transcript=[TEXT_A, TEXT_B, GARBAGE],
+    )
+    result = align_window(pm, (0, pm.n_frames), utts, spanish_vocab)
+    assert result.best is not None and len(result.best) == 2  # accepted after a shrink
+    assert len(traces) == len(result.attempts) == 3
 
 
 # --- align_file --------------------------------------------------------------

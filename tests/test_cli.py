@@ -750,6 +750,16 @@ def test_filter_cutoff_defaults_to_the_method_default(scored_jsonl, tmp_path, me
     assert report[1].split(",")[-1] == cutoff
 
 
+@pytest.mark.parametrize("method", ["absolute", "normalized"])
+def test_filter_nan_cutoff_exits_2(scored_jsonl, tmp_path, caplog, method):
+    out = tmp_path / "out"
+    argv = ["filter", str(scored_jsonl), "--method", method, "--cutoff", "nan"]
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "ConfigError" in errors[0] and "cutoff" in errors[0]
+    assert not list(out.glob("*.filtered.jsonl")) and not (out / "filter_report.csv").exists()
+
+
 # --- logging environment -----------------------------------------------------
 
 

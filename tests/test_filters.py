@@ -52,6 +52,15 @@ def test_absolute_keeps_at_or_above_cutoff():
     )
 
 
+@pytest.mark.parametrize("keep", [filter_absolute, filter_normalized])
+def test_a_nan_cutoff_raises_and_infinite_ones_keep_all_or_none(keep):
+    alns = [_aln(-0.5), _aln(-3.0)]
+    with pytest.raises(ConfigError, match="cutoff"):
+        keep(alns, cutoff=math.nan)
+    assert keep(alns, cutoff=-math.inf)[0] == alns
+    assert keep(alns, cutoff=math.inf)[0] == []
+
+
 def test_absolute_default_cutoff():
     kept, report = filter_absolute([_aln(-0.9), _aln(-1.1)])
     assert len(kept) == 1

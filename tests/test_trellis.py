@@ -34,7 +34,7 @@ from anchoralign import (
 from anchoralign import aligner, trellis
 from anchoralign.errors import ConfigError, NoPathError
 from anchoralign.posterior_io import logsumexp
-from anchoralign.trellis import _EMIT_BLOCK_ROWS, _MIN_SLAB_COLUMNS, _MIN_SLAB_ROWS, Trellis
+from anchoralign.trellis import _EMIT_BLOCK_ROWS, _MIN_SLAB_CELLS, _MIN_SLAB_COLUMNS, Trellis
 
 VOCAB = Vocab(symbols=("∅", " ", "a", "b", "c"), blank_index=0, separator_index=1)
 
@@ -197,11 +197,10 @@ def test_the_lattice_keeps_a_read_only_float64_copy_of_its_window():
     assert from_cast.window[0, 0] == tr.window[0, 0] < 0
     assert tr.k.tobytes() == from_cast.k.tobytes()
     assert tr.ends.tobytes() == from_cast.ends.tobytes()
-    for first in range(len(ts.tokens) + 1):
-        frames, rho = backtrack(tr, first_token=first)
-        want_frames, want_rho = backtrack(from_cast, first_token=first)
-        assert frames.tobytes() == want_frames.tobytes()
-        assert rho.tobytes() == want_rho.tobytes()
+    frames, rho = backtrack(tr)
+    want_frames, want_rho = backtrack(from_cast)
+    assert frames.tobytes() == want_frames.tobytes()
+    assert rho.tobytes() == want_rho.tobytes()
 
 
 def test_a_prefix_ending_inside_an_utterance_raises():
@@ -299,12 +298,6 @@ def test_prefix_backtrack_matches_a_fresh_fill():
             frames, rho = backtrack(tr, n_tokens)
             assert np.array_equal(frames, want_frames)
             assert np.array_equal(rho, want_rho, equal_nan=True)
-            for first in range(n_tokens + 1):
-                tail, tail_rho = backtrack(tr, n_tokens, first_token=first)
-                assert np.array_equal(tail, want_frames[first:])
-                want_tail_rho = want_rho.copy()
-                want_tail_rho[: tail[0]] = np.nan
-                assert np.array_equal(tail_rho, want_tail_rho, equal_nan=True)
     assert traced > 100 and blocked > 0
 
 
@@ -315,9 +308,6 @@ def test_backtrack_rejects_a_sequence_that_is_not_a_prefix():
     for n_tokens in (-1, 1, len(ts.tokens) + 1):  # no utterance prefix of "ab" has that many
         with pytest.raises(ValueError):
             backtrack(tr, n_tokens)
-    for first in (-1, len(ts.tokens) + 1):
-        with pytest.raises(ValueError):
-            backtrack(tr, first_token=first)
 
 
 # --- reference kernels: the straightforward loops the fast ones must equal ---
@@ -379,7 +369,7 @@ def _trailing_blank_column(last_token_col, blank_lp):
     return np.array(out)
 
 
-def _reference_backtrack(k, window_logp, ts, blank_index, first_token=0):
+def _reference_backtrack(k, window_logp, ts, blank_index):
     """backtrack as first written, on a _reference_fill lattice k: the path
     ends on the best row of a trailing-blank column, the stored one for the
     full batch and a derived one for a prefix, and may stay in it. Returns
@@ -398,7 +388,7 @@ def _reference_backtrack(k, window_logp, ts, blank_index, first_token=0):
     psi = int(np.argmax(final[1:])) + 1
     advance_row = [0] * (n_cols + 1)
     t, j = psi, n_cols
-    while j > first_token:
+    while j > 0:
         if t < 1:
             raise NoPathError("backtrack walked past the window start")
         adv_val = k[t - 1, j - 1] + window[t - 1, col_tokens[j - 1]]
@@ -407,9 +397,9 @@ def _reference_backtrack(k, window_logp, ts, blank_index, first_token=0):
             advance_row[j] = t
             j -= 1
         t -= 1
-    frames = np.array([advance_row[j] - 1 for j in range(first_token + 1, n_cols + 1)])
+    frames = np.array([advance_row[j] - 1 for j in range(1, n_cols + 1)])
     ends = [*frames[1:], psi]  # each column is held until the next one's emission
-    return frames, _reference_rho(window, frames, ends, col_tokens[first_token:], blank_index)
+    return frames, _reference_rho(window, frames, ends, col_tokens, blank_index)
 
 
 def _reference_rho(window, frames, ends, symbols, blank_index):
@@ -483,21 +473,18 @@ def test_backtrack_equals_the_reference_backtrack(make_window):
         ref = _reference_fill(window, full, 0)
         for n in range(len(tokens) + 1):
             ts = TokenSequence(tokens[:n], full.boundaries[:n])
-            # the last utterance starts after the last separator (token 1)
-            last_start = max((i + 1 for i, x in enumerate(ts.tokens) if x == 1), default=0)
-            for first in sorted({0, last_start, n}):
-                try:
-                    want_frames, want_rho = _reference_backtrack(ref, window, ts, 0, first)
-                except NoPathError:
-                    with pytest.raises(NoPathError):
-                        backtrack(tr, n, first_token=first)
-                    blocked += 1
-                    continue
-                frames, rho = backtrack(tr, n, first_token=first)
-                assert frames.dtype == np.int64 and np.array_equal(frames, want_frames)
-                assert np.array_equal(rho, want_rho, equal_nan=True)
-                traced += 1
-    assert traced > 1000 and blocked > 40
+            try:
+                want_frames, want_rho = _reference_backtrack(ref, window, ts, 0)
+            except NoPathError:
+                with pytest.raises(NoPathError):
+                    backtrack(tr, n)
+                blocked += 1
+                continue
+            frames, rho = backtrack(tr, n)
+            assert frames.dtype == np.int64 and np.array_equal(frames, want_frames)
+            assert np.array_equal(rho, want_rho, equal_nan=True)
+            traced += 1
+    assert traced > 500 and blocked > 15
 
 
 def test_rho_equals_the_reference_loop():
@@ -508,17 +495,16 @@ def test_rho_equals_the_reference_loop():
         full = build_token_sequence(utts, VOCAB)
         tr = compute_trellis(window, full, VOCAB.blank_index)
         for *_, last in full.boundaries:
-            for first in range(last + 2):
-                try:
-                    frames, rho = backtrack(tr, last + 1, first_token=first)
-                except NoPathError:
-                    continue
-                ends = [*frames[1:], frames[-1] + 1]
-                symbols = (*full.tokens[first : last + 1], VOCAB.blank_index)
-                want = _reference_rho(window, frames, ends, symbols, VOCAB.blank_index)
-                assert np.array_equal(rho, want, equal_nan=True)
-                compared += 1
-    assert compared > 1000
+            try:
+                frames, rho = backtrack(tr, last + 1)
+            except NoPathError:
+                continue
+            ends = [*frames[1:], frames[-1] + 1]
+            symbols = (*full.tokens[: last + 1], VOCAB.blank_index)
+            want = _reference_rho(window, frames, ends, symbols, VOCAB.blank_index)
+            assert np.array_equal(rho, want, equal_nan=True)
+            compared += 1
+    assert compared > 250
 
 
 def _align_cases(corpus):
@@ -577,11 +563,11 @@ def compiled_kernel():
     return lib
 
 
-def _run(window, ts, blank, first_token):
+def _run(window, ts, blank):
     tr = compute_trellis(window, ts, blank)
     lattice = (tr.k.tobytes(), tr.ends.tobytes(), tr.end_columns)
     try:
-        frames, rho = backtrack(tr, first_token=first_token)
+        frames, rho = backtrack(tr)
     except NoPathError:
         return lattice, None
     return lattice, (frames.tobytes(), rho.tobytes())
@@ -591,22 +577,20 @@ def _run(window, ts, blank, first_token):
 def test_kernels_give_the_same_bits(monkeypatch, tie_prone):
     lib = compiled_kernel()
     rng = np.random.default_rng(606 if tie_prone else 607)
-    compared = blocked = 0
+    blocked = 0
     for _ in range(150):
         window, ts, blank = random_window(
             rng, max_frames=60, max_chars=40, max_vocab=6, tie_prone=tie_prone
         )
         window[rng.random(window.shape) < 0.1] = -np.inf
         ts = TokenSequence(ts.tokens, _token_boundaries(len(ts.tokens)))  # keep every column
-        for first in sorted({0, len(ts.tokens) // 2, len(ts.tokens)}):
-            results = []
-            for chosen in (lib, None):
-                monkeypatch.setattr(trellis, "_kernel", lambda chosen=chosen: chosen)
-                results.append(_run(window, ts, blank, first))
-            assert results[0] == results[1]
-            compared += 1
-            blocked += results[0][1] is None
-    assert compared > 300 and 0 < blocked < compared // 2
+        results = []
+        for chosen in (lib, None):
+            monkeypatch.setattr(trellis, "_kernel", lambda chosen=chosen: chosen)
+            results.append(_run(window, ts, blank))
+        assert results[0] == results[1]
+        blocked += results[0][1] is None
+    assert 0 < blocked < 150 // 2
 
 
 # --- the C fill's column slabs -----------------------------------------------
@@ -630,7 +614,7 @@ def _split_sequence(rng, width):
 def _split_cases(rng):
     """(window, ts) pairs at each split width: a 1-row window, and one of
     twice the width's rows, long enough for a path, with -inf emissions.
-    Tests that split them set _MIN_SLAB_ROWS to 1 so the 1-row fills split
+    Tests that split them set _MIN_SLAB_CELLS to 1 so the 1-row fills split
     too."""
     for width in _SPLIT_WIDTHS:
         ts = _split_sequence(rng, width)
@@ -641,31 +625,34 @@ def _split_cases(rng):
 def test_short_fills_take_one_slab(monkeypatch):
     monkeypatch.setattr(trellis, "_fill_cpus", 2)
     width = 4 * _MIN_SLAB_COLUMNS
-    assert trellis._slab_count(_MIN_SLAB_ROWS - 1, width) == 1
-    assert trellis._slab_count(_MIN_SLAB_ROWS, width) == 2
-    assert trellis._slab_count(_MIN_SLAB_ROWS, 2 * _MIN_SLAB_COLUMNS - 1) == 1
+    rows = -(-_MIN_SLAB_CELLS // width)  # the fewest rows reaching the floor
+    assert trellis._slab_count(rows - 1, width) == 1
+    assert trellis._slab_count(rows, width) == 2
+    assert trellis._slab_count(1, _MIN_SLAB_CELLS - 1) == 1  # the floor counts cells, not rows
+    assert trellis._slab_count(1, _MIN_SLAB_CELLS) == 2
+    assert trellis._slab_count(_MIN_SLAB_CELLS, 2 * _MIN_SLAB_COLUMNS - 1) == 1
 
 
 def test_every_slab_count_gives_the_same_bits(monkeypatch):
     lib = compiled_kernel()
-    monkeypatch.setattr(trellis, "_MIN_SLAB_ROWS", 1)
+    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
     rng = np.random.default_rng(611)
     counts, traced = set(), 0
     for window, ts in _split_cases(rng):
         monkeypatch.setattr(trellis, "_kernel", lambda: None)
-        want = _run(window, ts, 0, 0)
+        want = _run(window, ts, 0)
         monkeypatch.setattr(trellis, "_kernel", lambda: lib)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(trellis, "_fill_cpus", cpus)
             counts.add(trellis._slab_count(len(window), len(ts.tokens) + 1))
-            assert _run(window, ts, 0, 0) == want
+            assert _run(window, ts, 0) == want
         traced += want[1] is not None
     assert counts == {1, 2, 3} and traced == len(_SPLIT_WIDTHS)
 
 
 def test_a_split_fill_equals_the_reference_fill(monkeypatch):
     monkeypatch.setattr(trellis, "_fill_cpus", 3)  # as many slabs as each width allows
-    monkeypatch.setattr(trellis, "_MIN_SLAB_ROWS", 1)
+    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
     rng = np.random.default_rng(612)
     for window, ts in _split_cases(rng):
         got, want = compute_trellis(window, ts, 0), _reference_trellis(window, ts, 0)
@@ -677,7 +664,7 @@ def test_a_split_fill_equals_the_reference_fill(monkeypatch):
 def test_no_thread_outlives_a_fill(monkeypatch):
     compiled_kernel()
     monkeypatch.setattr(trellis, "_fill_cpus", 3)
-    monkeypatch.setattr(trellis, "_MIN_SLAB_ROWS", 1)
+    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
     rng = np.random.default_rng(613)
     ts = _split_sequence(rng, _SPLIT_WIDTHS[-1])
     assert trellis._slab_count(50, len(ts.tokens) + 1) == 3
@@ -699,13 +686,13 @@ def test_a_slab_whose_thread_does_not_start_gives_the_same_bits(monkeypatch, tmp
     no_threads = trellis._load_library(str(cc))
     assert no_threads is not None
     monkeypatch.setattr(trellis, "_fill_cpus", 3)
-    monkeypatch.setattr(trellis, "_MIN_SLAB_ROWS", 1)
+    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
     rng = np.random.default_rng(614)
     for window, ts in _split_cases(rng):
         results = []
         for chosen in (None, no_threads):
             monkeypatch.setattr(trellis, "_kernel", lambda chosen=chosen: chosen)
-            results.append(_run(window, ts, 0, 0))
+            results.append(_run(window, ts, 0))
         assert results[0] == results[1]
 
 
@@ -720,7 +707,7 @@ def test_a_failed_build_falls_back_to_the_same_bits(monkeypatch, cc):
     results = []
     for chosen in (lib, fallback):
         monkeypatch.setattr(trellis, "_kernel", lambda chosen=chosen: chosen)
-        results.append(_run(window, ts, 0, 0))
+        results.append(_run(window, ts, 0))
     assert results[0] == results[1]
 
 
