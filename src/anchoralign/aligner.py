@@ -143,7 +143,9 @@ def align_window(
     The lattice is filled once, for the full list. Each shrink attempt
     traces its batch's column prefix of it, named by the batch's token
     count, and scores only its last utterance, which is all the acceptance
-    rule reads; the kept batch is scored from its attempt's trace.
+    rule reads. The kept batch keeps its attempt's alignment of that last
+    utterance and scores the ones before it from the same trace, so every
+    traced utterance is scored once.
     """
     start, length = window
     if length < 1 or start < 0 or start + length > pm.n_frames:
@@ -169,15 +171,16 @@ def align_window(
         attempts.append((n, last))
         if last >= params.threshold:
             if not best_n or last > best_last:
-                best_n, best_last, kept = n, last, trace
+                best_n, best_last, kept, kept_last = n, last, trace, aln
             else:
                 break
         elif best_n:
             break
     if not best_n:
         return WindowResult(best=None, attempts=attempts)
-    best = _score_batch(*kept, full.boundaries[:best_n], start, pm.frame_duration_s, params)
-    return WindowResult(best=best, attempts=attempts)
+    head = full.boundaries[: best_n - 1]
+    best = _score_batch(*kept, head, start, pm.frame_duration_s, params) if head else []
+    return WindowResult(best=[*best, kept_last], attempts=attempts)
 
 
 def _score_batch(
@@ -192,15 +195,17 @@ def _score_batch(
 
     frames and rho are what backtrack returns, frames[i] being the emission
     frame of token i, and boundaries are TokenSequence.boundaries entries
-    of utterances on that path. Frames in the result are absolute: the
-    window's start is added to each.
+    of utterances on that path, at least one. Their spans are scored in one
+    fragment_scores call. Frames in the result are absolute: the window's
+    start is added to each.
     """
+    # the emission frames of each utterance's first and last character
+    spans = [(int(frames[first]), int(frames[last])) for _, first, last in boundaries]
+    fragments = fragment_scores([rho[s : e + 1] for s, e in spans], params.fragment_frames)
     out = []
-    for utt_index, first, last in boundaries:
-        start = int(frames[first])
-        end = int(frames[last])  # emission frame of the last character
+    for (utt_index, _, _), (start, end), frags in zip(boundaries, spans, fragments):
         length = end - start + 1
-        score = segment_score(fragment_scores(rho[start : end + 1], params.fragment_frames))
+        score = segment_score(frags)
         score, penalized = apply_short_penalty(
             score, length, params.fragment_frames, params.short_penalty
         )

@@ -33,6 +33,14 @@ _CTCP_HEADER = struct.Struct("<4sIIIf")
 # row log-mass must stay within this distance of log(1)
 ROW_MASS_TOL = 0.1
 _MASS_BLOCK_ROWS = 8192  # rows per row-mass check in PosteriorMatrix validation
+# A block whose plain log(sum(exp(row))) lies within ROW_MASS_TOL - _MASS_MARGIN
+# on every row is accepted without the exact logsumexp. exp runs in float32 or
+# wider, where each term errs by a few float32 ulps (under 1e-6 relative); a
+# float64 sum of positive terms errs by no more than its worst term; and log
+# turns that relative error into an absolute one. So the plain and the exact
+# mass differ by about 1e-6 for any vocabulary size, far inside the margin,
+# and every accept and reject keeps its bits.
+_MASS_MARGIN = 1e-3
 
 DEFAULT_FRAME_DURATION_S = 0.02
 
@@ -173,7 +181,13 @@ def _parse_directive_index(line: str, lineno: int) -> int:
 
 @dataclass(frozen=True)
 class PosteriorMatrix:
-    """Frame-wise natural-log character posteriors (T frames x V symbols)."""
+    """Frame-wise natural-log character posteriors (T frames x V symbols).
+
+    Construction validates the data and freezes it: no NaN, no positive
+    value, and every row's log-mass within ROW_MASS_TOL of 0, where the exact
+    logsumexp runs only on the row blocks a plain sum cannot accept (see
+    _MASS_MARGIN) and the error names the worst row.
+    """
 
     data: np.ndarray
     frame_duration_s: float
@@ -194,10 +208,16 @@ class PosteriorMatrix:
             raise PosteriorFormatError("posterior contains NaN")
         if top > 0:
             raise PosteriorFormatError("log probabilities must be <= 0")
-        # row blocks bound the float64 temporaries; a row's mass has the same bits
+        # row blocks bound the temporaries; a row's mass has the same bits in any block
         worst, worst_mass = -1, 0.0
         for first in range(0, t, _MASS_BLOCK_ROWS):
-            mass = logsumexp(self.data[first : first + _MASS_BLOCK_ROWS], axis=1)
+            block = self.data[first : first + _MASS_BLOCK_ROWS]
+            with np.errstate(divide="ignore"):  # an all -inf row has mass -inf
+                terms = np.exp(block, dtype=np.promote_types(block.dtype, np.float32))
+                plain = np.log(terms.sum(axis=1, dtype=np.float64))
+            if np.abs(plain).max() <= ROW_MASS_TOL - _MASS_MARGIN:
+                continue
+            mass = logsumexp(block, axis=1)
             i = int(np.argmax(np.abs(mass)))
             if abs(mass[i]) > max(abs(worst_mass), ROW_MASS_TOL):
                 worst, worst_mass = first + i, mass[i]
@@ -374,7 +394,9 @@ def apply_speech_regions(
     # every check in __post_init__ holds for any row subset of a valid
     # matrix, so the copy skips it and the file is validated once
     compressed = copy.copy(pm)
-    data = pm.data[keep]
+    data = np.empty((fm.compressed_frames, pm.n_symbols), dtype=pm.data.dtype)
+    for comp_start, orig_start, length in fm.segments:
+        data[comp_start : comp_start + length] = pm.data[orig_start : orig_start + length]
     data.flags.writeable = False
     object.__setattr__(compressed, "data", data)
     return compressed, fm

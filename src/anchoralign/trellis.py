@@ -38,12 +38,14 @@ import ctypes
 import functools
 import hashlib
 import importlib.util
+import itertools
 import logging
 import math
 import os
 import platform
 import subprocess
 from dataclasses import dataclass
+from typing import Sequence
 
 from ._lazy import np
 from .errors import ConfigError, NoPathError
@@ -213,9 +215,11 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     column 0 scores 0, and each later row scores
     max(prev[1:] + blank, prev[:-1] + emit), keeping the stay value on a tie;
     k stores advance >= stay per cell, and ends the score columns at
-    end_columns. The C kernel's fill computes it cell by cell in
-    _slab_count(n_frames, width) column slabs, _fill_rows with numpy calls
-    per row; only two score rows per slab are held at once.
+    end_columns. k is allocated unzeroed: only its row 0 and column 0 are
+    zeroed here, and both kernels write every other cell. The C kernel's
+    fill computes it cell by cell in _slab_count(n_frames, width) column
+    slabs, _fill_rows with numpy calls per row; only two score rows per slab
+    are held at once.
     """
     window = np.array(window_logp, dtype=np.float64, order="C")  # the Trellis's own copy
     if window.ndim != 2 or window.shape[0] < 1:
@@ -232,7 +236,10 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     if end_columns[0] < 0 or end_columns[-1] > len(tokens):
         raise ValueError("utterance boundaries out of range for the tokens")
     columns = np.array(end_columns, dtype=np.int64)
-    k = np.zeros((n_frames + 1, len(tokens) + 1), dtype=np.uint8)  # column 0 is the free start
+    # both kernels write every cell but row 0 and column 0, the free start
+    k = np.empty((n_frames + 1, len(tokens) + 1), dtype=np.uint8)
+    k[0] = 0
+    k[:, 0] = 0
     ends = np.empty((n_frames, len(end_columns)))
     lib = _kernel()
     if lib is None:
@@ -277,10 +284,11 @@ def _fill_rows(
     end_columns: np.ndarray,
     ends: np.ndarray,
 ) -> None:
-    """The numpy fill of a zeroed k and of ends on two rolling score rows:
-    per frame, ends[t - 1] = prev[end_columns], advance = prev[:-1] + emit,
-    row = prev[1:] + blank, k[t] = advance >= row and row = max(row, advance),
-    with the emissions gathered for _EMIT_BLOCK_ROWS rows at a time."""
+    """The numpy fill of k past row 0 and column 0, and of ends, on two
+    rolling score rows: per frame, ends[t - 1] = prev[end_columns],
+    advance = prev[:-1] + emit, row = prev[1:] + blank, k[t] = advance >= row
+    and row = max(row, advance), with the emissions gathered for
+    _EMIT_BLOCK_ROWS rows at a time."""
     prev, row = np.zeros(k.shape[1]), np.zeros(k.shape[1])  # column 0 stays 0
     prev[1:] = -np.inf
     blank = window[:, blank_index].tolist()
@@ -370,25 +378,43 @@ def _walk(k: np.ndarray, t: int, j: int) -> np.ndarray:
     return advance_row
 
 
-def fragment_scores(rho: np.ndarray, fragment_frames: int = FRAGMENT_FRAMES) -> np.ndarray:
-    """Log of the mean linear score over consecutive fixed-length fragments.
+def fragment_scores(
+    spans: Sequence[np.ndarray], fragment_frames: int = FRAGMENT_FRAMES
+) -> list[np.ndarray]:
+    """Log of the mean linear score over consecutive fixed-length fragments,
+    one array for each 1-D rho span.
 
-    The trailing fragment may be shorter and is averaged over its actual
+    A span's trailing fragment may be shorter and is averaged over its actual
     length; a span no longer than fragment_frames yields a single fragment.
+    The full fragments of all spans go through one reshaped logsumexp, and
+    the trailing ones through one per distinct length, never padded: each
+    fragment's sum runs along its own row, so it has the bits of a logsumexp
+    over that fragment alone, where padding would change the association.
     """
     if fragment_frames < 1:
         raise ConfigError("fragment_frames must be >= 1")
-    rho = np.asarray(rho, dtype=np.float64)
-    if rho.ndim != 1 or rho.size == 0:
-        raise ValueError("rho must be a non-empty 1-D array")
-    if np.isnan(rho).any():
-        raise ValueError("rho contains frames off the traced path")
-    full = rho.size - rho.size % fragment_frames
-    out = np.empty(0)
-    if full:  # a block length past the span (even past int64) leaves no full block
-        out = logsumexp(rho[:full].reshape(-1, fragment_frames), axis=1) - np.log(fragment_frames)
-    if full < rho.size:
-        out = np.append(out, logsumexp(rho[full:]) - np.log(rho.size - full))
+    spans = [np.asarray(rho, dtype=np.float64) for rho in spans]
+    if not spans:
+        raise ValueError("no spans to score")
+    for rho in spans:
+        if rho.ndim != 1 or rho.size == 0:
+            raise ValueError("rho must be a non-empty 1-D array")
+        if np.isnan(rho).any():
+            raise ValueError("rho contains frames off the traced path")
+    counts = [rho.size // fragment_frames for rho in spans]  # full fragments
+    tails = [rho.size - n * fragment_frames for rho, n in zip(spans, counts)]
+    full = np.concatenate([rho[: rho.size - tail] for rho, tail in zip(spans, tails)])
+    if full.size:  # a fragment longer than every span (even past int64) leaves none
+        full = logsumexp(full.reshape(-1, fragment_frames), axis=1) - np.log(fragment_frames)
+    out = np.split(full, list(itertools.accumulate(counts[:-1])))
+    trailing: dict[int, list[int]] = {}  # trailing fragment length -> its spans
+    for i, tail in enumerate(tails):
+        if tail:
+            trailing.setdefault(tail, []).append(i)
+    for length, members in trailing.items():
+        rows = np.stack([spans[i][-length:] for i in members])
+        for i, score in zip(members, logsumexp(rows, axis=1) - np.log(length)):
+            out[i] = np.append(out[i], score)
     return out
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,14 @@ from anchoralign.errors import (
     SpeechRegionsError,
     VocabFormatError,
 )
-from anchoralign.posterior_io import _MASS_BLOCK_ROWS, _kept_runs, logsumexp
+from anchoralign import posterior_io
+from anchoralign.posterior_io import (
+    _MASS_BLOCK_ROWS,
+    _MASS_MARGIN,
+    ROW_MASS_TOL,
+    _kept_runs,
+    logsumexp,
+)
 
 
 def _rand_logp(rng, n_frames, n_symbols, dtype=np.float32):
@@ -201,6 +209,103 @@ def test_row_mass_error_names_the_worst_row_across_blocks():
     assert int(np.argmax(np.abs(mass))) == worst
     with pytest.raises(PosteriorFormatError, match=f"row {worst} log-mass {mass[worst]:.4f} "):
         PosteriorMatrix(data=data, frame_duration_s=0.02)
+
+
+def _count_exact_checks(monkeypatch):
+    """Count the rows posterior_io's logsumexp checks, one entry per call."""
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return logsumexp(a, *args, **kwargs)
+
+    monkeypatch.setattr(posterior_io, "logsumexp", counting)
+    return calls
+
+
+def _verdict(data):
+    """PosteriorMatrix's error message for data, or None if it accepts it."""
+    try:
+        PosteriorMatrix(data=data, frame_duration_s=0.02)
+    except PosteriorFormatError as exc:
+        return str(exc)
+    return None
+
+
+def _exact_verdict(data):
+    """The check without the screen: the exact logsumexp on every row."""
+    mass = logsumexp(data.astype(np.float64), axis=1)
+    worst = int(np.argmax(np.abs(mass)))
+    if abs(mass[worst]) <= ROW_MASS_TOL:
+        return None
+    return f"row {worst} log-mass {mass[worst]:.4f} outside +/-{ROW_MASS_TOL}"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_rows_the_screen_cannot_decide_get_the_exact_check(monkeypatch, sign):
+    rng = np.random.default_rng(8)
+    data = _rand_logp(rng, 3 * _MASS_BLOCK_ROWS, 38)
+    near = [5, _MASS_BLOCK_ROWS + 9]
+    shift = sign * (ROW_MASS_TOL - _MASS_MARGIN / 2)
+    data[near] = (_rand_logp(rng, 2, 38, np.float64) + shift).astype(np.float32)
+    plain = np.log(np.exp(data[near]).sum(axis=1, dtype=np.float64))
+    assert (np.abs(plain) > ROW_MASS_TOL - _MASS_MARGIN).all()  # outside the screen
+    assert (np.abs(logsumexp(data[near].astype(np.float64), axis=1)) <= ROW_MASS_TOL).all()
+    calls = _count_exact_checks(monkeypatch)
+    PosteriorMatrix(data=data, frame_duration_s=0.02)
+    assert calls == [_MASS_BLOCK_ROWS, _MASS_BLOCK_ROWS]  # the third block is screened
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_rows_just_outside_the_tolerance_are_rejected(sign, dtype):
+    rng = np.random.default_rng(9)
+    data = _rand_logp(rng, 100, 38, np.float64)
+    data[40] += sign * (ROW_MASS_TOL + 1e-6)
+    data = data.astype(dtype)
+    mass = logsumexp(data[40].astype(np.float64))
+    assert sign * mass > ROW_MASS_TOL
+    with pytest.raises(PosteriorFormatError, match=rf"^row 40 log-mass {mass:.4f} outside "):
+        PosteriorMatrix(data=data, frame_duration_s=0.02)
+
+
+def test_an_all_minus_inf_row_is_rejected_without_a_warning():
+    data = _rand_logp(np.random.default_rng(10), 50, 4)
+    data[7] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PosteriorFormatError, match=r"^row 7 log-mass -inf outside \+/-0\.1$"):
+            PosteriorMatrix(data=data, frame_duration_s=0.02)
+
+
+def test_the_exact_check_runs_only_on_blocks_the_screen_cannot_accept(monkeypatch):
+    rng = np.random.default_rng(11)
+    data = _rand_logp(rng, 2 * _MASS_BLOCK_ROWS + 100, 38)
+    calls = _count_exact_checks(monkeypatch)
+    PosteriorMatrix(data=data.copy(), frame_duration_s=0.02)
+    assert calls == []
+    data[_MASS_BLOCK_ROWS + 3] += np.float32(math.log(0.5))
+    with pytest.raises(PosteriorFormatError, match=f"row {_MASS_BLOCK_ROWS + 3} "):
+        PosteriorMatrix(data=data, frame_duration_s=0.02)
+    assert calls == [_MASS_BLOCK_ROWS]
+
+
+def test_the_screened_check_decides_as_the_exact_one():
+    # rows shifted to masses up to just past either side of the tolerance:
+    # accept or reject, and the message, are the exact check's
+    rng = np.random.default_rng(12)
+    verdicts = set()
+    for _ in range(24):
+        data = _rand_logp(rng, _MASS_BLOCK_ROWS + 500, 8, np.float64)
+        rows = rng.choice(len(data), size=int(rng.integers(1, 40)), replace=False)
+        bound = rng.uniform(ROW_MASS_TOL - 2 * _MASS_MARGIN, ROW_MASS_TOL + _MASS_MARGIN)
+        shifts = bound * rng.uniform(0.99, 1, len(rows)) * rng.choice([-1, 1], len(rows))
+        data[rows] += shifts[:, None]
+        data = data.astype(np.float32)
+        want = _exact_verdict(data)
+        assert _verdict(data) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
 
 
 def test_load_peak_memory_is_bounded(tmp_path):

@@ -660,6 +660,46 @@ def test_a_split_fill_equals_the_reference_fill(monkeypatch):
         assert got.end_columns == want.end_columns
 
 
+def _zeroed_numpy_fill(window, ts, blank):
+    """k and ends of the numpy fill into zeroed arrays."""
+    columns = np.array(sorted({0, len(ts.tokens), *(last + 1 for *_, last in ts.boundaries)}))
+    k = np.zeros((len(window) + 1, len(ts.tokens) + 1), dtype=np.uint8)
+    ends = np.zeros((len(window), len(columns)))
+    window = np.array(window, dtype=np.float64)
+    trellis._fill_rows(window, np.array(ts.tokens), blank, k, columns, ends)
+    return k.tobytes(), ends.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["C", "numpy"])
+def test_an_unzeroed_lattice_gives_the_bits_of_a_zeroed_one(monkeypatch, kernel):
+    # k comes from np.empty with only row 0 and column 0 zeroed: every other
+    # cell must be written by the fill, at any slab count
+    lib = compiled_kernel() if kernel == "C" else None
+    cases = list(_split_cases(np.random.default_rng(613)))
+    want = [_zeroed_numpy_fill(window, ts, 0) for window, ts in cases]
+    real_empty, dirty = np.empty, []
+
+    def dirty_empty(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        out.view(np.uint8).fill(0xA5)
+        dirty.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "empty", dirty_empty)
+    monkeypatch.setattr(trellis, "_kernel", lambda: lib)
+    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
+    slabs = set()
+    for cpus in (1, 2):
+        monkeypatch.setattr(trellis, "_fill_cpus", cpus)
+        for (window, ts), expected in zip(cases, want):
+            dirty.clear()
+            tr = compute_trellis(window, ts, 0)
+            assert tr.k.shape in dirty
+            assert (tr.k.tobytes(), tr.ends.tobytes()) == expected
+            slabs.add(trellis._slab_count(len(window), tr.k.shape[1]))
+    assert slabs == {1, 2}
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
 def test_no_thread_outlives_a_fill(monkeypatch):
     compiled_kernel()
@@ -730,34 +770,40 @@ def test_an_unwritable_cache_falls_back_without_compiling(monkeypatch):
 # --- fragment and segment scores ---------------------------------------------
 
 
+def _per_span_fragments(rho, frames):
+    """The fragments of one span, one logsumexp per fragment."""
+    blocks = [rho[i : i + frames] for i in range(0, rho.size, frames)]
+    return [logsumexp(b) - np.log(b.size) for b in blocks]
+
+
 def test_fragment_scores_log_of_linear_mean():
     rho = np.array([math.log(0.8)] * 30 + [math.log(0.4)] * 15)
-    frags = fragment_scores(rho)
+    [frags] = fragment_scores([rho])
     np.testing.assert_allclose(frags, [math.log(0.8), math.log(0.4)], atol=1e-12)
 
 
 def test_fragment_mean_is_linear_not_log():
     rho = np.array([math.log(0.9)] * 15 + [math.log(0.1)] * 15)
-    frags = fragment_scores(rho)
+    [frags] = fragment_scores([rho])
     assert frags.shape == (1,)
     assert frags[0] == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_fragment_perfect_run_scores_zero():
-    frags = fragment_scores(np.zeros(60))
+    [frags] = fragment_scores([np.zeros(60)])
     np.testing.assert_allclose(frags, [0.0, 0.0], atol=1e-12)
 
 
 def test_fragment_trailing_block_uses_actual_length():
     rho = np.concatenate([np.full(30, math.log(0.5)), [math.log(0.25)]])
-    frags = fragment_scores(rho)
+    [frags] = fragment_scores([rho])
     assert len(frags) == 2
     assert frags[1] == pytest.approx(math.log(0.25), abs=1e-12)
 
 
 def test_fragment_custom_block_size():
     rho = np.array([math.log(0.8), math.log(0.8), math.log(0.2), math.log(0.2)])
-    frags = fragment_scores(rho, fragment_frames=2)
+    [frags] = fragment_scores([rho], fragment_frames=2)
     np.testing.assert_allclose(frags, [math.log(0.8), math.log(0.2)], atol=1e-12)
 
 
@@ -768,26 +814,45 @@ def test_fragment_scores_match_a_per_block_loop():
         rho = np.log(rng.random(int(rng.integers(1, 401))))
         rho[rng.random(rho.size) < 0.05] = -np.inf
         frames = int(rng.integers(1, 40))
-        blocks = [rho[i : i + frames] for i in range(0, rho.size, frames)]
-        expected = [logsumexp(b) - np.log(b.size) for b in blocks]
-        assert fragment_scores(rho, frames).tolist() == expected
+        assert fragment_scores([rho], frames)[0].tolist() == _per_span_fragments(rho, frames)
 
 
 @pytest.mark.parametrize("frames", [61, 2**62, 2**63, 10**20])
 def test_fragment_longer_than_the_span_is_one_fragment(frames):
     rho = np.log(np.random.default_rng(13).random(60))
-    assert fragment_scores(rho, frames).tolist() == [logsumexp(rho) - np.log(60)]
+    assert fragment_scores([rho], frames)[0].tolist() == [logsumexp(rho) - np.log(60)]
 
 
 def test_fragment_validation():
     with pytest.raises(ValueError):
-        fragment_scores(np.array([]))
+        fragment_scores([np.array([])])
     with pytest.raises(ValueError):
-        fragment_scores(np.array([0.0, np.nan]))
+        fragment_scores([np.array([0.0, np.nan])])
     with pytest.raises(ValueError):
-        fragment_scores(np.zeros(5), fragment_frames=0)
+        fragment_scores([np.zeros(5)], fragment_frames=0)
     with pytest.raises(ValueError):
-        fragment_scores(np.zeros((2, 2)))
+        fragment_scores([np.zeros((2, 2))])
+    with pytest.raises(ValueError):
+        fragment_scores([])
+
+
+@pytest.mark.parametrize("frames", [1, 30, 61, 2**62, 10**20])
+def test_a_batch_of_spans_has_the_bits_of_each_span_alone(frames):
+    # one reduction for every full fragment and one per trailing length must
+    # give each fragment the bits of a logsumexp over that fragment alone
+    rng = np.random.default_rng(14)
+    lengths = [*range(1, 201), *range(30, 201, 30)]
+    for _ in range(40):
+        spans = []
+        for size in rng.choice(lengths, size=int(rng.integers(1, 13))):
+            rho = np.log(rng.random(int(size)))
+            rho[rng.random(rho.size) < 0.05] = -np.inf
+            spans.append(rho)
+        got = fragment_scores(spans, frames)
+        assert len(got) == len(spans)
+        for rho, frags in zip(spans, got):
+            want = _per_span_fragments(rho, frames)
+            assert [float(x).hex() for x in frags] == [float(x).hex() for x in want]
 
 
 def test_segment_score_is_worst_fragment():
