@@ -67,7 +67,7 @@ def main():
     print()
 
     span = rho[frames[0] : frames[-1] + 1]
-    [frags] = fragment_scores([span])  # one array of fragment scores per span
+    frags = fragment_scores(span)
     print(f"rho over the traced span: {np.round(span, 3)}")
     print(f"fragment scores {np.round(frags, 4)} -> segment score {segment_score(frags):.4f}")
     print(f"(a segment score of {math.log(0.13):.2f} ~ linear 0.13 is the acceptance floor)")

@@ -178,8 +178,7 @@ def align_window(
             break
     if not best_n:
         return WindowResult(best=None, attempts=attempts)
-    head = full.boundaries[: best_n - 1]
-    best = _score_batch(*kept, head, start, pm.frame_duration_s, params) if head else []
+    best = _score_batch(*kept, full.boundaries[: best_n - 1], start, pm.frame_duration_s, params)
     return WindowResult(best=[*best, kept_last], attempts=attempts)
 
 
@@ -195,17 +194,15 @@ def _score_batch(
 
     frames and rho are what backtrack returns, frames[i] being the emission
     frame of token i, and boundaries are TokenSequence.boundaries entries
-    of utterances on that path, at least one. Their spans are scored in one
-    fragment_scores call. Frames in the result are absolute: the window's
-    start is added to each.
+    of utterances on that path. Frames in the result are absolute: the
+    window's start is added to each.
     """
-    # the emission frames of each utterance's first and last character
-    spans = [(int(frames[first]), int(frames[last])) for _, first, last in boundaries]
-    fragments = fragment_scores([rho[s : e + 1] for s, e in spans], params.fragment_frames)
     out = []
-    for (utt_index, _, _), (start, end), frags in zip(boundaries, spans, fragments):
+    for utt_index, first, last in boundaries:
+        start = int(frames[first])
+        end = int(frames[last])  # emission frame of the last character
         length = end - start + 1
-        score = segment_score(frags)
+        score = segment_score(fragment_scores(rho[start : end + 1], params.fragment_frames))
         score, penalized = apply_short_penalty(
             score, length, params.fragment_frames, params.short_penalty
         )

@@ -394,9 +394,7 @@ def apply_speech_regions(
     # every check in __post_init__ holds for any row subset of a valid
     # matrix, so the copy skips it and the file is validated once
     compressed = copy.copy(pm)
-    data = np.empty((fm.compressed_frames, pm.n_symbols), dtype=pm.data.dtype)
-    for comp_start, orig_start, length in fm.segments:
-        data[comp_start : comp_start + length] = pm.data[orig_start : orig_start + length]
+    data = pm.data[keep]
     data.flags.writeable = False
     object.__setattr__(compressed, "data", data)
     return compressed, fm

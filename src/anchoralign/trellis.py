@@ -38,14 +38,12 @@ import ctypes
 import functools
 import hashlib
 import importlib.util
-import itertools
 import logging
 import math
 import os
 import platform
 import subprocess
 from dataclasses import dataclass
-from typing import Sequence
 
 from ._lazy import np
 from .errors import ConfigError, NoPathError
@@ -378,43 +376,25 @@ def _walk(k: np.ndarray, t: int, j: int) -> np.ndarray:
     return advance_row
 
 
-def fragment_scores(
-    spans: Sequence[np.ndarray], fragment_frames: int = FRAGMENT_FRAMES
-) -> list[np.ndarray]:
-    """Log of the mean linear score over consecutive fixed-length fragments,
-    one array for each 1-D rho span.
+def fragment_scores(rho: np.ndarray, fragment_frames: int = FRAGMENT_FRAMES) -> np.ndarray:
+    """Log of the mean linear score over consecutive fixed-length fragments.
 
-    A span's trailing fragment may be shorter and is averaged over its actual
+    The trailing fragment may be shorter and is averaged over its actual
     length; a span no longer than fragment_frames yields a single fragment.
-    The full fragments of all spans go through one reshaped logsumexp, and
-    the trailing ones through one per distinct length, never padded: each
-    fragment's sum runs along its own row, so it has the bits of a logsumexp
-    over that fragment alone, where padding would change the association.
     """
     if fragment_frames < 1:
         raise ConfigError("fragment_frames must be >= 1")
-    spans = [np.asarray(rho, dtype=np.float64) for rho in spans]
-    if not spans:
-        raise ValueError("no spans to score")
-    for rho in spans:
-        if rho.ndim != 1 or rho.size == 0:
-            raise ValueError("rho must be a non-empty 1-D array")
-        if np.isnan(rho).any():
-            raise ValueError("rho contains frames off the traced path")
-    counts = [rho.size // fragment_frames for rho in spans]  # full fragments
-    tails = [rho.size - n * fragment_frames for rho, n in zip(spans, counts)]
-    full = np.concatenate([rho[: rho.size - tail] for rho, tail in zip(spans, tails)])
-    if full.size:  # a fragment longer than every span (even past int64) leaves none
-        full = logsumexp(full.reshape(-1, fragment_frames), axis=1) - np.log(fragment_frames)
-    out = np.split(full, list(itertools.accumulate(counts[:-1])))
-    trailing: dict[int, list[int]] = {}  # trailing fragment length -> its spans
-    for i, tail in enumerate(tails):
-        if tail:
-            trailing.setdefault(tail, []).append(i)
-    for length, members in trailing.items():
-        rows = np.stack([spans[i][-length:] for i in members])
-        for i, score in zip(members, logsumexp(rows, axis=1) - np.log(length)):
-            out[i] = np.append(out[i], score)
+    rho = np.asarray(rho, dtype=np.float64)
+    if rho.ndim != 1 or rho.size == 0:
+        raise ValueError("rho must be a non-empty 1-D array")
+    if np.isnan(rho).any():
+        raise ValueError("rho contains frames off the traced path")
+    full = rho.size - rho.size % fragment_frames
+    out = np.empty(0)
+    if full:  # a block length past the span (even past int64) leaves no full block
+        out = logsumexp(rho[:full].reshape(-1, fragment_frames), axis=1) - np.log(fragment_frames)
+    if full < rho.size:
+        out = np.append(out, logsumexp(rho[full:]) - np.log(rho.size - full))
     return out
 
 

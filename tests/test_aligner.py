@@ -162,8 +162,7 @@ def _reference_align_window(pm, window, utts, vocab, params=AlignParams()):
         alns = []
         for (_, first, last), utt in zip(ts.boundaries, utts[:n]):
             s, e = int(frames[first]), int(frames[last])
-            [frags] = fragment_scores([rho[s : e + 1]], params.fragment_frames)
-            score = segment_score(frags)
+            score = segment_score(fragment_scores(rho[s : e + 1], params.fragment_frames))
             score, penalized = apply_short_penalty(
                 score, e - s + 1, params.fragment_frames, params.short_penalty
             )
@@ -271,9 +270,9 @@ def test_window_scores_each_traced_utterance_once(spanish_vocab, monkeypatch):
     # reuses that alignment and scores only the utterances before it
     calls, traced = [], []
 
-    def counting_scores(spans, *args, **kwargs):
-        calls.append(len(spans))
-        return fragment_scores(spans, *args, **kwargs)
+    def counting_scores(rho, *args, **kwargs):
+        calls.append(rho.size)
+        return fragment_scores(rho, *args, **kwargs)
 
     def counting_backtrack(*args, **kwargs):
         trace = backtrack(*args, **kwargs)
@@ -291,34 +290,8 @@ def test_window_scores_each_traced_utterance_once(spanish_vocab, monkeypatch):
         result = align_window(pm, (0, pm.n_frames), utts, spanish_vocab)
         best_n = len(result.best)
         kept.add(best_n)
-        assert sum(calls) == len(traced) + best_n - 1
-        assert len(calls) == len(traced) + (best_n > 1)  # one call for the kept batch
+        assert len(calls) == len(traced) + best_n - 1
     assert kept == {1, 2, 3}
-
-
-def test_a_batch_is_scored_in_one_call_with_the_bits_of_one_utterance_each(
-    spanish_vocab, monkeypatch
-):
-    calls = []
-
-    def counting(spans, *args, **kwargs):
-        calls.append(len(spans))
-        return fragment_scores(spans, *args, **kwargs)
-
-    texts = [TEXT_A, "sol", TEXT_B, "la mar", TEXT_C]  # two spans of one fragment or less
-    pm, _, utts = _render(_spans(texts, 40, 90), spanish_vocab, 12.0)
-    ts = build_token_sequence(utts, spanish_vocab)
-    frames, rho = backtrack(compute_trellis(pm.data, ts, spanish_vocab.blank_index))
-    monkeypatch.setattr(aligner, "fragment_scores", counting)
-    for params in (AlignParams(), AlignParams(fragment_frames=1), AlignParams(fragment_frames=7)):
-        calls.clear()
-        batch = aligner._score_batch(frames, rho, ts.boundaries, 10, FRAME_S, params)
-        assert calls == [len(utts)]
-        alone = [
-            aligner._score_batch(frames, rho, [b], 10, FRAME_S, params)[0] for b in ts.boundaries
-        ]
-        assert [a.s_seg.hex() for a in batch] == [a.s_seg.hex() for a in alone]
-        assert batch == alone
 
 
 # --- align_file --------------------------------------------------------------

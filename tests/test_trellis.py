@@ -770,40 +770,34 @@ def test_an_unwritable_cache_falls_back_without_compiling(monkeypatch):
 # --- fragment and segment scores ---------------------------------------------
 
 
-def _per_span_fragments(rho, frames):
-    """The fragments of one span, one logsumexp per fragment."""
-    blocks = [rho[i : i + frames] for i in range(0, rho.size, frames)]
-    return [logsumexp(b) - np.log(b.size) for b in blocks]
-
-
 def test_fragment_scores_log_of_linear_mean():
     rho = np.array([math.log(0.8)] * 30 + [math.log(0.4)] * 15)
-    [frags] = fragment_scores([rho])
+    frags = fragment_scores(rho)
     np.testing.assert_allclose(frags, [math.log(0.8), math.log(0.4)], atol=1e-12)
 
 
 def test_fragment_mean_is_linear_not_log():
     rho = np.array([math.log(0.9)] * 15 + [math.log(0.1)] * 15)
-    [frags] = fragment_scores([rho])
+    frags = fragment_scores(rho)
     assert frags.shape == (1,)
     assert frags[0] == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_fragment_perfect_run_scores_zero():
-    [frags] = fragment_scores([np.zeros(60)])
+    frags = fragment_scores(np.zeros(60))
     np.testing.assert_allclose(frags, [0.0, 0.0], atol=1e-12)
 
 
 def test_fragment_trailing_block_uses_actual_length():
     rho = np.concatenate([np.full(30, math.log(0.5)), [math.log(0.25)]])
-    [frags] = fragment_scores([rho])
+    frags = fragment_scores(rho)
     assert len(frags) == 2
     assert frags[1] == pytest.approx(math.log(0.25), abs=1e-12)
 
 
 def test_fragment_custom_block_size():
     rho = np.array([math.log(0.8), math.log(0.8), math.log(0.2), math.log(0.2)])
-    [frags] = fragment_scores([rho], fragment_frames=2)
+    frags = fragment_scores(rho, fragment_frames=2)
     np.testing.assert_allclose(frags, [math.log(0.8), math.log(0.2)], atol=1e-12)
 
 
@@ -814,45 +808,26 @@ def test_fragment_scores_match_a_per_block_loop():
         rho = np.log(rng.random(int(rng.integers(1, 401))))
         rho[rng.random(rho.size) < 0.05] = -np.inf
         frames = int(rng.integers(1, 40))
-        assert fragment_scores([rho], frames)[0].tolist() == _per_span_fragments(rho, frames)
+        blocks = [rho[i : i + frames] for i in range(0, rho.size, frames)]
+        expected = [logsumexp(b) - np.log(b.size) for b in blocks]
+        assert fragment_scores(rho, frames).tolist() == expected
 
 
 @pytest.mark.parametrize("frames", [61, 2**62, 2**63, 10**20])
 def test_fragment_longer_than_the_span_is_one_fragment(frames):
     rho = np.log(np.random.default_rng(13).random(60))
-    assert fragment_scores([rho], frames)[0].tolist() == [logsumexp(rho) - np.log(60)]
+    assert fragment_scores(rho, frames).tolist() == [logsumexp(rho) - np.log(60)]
 
 
 def test_fragment_validation():
     with pytest.raises(ValueError):
-        fragment_scores([np.array([])])
+        fragment_scores(np.array([]))
     with pytest.raises(ValueError):
-        fragment_scores([np.array([0.0, np.nan])])
+        fragment_scores(np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
-        fragment_scores([np.zeros(5)], fragment_frames=0)
+        fragment_scores(np.zeros(5), fragment_frames=0)
     with pytest.raises(ValueError):
-        fragment_scores([np.zeros((2, 2))])
-    with pytest.raises(ValueError):
-        fragment_scores([])
-
-
-@pytest.mark.parametrize("frames", [1, 30, 61, 2**62, 10**20])
-def test_a_batch_of_spans_has_the_bits_of_each_span_alone(frames):
-    # one reduction for every full fragment and one per trailing length must
-    # give each fragment the bits of a logsumexp over that fragment alone
-    rng = np.random.default_rng(14)
-    lengths = [*range(1, 201), *range(30, 201, 30)]
-    for _ in range(40):
-        spans = []
-        for size in rng.choice(lengths, size=int(rng.integers(1, 13))):
-            rho = np.log(rng.random(int(size)))
-            rho[rng.random(rho.size) < 0.05] = -np.inf
-            spans.append(rho)
-        got = fragment_scores(spans, frames)
-        assert len(got) == len(spans)
-        for rho, frags in zip(spans, got):
-            want = _per_span_fragments(rho, frames)
-            assert [float(x).hex() for x in frags] == [float(x).hex() for x in want]
+        fragment_scores(np.zeros((2, 2)))
 
 
 def test_segment_score_is_worst_fragment():
