@@ -7,163 +7,106 @@ anchoring the next window after the last accepted frame. Scores double as
 per-utterance quality labels for downstream filtering.
 """
 
-from .aligner import (
-    AlignmentRun,
-    AlignParams,
-    WindowResult,
-    align_file,
-    align_window,
-    frames_to_seconds,
-)
-from .errors import (
-    AlignmentFormatError,
-    AnchorAlignError,
-    ConfigError,
-    EmptyTextError,
-    FrameMapError,
-    ManifestError,
-    NoPathError,
-    NoSpeechError,
-    PosteriorFormatError,
-    SpeechRegionsError,
-    VocabFormatError,
-)
-from .filters import (
-    FilterReport,
-    filter_absolute,
-    filter_chebyshev,
-    filter_normalized,
-    recovery_stats,
-    score_histogram,
-    write_filter_report_csv,
-    write_histogram_csv,
-    write_recovery_csv,
-)
-from .posterior_io import (
-    DEFAULT_FRAME_DURATION_S,
-    FrameMap,
-    PosteriorMatrix,
-    SpeechRegions,
-    Vocab,
-    apply_speech_regions,
-    identity_frame_map,
-    load_posteriors,
-    load_regions,
-    load_vocab,
-    map_frames_back,
-    save_posteriors,
-    save_regions,
-    save_vocab,
-)
-from .synthdata import (
-    SynthSpec,
-    SynthUtterance,
-    default_spanish_vocab,
-    load_ground_truth,
-    oracle_best_path,
-    parse_manifest,
-    random_window,
-    synth_posteriors,
-    write_ground_truth,
-    write_manifest,
-)
-from .textprep import (
-    MAX_WORDS_PER_UTT,
-    TokenSequence,
-    Utterance,
-    build_token_sequence,
-    estimate_time_refs,
-    load_utterances,
-    normalize_text,
-    split_utterances,
-)
-from .trellis import (
-    FRAGMENT_FRAMES,
-    SCORE_REF_S,
-    SHORT_PENALTY,
-    Trellis,
-    UtteranceAlignment,
-    apply_short_penalty,
-    backtrack,
-    compute_trellis,
-    end_scores,
-    fragment_scores,
-    normalize_score,
-    segment_score,
-)
+from . import _lazy
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentRun",
-    "AlignParams",
-    "WindowResult",
-    "align_file",
-    "align_window",
-    "frames_to_seconds",
-    "AlignmentFormatError",
-    "AnchorAlignError",
-    "ConfigError",
-    "EmptyTextError",
-    "FrameMapError",
-    "ManifestError",
-    "NoPathError",
-    "NoSpeechError",
-    "PosteriorFormatError",
-    "SpeechRegionsError",
-    "VocabFormatError",
-    "FilterReport",
-    "filter_absolute",
-    "filter_chebyshev",
-    "filter_normalized",
-    "recovery_stats",
-    "score_histogram",
-    "write_filter_report_csv",
-    "write_histogram_csv",
-    "write_recovery_csv",
-    "DEFAULT_FRAME_DURATION_S",
-    "FrameMap",
-    "PosteriorMatrix",
-    "SpeechRegions",
-    "Vocab",
-    "apply_speech_regions",
-    "identity_frame_map",
-    "load_posteriors",
-    "load_regions",
-    "load_vocab",
-    "map_frames_back",
-    "save_posteriors",
-    "save_regions",
-    "save_vocab",
-    "SynthSpec",
-    "SynthUtterance",
-    "default_spanish_vocab",
-    "load_ground_truth",
-    "oracle_best_path",
-    "parse_manifest",
-    "random_window",
-    "synth_posteriors",
-    "write_ground_truth",
-    "write_manifest",
-    "MAX_WORDS_PER_UTT",
-    "TokenSequence",
-    "Utterance",
-    "build_token_sequence",
-    "estimate_time_refs",
-    "load_utterances",
-    "normalize_text",
-    "split_utterances",
-    "FRAGMENT_FRAMES",
-    "SCORE_REF_S",
-    "SHORT_PENALTY",
-    "Trellis",
-    "UtteranceAlignment",
-    "apply_short_penalty",
-    "backtrack",
-    "compute_trellis",
-    "end_scores",
-    "fragment_scores",
-    "normalize_score",
-    "segment_score",
-    "__version__",
-]
+# each public name once, under the module it is defined in; a name's module
+# is imported when the name is first read, so `import anchoralign` and the
+# commands that need only part of it load only that part
+_EXPORTS = {
+    "aligner": (
+        "AlignmentRun",
+        "WindowResult",
+        "align_file",
+        "align_window",
+        "frames_to_seconds",
+    ),
+    "common": (
+        "AlignParams",
+        "FRAGMENT_FRAMES",
+        "MAX_WORDS_PER_UTT",
+        "SCORE_REF_S",
+        "SHORT_PENALTY",
+        "normalize_score",
+    ),
+    "errors": (
+        "AlignmentFormatError",
+        "AnchorAlignError",
+        "ConfigError",
+        "EmptyTextError",
+        "FrameMapError",
+        "ManifestError",
+        "NoPathError",
+        "NoSpeechError",
+        "PosteriorFormatError",
+        "SpeechRegionsError",
+        "VocabFormatError",
+    ),
+    "filters": (
+        "FilterReport",
+        "filter_absolute",
+        "filter_chebyshev",
+        "filter_normalized",
+        "recovery_stats",
+        "score_histogram",
+        "write_filter_report_csv",
+        "write_histogram_csv",
+        "write_recovery_csv",
+    ),
+    "posterior_io": (
+        "DEFAULT_FRAME_DURATION_S",
+        "FrameMap",
+        "PosteriorMatrix",
+        "SpeechRegions",
+        "Vocab",
+        "apply_speech_regions",
+        "identity_frame_map",
+        "load_posteriors",
+        "load_regions",
+        "load_vocab",
+        "map_frames_back",
+        "save_posteriors",
+        "save_regions",
+        "save_vocab",
+    ),
+    "synthdata": (
+        "SynthSpec",
+        "SynthUtterance",
+        "default_spanish_vocab",
+        "load_ground_truth",
+        "oracle_best_path",
+        "parse_manifest",
+        "random_window",
+        "synth_posteriors",
+        "write_ground_truth",
+        "write_manifest",
+    ),
+    "textprep": (
+        "TokenSequence",
+        "Utterance",
+        "build_token_sequence",
+        "estimate_time_refs",
+        "load_utterances",
+        "normalize_text",
+        "split_utterances",
+    ),
+    "trellis": (
+        "Trellis",
+        "UtteranceAlignment",
+        "apply_short_penalty",
+        "backtrack",
+        "compute_trellis",
+        "end_scores",
+        "fragment_scores",
+        "segment_score",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
+
+__getattr__ = _lazy.lazy_names(__name__, _EXPORTS)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

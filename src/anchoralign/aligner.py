@@ -18,74 +18,24 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import math
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from ._lazy import np
+from .common import AlignParams, normalize_score
 from .errors import ConfigError, NoPathError
 from .posterior_io import FrameMap, PosteriorMatrix, Vocab, map_frames_back
 from .textprep import Utterance, build_token_sequence
 from .trellis import (
-    FRAGMENT_FRAMES,
-    SCORE_REF_S,
-    SHORT_PENALTY,
     UtteranceAlignment,
     apply_short_penalty,
     backtrack,
     compute_trellis,
     fragment_scores,
-    normalize_score,
     segment_score,
 )
 
 log = logging.getLogger("anchoralign.aligner")
-
-
-def knob(default: Any, help: str, **meta: Any) -> Any:
-    """A settings field carrying its help text and range in its metadata.
-
-    meta may set `above` (values must be greater) or `at_least` (values
-    must be at least this), which check_knobs enforces, and `key` (config
-    key and flag name, default the field name) or `parse` (converter from
-    a string, default the type of the default), which the CLI reads.
-    """
-    return field(default=default, metadata={"help": help, **meta})
-
-
-def check_knobs(settings: Any) -> None:
-    """Raise ConfigError for a non-finite float or a value out of its range."""
-    for f in dataclasses.fields(settings):
-        value = getattr(settings, f.name)
-        if isinstance(f.default, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
-        if "above" in f.metadata and not value > f.metadata["above"]:
-            raise ConfigError(f"{f.name} must be > {f.metadata['above']}, got {value}")
-        if "at_least" in f.metadata and not value >= f.metadata["at_least"]:
-            raise ConfigError(f"{f.name} must be >= {f.metadata['at_least']}, got {value}")
-
-
-@dataclass(frozen=True)
-class AlignParams:
-    """Knobs of the iterative aligner; out-of-range values raise ConfigError.
-
-    threshold is the natural-log acceptance score for the last utterance of
-    a window (-2.0 corresponds to a linear fragment mean of about 0.135).
-    """
-
-    threshold: float = knob(-2.0, "acceptance score for the last utterance of a window")
-    window_s: float = knob(120.0, "starting window length in seconds", above=0)
-    window_step_s: float = knob(60.0, "window growth per retry in seconds", above=0)
-    max_window_s: float = knob(
-        600.0, "window length in seconds past which an utterance is skipped", above=0
-    )
-    max_utts_per_window: int = knob(12, "utterance count cap per window", at_least=1)
-    fragment_frames: int = knob(FRAGMENT_FRAMES, "scoring block size in frames", at_least=1)
-    score_ref_s: float = knob(SCORE_REF_S, "reference seconds for s_seg_norm", above=0)
-    short_penalty: float = knob(SHORT_PENALTY, "score cap for one-fragment utterances")
-
-    def __post_init__(self) -> None:
-        check_knobs(self)
 
 
 @dataclass

@@ -14,7 +14,6 @@ the ANCHOR_ALIGN_LOG environment variable (quiet, info, debug).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import logging
@@ -22,14 +21,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ._lazy import np
-from .aligner import (
-    AlignmentRun,
+from ._lazy import lazy_names, np
+from .common import (
+    MAX_WORDS_PER_UTT,
+    SCORE_REF_S,
     AlignParams,
-    align_file,
+    _atomic_write_text,
     check_knobs,
-    frames_to_seconds,
     knob,
 )
 from .errors import AlignmentFormatError, AnchorAlignError, ConfigError
@@ -48,27 +48,53 @@ from .filters import (
     write_histogram_csv,
     write_recovery_csv,
 )
-from .posterior_io import (
-    SpeechRegions,
-    Vocab,
-    _atomic_write_text,
-    apply_speech_regions,
-    identity_frame_map,
-    load_posteriors,
-    load_regions,
-    load_vocab,
-    save_posteriors,
-    save_regions,
-    save_vocab,
-)
-from .synthdata import (
-    default_spanish_vocab,
-    parse_manifest,
-    synth_posteriors,
-    write_ground_truth,
-)
-from .textprep import MAX_WORDS_PER_UTT, estimate_time_refs, load_utterances
-from .trellis import SCORE_REF_S, UtteranceAlignment, share_cpus
+
+if TYPE_CHECKING:
+    from .aligner import AlignmentRun
+    from .posterior_io import Vocab
+    from .trellis import UtteranceAlignment
+
+# What align and synth run, by module, imported when a command first needs it
+# (see _load): the parser, filter and stats start without the alignment stack.
+_LAZY = {
+    "aligner": ("align_file", "frames_to_seconds"),
+    "posterior_io": (
+        "SpeechRegions",
+        "apply_speech_regions",
+        "identity_frame_map",
+        "load_posteriors",
+        "load_regions",
+        "load_vocab",
+        "save_posteriors",
+        "save_regions",
+        "save_vocab",
+    ),
+    "synthdata": (
+        "default_spanish_vocab",
+        "parse_manifest",
+        "synth_posteriors",
+        "write_ground_truth",
+    ),
+    "textprep": ("estimate_time_refs", "load_utterances"),
+    "trellis": ("share_cpus",),
+}
+_ALIGN_MODULES = ("aligner", "posterior_io", "textprep", "trellis")
+__getattr__ = lazy_names(__name__, _LAZY)
+
+
+def _load(*modules: str) -> None:
+    """Bind here every name _LAZY takes from `modules`.
+
+    Function bodies read these names as globals, and a global lookup never
+    reaches the module's __getattr__, so each command binds what it runs
+    before it runs. A name already bound, by a tracer's wrapper or a test's
+    stand-in, is kept: the command then calls that.
+    """
+    module = sys.modules[__name__]
+    for source in modules:
+        for name in _LAZY[source]:
+            getattr(module, name)
+
 
 log = logging.getLogger("anchoralign.cli")
 
@@ -280,6 +306,7 @@ def _align_one(job: tuple[str, RunConfig, Vocab]) -> dict:
     assemble the corpus iteration log deterministically.
     """
     file_id, cfg, vocab = job
+    _load(*_ALIGN_MODULES)  # a spawned worker starts from a bare import
     try:
         posterior_path = os.path.join(cfg.posterior_dir, file_id + POSTERIOR_SUFFIX)
         transcript_path = os.path.join(cfg.transcript_dir, file_id + TRANSCRIPT_SUFFIX)
@@ -321,6 +348,7 @@ def _align_one(job: tuple[str, RunConfig, Vocab]) -> dict:
 
 
 def cmd_align(args: argparse.Namespace) -> int:
+    _load(*_ALIGN_MODULES)
     cfg = resolve_config(args)
     vocab = load_vocab(cfg.vocab)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -343,7 +371,9 @@ def cmd_align(args: argparse.Namespace) -> int:
     # copy, and no file's posterior load pays for it
     np.ndarray
     if cfg.workers > 1:
-        # the module's __getattr__ imports multiprocessing only here
+        # only a pool needs these; ProcessPoolExecutor's first read loads multiprocessing
+        import concurrent.futures
+
         pool_size = min(cfg.workers, len(jobs))
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=pool_size, initializer=share_cpus, initargs=(pool_size,)
@@ -445,6 +475,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    _load("posterior_io", "synthdata")
     os.makedirs(args.output_dir, exist_ok=True)
     vocab = load_vocab(args.vocab) if args.vocab else default_spanish_vocab()
     spec = parse_manifest(args.manifest)

@@ -7,9 +7,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
+from .common import SCORE_REF_S, _atomic_write_text, normalize_score
 from .errors import ConfigError
-from .posterior_io import _atomic_write_text
-from .trellis import SCORE_REF_S, normalize_score
 
 ABSOLUTE_CUTOFF = -1.0
 CHEBYSHEV_WORST_FRACTION = 0.15

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._lazy import np
+from .common import _atomic_write_bytes, _atomic_write_text
 from .errors import (
     FrameMapError,
     NoSpeechError,
@@ -415,14 +416,3 @@ def _gaps(sr: SpeechRegions, total_s: float) -> list[tuple[float, float]]:
         edges.extend([start, end])
     edges.append(total_s)
     return [(edges[i], edges[i + 1]) for i in range(0, len(edges), 2) if edges[i + 1] > edges[i]]
-
-
-def _atomic_write_bytes(path: str | os.PathLike, blob: bytes) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
-
-
-def _atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))

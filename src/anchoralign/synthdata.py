@@ -13,8 +13,9 @@ import os
 from dataclasses import dataclass
 
 from ._lazy import np
+from .common import _atomic_write_text
 from .errors import ManifestError
-from .posterior_io import DEFAULT_FRAME_DURATION_S, PosteriorMatrix, Vocab, _atomic_write_text
+from .posterior_io import DEFAULT_FRAME_DURATION_S, PosteriorMatrix, Vocab
 from .textprep import TokenSequence
 
 ORACLE_MAX_FRAMES = 14

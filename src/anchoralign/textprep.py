@@ -13,10 +13,9 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Sequence
 
+from .common import MAX_WORDS_PER_UTT
 from .errors import ConfigError, EmptyTextError
 from .posterior_io import Vocab
-
-MAX_WORDS_PER_UTT = 24
 
 
 @dataclass(frozen=True)

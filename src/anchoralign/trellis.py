@@ -39,20 +39,16 @@ import functools
 import hashlib
 import importlib.util
 import logging
-import math
 import os
 import platform
-import subprocess
 from dataclasses import dataclass
 
 from ._lazy import np
+from .common import FRAGMENT_FRAMES, SHORT_PENALTY
 from .errors import ConfigError, NoPathError
 from .posterior_io import logsumexp
 from .textprep import TokenSequence
 
-FRAGMENT_FRAMES = 30
-SCORE_REF_S = 8.0
-SHORT_PENALTY = -4.0
 _EMIT_BLOCK_ROWS = 32  # lattice rows per emission gather in the numpy fill
 # Columns a slab of the C fill has at least. Measured on a 2-core x86-64 VM,
 # two slabs against one: syncing costs a slab about 75-100 ns a row, against
@@ -96,6 +92,8 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
             os.makedirs(cache_dir, exist_ok=True)
             if not os.access(cache_dir, os.W_OK):  # fail before paying for a compile
                 raise PermissionError(f"cannot write to {cache_dir}")
+            import subprocess  # only a cache miss starts a compiler
+
             tmp = f"{path}.tmp-{os.getpid()}"
             try:
                 subprocess.run(
@@ -105,11 +103,13 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
                     timeout=_BUILD_TIMEOUT_S,
                 )
                 os.replace(tmp, path)
+            except subprocess.SubprocessError as exc:  # it failed or overran
+                raise OSError(f"{cc} could not build {_C_SOURCE}: {exc}") from exc
             finally:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(tmp)
         lib = ctypes.CDLL(path)
-    except (OSError, subprocess.SubprocessError) as exc:
+    except OSError as exc:
         log.debug("lattice kernel: numpy, the C kernel is unavailable (%s)", exc)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
@@ -404,27 +404,6 @@ def segment_score(fragments: np.ndarray) -> float:
     if fragments.size == 0:
         raise ValueError("no fragments")
     return float(fragments.min())
-
-
-def normalize_score(score: float, duration_s: float, ref_s: float = SCORE_REF_S) -> float:
-    """Scale a log score by duration relative to a reference length.
-
-    Long utterances keep their (typically lower) scores comparable to short
-    ones by weighting the log score with duration_s / ref_s. A result that
-    overflows, as a tiny ref_s or an extreme score can make it, raises
-    ConfigError: no output format can hold it.
-    """
-    if not 0 < ref_s < math.inf:
-        raise ConfigError(f"score_ref_s must be > 0 and finite, got {ref_s}")
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-    normalized = score * duration_s / ref_s
-    if not math.isfinite(normalized):
-        raise ConfigError(
-            f"normalized score of s_seg {score} over {duration_s} s"
-            f" with score_ref_s {ref_s} is {normalized}"
-        )
-    return normalized
 
 
 def apply_short_penalty(

@@ -109,6 +109,135 @@ print(json.dumps(seen))
     }
 
 
+def _run_fresh(code, *args):
+    """Run code in a fresh interpreter importing this checkout; its stdout as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_parser_filter_and_stats_load_no_alignment_stack(scored_jsonl, synth_dirs, tmp_path):
+    # align's modules load on its first use: the parser, filter and stats start without
+    # them, and align starts without synth's
+    code = """
+import json, sys
+from anchoralign import cli
+
+WATCHED = [f"anchoralign.{m}" for m in ("aligner", "trellis", "posterior_io", "textprep",
+                                         "synthdata")] + ["ctypes", "subprocess"]
+
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+
+cli.build_parser()
+seen = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+    jsonl, out = str(scored_jsonl), str(tmp_path / "out")
+    data, vocab_path = synth_dirs
+    runs = [
+        *(["filter", "--method", method, jsonl, "--output-dir", out]
+          for method in ("absolute", "chebyshev", "normalized")),
+        ["stats", jsonl, "--filtered", jsonl, "--output-dir", out],
+        _align_argv(data, vocab_path, tmp_path / "aligned", "--workers", "1"),
+    ]
+    *before_align, after_align = _run_fresh(code, json.dumps(runs, default=str))
+    assert before_align == [[]] * 5  # the parser, three filter methods and stats
+    stack = {f"anchoralign.{m}" for m in ("aligner", "trellis", "posterior_io", "textprep")}
+    assert stack <= set(after_align)  # the check would see a loaded module
+    assert "anchoralign.synthdata" not in after_align
+
+
+# The cli names perfbench/tracing.py wraps before main runs, by defining module.
+_TRACED_CLI_NAMES = {
+    "anchoralign.aligner": ("align_file", "frames_to_seconds"),
+    "anchoralign.cli": (
+        "cmd_align",
+        "cmd_filter",
+        "cmd_stats",
+        "_align_one",
+        "write_alignment_jsonl",
+        "write_ctm",
+        "write_segments",
+    ),
+    "anchoralign.filters": (
+        "filter_absolute",
+        "filter_chebyshev",
+        "filter_normalized",
+        "write_filter_report_csv",
+        "score_histogram",
+        "recovery_stats",
+        "write_histogram_csv",
+        "write_recovery_csv",
+    ),
+    "anchoralign.posterior_io": ("load_posteriors", "apply_speech_regions"),
+    "anchoralign.textprep": ("load_utterances",),
+}
+
+
+def test_every_traced_cli_name_resolves_before_main():
+    # a tracer reads each name off a freshly imported cli, before any command has run
+    code = """
+import json, sys
+import anchoralign.cli as cli
+found = {}
+for name in sys.argv[1:]:
+    fn = getattr(cli, name)
+    found[name] = f"{fn.__module__}.{fn.__qualname__}"
+print(json.dumps(found))
+"""
+    names = [name for names in _TRACED_CLI_NAMES.values() for name in names]
+    assert _run_fresh(code, *names) == {
+        name: f"{module}.{name}" for module, names in _TRACED_CLI_NAMES.items() for name in names
+    }
+
+
+def test_align_calls_the_stand_ins_set_on_cli(synth_dirs, tmp_path):
+    # load_posteriors is wrapped after a read, as a tracer does; align_file is replaced
+    # before cli ever bound it; align must call both stand-ins, once per file
+    code = """
+import json, sys
+import anchoralign.cli as cli
+from anchoralign.aligner import align_file
+
+calls = []
+
+def stand_in(name, fn):
+    def record(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return record
+
+cli.load_posteriors = stand_in("load_posteriors", cli.load_posteriors)
+cli.align_file = stand_in("align_file", align_file)
+print(json.dumps([cli.main(json.loads(sys.argv[1])), calls]))
+"""
+    data, vocab_path = synth_dirs
+    argv = _align_argv(data, vocab_path, tmp_path / "out", "--workers", "1")
+    assert _run_fresh(code, json.dumps(argv)) == [0, ["load_posteriors", "align_file"] * 2]
+
+
+def test_a_file_job_runs_in_a_fresh_interpreter(synth_dirs, tmp_path):
+    # a pool worker started by spawn imports cli and runs a file job with no command before it
+    code = """
+import json, sys
+import anchoralign.cli as cli
+from anchoralign import load_vocab
+
+cfg = cli.resolve_config(cli.build_parser().parse_args(json.loads(sys.argv[1])))
+print(json.dumps(cli._align_one(("filea", cfg, load_vocab(cfg.vocab)))["error"]))
+"""
+    data, vocab_path = synth_dirs
+    assert _run_fresh(code, json.dumps(_align_argv(data, vocab_path, tmp_path))) is None
+    assert (tmp_path / "filea.align.jsonl").stat().st_size > 0
+
+
 def test_lazy_import_of_a_missing_module_raises():
     from anchoralign._lazy import lazy_import
 

@@ -1,5 +1,6 @@
 """The README's library example, every demo script and the public names work as written."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -55,3 +56,31 @@ def test_every_public_name_resolves_once():
     namespace = {}
     exec("from anchoralign import *", namespace)  # a stale name raises AttributeError here
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(names)
+
+
+def test_each_public_name_is_its_defining_module_object():
+    # each name is read lazily, from the one module the package's table names for it
+    for module_name, names in anchoralign._EXPORTS.items():
+        module = importlib.import_module(f"anchoralign.{module_name}")
+        for name in names:
+            value = getattr(anchoralign, name)
+            assert value is getattr(module, name), name
+            if callable(value):  # a constant carries no module to check
+                assert value.__module__ == module.__name__, name
+    assert anchoralign.compute_trellis is anchoralign.trellis.compute_trellis
+    assert set(anchoralign.__all__) <= set(dir(anchoralign))
+
+
+def test_an_unknown_public_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        anchoralign.no_such_name  # noqa: B018
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from anchoralign import no_such_name", {})
+
+
+def test_a_bare_import_loads_only_leaf_modules():
+    code = "import sys, anchoralign; print(*sorted(m for m in sys.modules if 'anchoralign.' in m))"
+    proc = _run_python(["-c", code], ROOT)
+    assert proc.returncode == 0, proc.stderr
+    leaves = {"anchoralign._lazy", "anchoralign.common", "anchoralign.errors"}
+    assert set(proc.stdout.split()) <= leaves

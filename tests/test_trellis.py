@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import subprocess
 import tracemalloc
 
 import numpy as np
@@ -757,12 +758,12 @@ def _no_build(*args, **kwargs):
 
 def test_the_library_is_built_once(monkeypatch):
     compiled_kernel()
-    monkeypatch.setattr(trellis.subprocess, "run", _no_build)
+    monkeypatch.setattr(subprocess, "run", _no_build)  # trellis imports it only on a cache miss
     assert trellis._load_library() is not None
 
 
 def test_an_unwritable_cache_falls_back_without_compiling(monkeypatch):
-    monkeypatch.setattr(trellis.subprocess, "run", _no_build)
+    monkeypatch.setattr(subprocess, "run", _no_build)  # trellis imports it only on a cache miss
     monkeypatch.setattr(trellis.os, "access", lambda path, mode: False)
     assert trellis._load_library("a-compiler-with-no-cached-library") is None
 
