@@ -7,8 +7,11 @@
  * n_frames x n_ends, tokens are vocabulary indices. The fill keeps two
  * rolling score rows and stores one advance decision per cell; each sum and
  * comparison is the one the numpy kernel makes, so the two write the same
- * bits for any slab count. Build with -ffp-contract=off and without
- * -ffast-math to keep it so.
+ * bits for any slab count and in every clone of the row loop. Column j needs
+ * j frames: on row t the columns past t are out of a path's reach, and the
+ * fill writes their decision, 1, as the numpy kernel computes it (-inf >=
+ * -inf), without scoring them. Build with -ffp-contract=off and without
+ * -ffast-math to keep the bits.
  */
 #define _POSIX_C_SOURCE 200809L
 #include <math.h>
@@ -16,22 +19,33 @@
 #include <sched.h>
 #include <stdatomic.h>
 #include <stdint.h>
+#include <string.h>
 
 /* polls of the left slab's row count between sched_yield calls */
 #define SPINS_PER_YIELD 256
 /* Rows a slab lets its left neighbour run ahead when it has to wait, so that
  * it reads the neighbour's row count about once per LAG_ROWS rows, not once
- * per row. On a 6000 x 683 window on a 2-core x86-64 VM, two slabs took
- * 1.21 ns a cell waiting for 1 row and 0.85 waiting for 16. */
+ * per row. On a 6000 x 683 window on a 2-core x86-64 VM with the AVX-512
+ * row loop, two slabs took 0.53-0.60 ns a cell waiting for 1 row and
+ * 0.47-0.52 waiting for 16; 4 and 64 were no faster than 16. */
 #define LAG_ROWS 16
 
-/* gcc vectorises score_row with 32-byte vectors in the AVX2 clone; AVX2
- * add, compare and blend are exact per lane, so both clones write the same
- * bits. Elsewhere only the default clone is built. */
+/* gcc vectorises score_row in each clone: with 64-byte vectors and mask
+ * registers in the x86-64-v4 (AVX-512 F/BW/DQ/VL) clone, 32-byte vectors in
+ * the AVX2 one. Adding, comparing and blending are exact in every lane, so
+ * every clone writes the same bits. gcc before 11 has no x86-64-v4 and builds
+ * the AVX2 and default clones; elsewhere only the default is built. A build
+ * may define ROW_CLONES itself, as the tests do to check one target alone. */
+#ifndef ROW_CLONES
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__linux__)
+#if __GNUC__ >= 11
+#define ROW_CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+#else
 #define ROW_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
 #else
 #define ROW_CLONES
+#endif
 #endif
 
 struct lattice {
@@ -47,31 +61,31 @@ struct lattice {
 };
 
 /* The lattice columns [lo, hi), filled row by row by one thread. prev and
- * row hold hi - lo + 1 scores, entry 0 being column lo - 1; emit holds the
- * hi - lo emissions of one row. Unless it is the last slab, the slab writes
- * its score in column hi - 1 on row t to right[t] and then stores t in
- * rows_done (release), which the slab to its right loads (acquire). It
- * writes ends for end_columns[end_lo .. end_hi), the end columns in its
- * range, column 0 being the first slab's. */
+ * row hold hi - lo + 1 scores, entry 0 being column lo - 1. Unless it is the
+ * last slab, the slab writes its score in column hi - 1 on row t to right[t]
+ * and then stores t in rows_done (release), which the slab to its right
+ * loads (acquire). It writes ends for end_columns[end_lo .. end_hi), the end
+ * columns in its range, column 0 being the first slab's. */
 struct slab {
     _Alignas(64) _Atomic int64_t rows_done;
     const struct lattice *lat;
     int64_t lo, hi, end_lo, end_hi;
-    double *prev, *row, *emit, *right;
+    double *prev, *row, *right;
     struct slab *left; /* NULL for the first slab, whose column lo - 1 is column 0 */
 };
 
-/* Score one row of n columns from the previous one: advance =
- * prev[i] + emit[i] and stay = prev[i + 1] + stay_cost, row[i + 1] =
+/* Score one row of n columns from the previous one, on frame w: advance =
+ * prev[i] + w[tokens[i]] and stay = prev[i + 1] + stay_cost, row[i + 1] =
  * max(stay, advance) keeping stay on a tie as np.maximum(stay, advance)
  * does, and advances[i] = advance >= stay, the walk's rule, under which
  * ties advance. */
 ROW_CLONES static void score_row(int64_t n, const double *restrict prev,
-                                 const double *restrict emit, double stay_cost,
-                                 double *restrict row, uint8_t *restrict advances)
+                                 const double *restrict w, const int64_t *restrict tokens,
+                                 double stay_cost, double *restrict row,
+                                 uint8_t *restrict advances)
 {
     for (int64_t i = 0; i < n; i++) {
-        const double advance = prev[i] + emit[i];
+        const double advance = prev[i] + w[tokens[i]];
         const double stay = prev[i + 1] + stay_cost;
         advances[i] = advance >= stay;
         row[i + 1] = stay >= advance ? stay : advance;
@@ -94,20 +108,29 @@ static int64_t wait_rows(struct slab *s, int64_t rows)
 
 /* Fill one slab's columns on every row. Row t of column j reads row t - 1
  * at columns j - 1 and j only, so a slab may fill row t once the slab to
- * its left has published row t - 1; the first slab never waits. */
+ * its left has published row t - 1; the first slab never waits. Column j
+ * needs j frames, so on row t only columns lo .. min(hi - 1, t) are scored.
+ * Every later column scores -inf on both of its candidates, and -inf >= -inf
+ * advances, so its decision is 1 and its score stays the -inf both rows
+ * start with; a slab that lies wholly past row t waits for nothing. */
 static void *fill_slab(void *arg)
 {
     struct slab *s = arg;
     const struct lattice *lat = s->lat;
     const int64_t n = s->hi - s->lo;
+    const int64_t *tokens = lat->tokens + s->lo - 1;
     double *prev = s->prev, *row = s->row;
     int64_t left_rows = 0; /* rows the left slab is known to have published */
-    prev[0] = row[0] = s->left ? -INFINITY : 0.0;
-    for (int64_t i = 1; i <= n; i++)
-        prev[i] = -INFINITY;
+    for (int64_t i = 0; i <= n; i++)
+        prev[i] = row[i] = -INFINITY;
+    if (!s->left)
+        prev[0] = row[0] = 0.0;
     for (int64_t t = 1; t <= lat->n_frames; t++) {
         const double *w = lat->window + (t - 1) * lat->n_symbols;
-        if (s->left && t > 1) {
+        uint8_t *k = lat->k + t * lat->width + s->lo;
+        const int64_t reached = t - s->lo + 1; /* columns lo .. t */
+        const int64_t m = reached < 0 ? 0 : reached < n ? reached : n;
+        if (s->left && m > 0) { /* m > 0 puts t at lo >= 2 */
             if (left_rows < t - 1)
                 left_rows = wait_rows(s->left, t - 1 + LAG_ROWS < lat->n_frames
                                                    ? t - 1 + LAG_ROWS
@@ -116,9 +139,8 @@ static void *fill_slab(void *arg)
         }
         for (int64_t e = s->end_lo; e < s->end_hi; e++)
             lat->ends[(t - 1) * lat->n_ends + e] = prev[lat->end_columns[e] - s->lo + 1];
-        for (int64_t i = 0; i < n; i++)
-            s->emit[i] = w[lat->tokens[s->lo - 1 + i]];
-        score_row(n, prev, s->emit, w[lat->blank], row, lat->k + t * lat->width + s->lo);
+        score_row(m, prev, w, tokens, w[lat->blank], row, k);
+        memset(k + m, 1, (size_t)(n - m));
         if (s->right) {
             s->right[t] = row[n];
             atomic_store_explicit(&s->rows_done, t, memory_order_release);
@@ -136,10 +158,10 @@ static void *fill_slab(void *arg)
  * stay = prev[j] + blank[t-1] and advance = prev[j-1] + w[t-1][tokens[j-1]]
  * as score_row does; the caller zeroes row 0 and column 0 of k. Before row t
  * is scored, ends[t-1][e] takes row t - 1's score in column end_columns[e].
- * scratch holds 3 x (width - 1) + 2 x n_slabs doubles for the slabs' rows
- * and emissions, then n_frames + 1 for each slab but the last. A slab whose
- * thread does not start runs on the calling thread after the slabs to its
- * left, so no thread outlives the call and the bits never depend on it. */
+ * scratch holds 2 x (width - 1) + 2 x n_slabs doubles for the slabs' rows,
+ * then n_frames + 1 for each slab but the last. A slab whose thread does not
+ * start runs on the calling thread after the slabs to its left, so no thread
+ * outlives the call and the bits never depend on it. */
 void fill(const double *window, int64_t n_frames, int64_t n_symbols,
           const int64_t *tokens, int64_t blank, uint8_t *k, int64_t width,
           const int64_t *end_columns, int64_t n_ends, double *ends, int64_t n_slabs,
@@ -163,9 +185,8 @@ void fill(const double *window, int64_t n_frames, int64_t n_symbols,
         s->end_hi = e;
         s->prev = scratch;
         s->row = s->prev + (s->hi - s->lo + 1);
-        s->emit = s->row + (s->hi - s->lo + 1);
-        s->right = i + 1 < n_slabs ? s->emit + (s->hi - s->lo) : NULL;
-        scratch = s->emit + (s->hi - s->lo) + (s->right ? n_frames + 1 : 0);
+        s->right = i + 1 < n_slabs ? s->row + (s->hi - s->lo + 1) : NULL;
+        scratch = s->row + (s->hi - s->lo + 1) + (s->right ? n_frames + 1 : 0);
         s->left = i ? &slabs[i - 1] : NULL;
     }
     for (int64_t i = 1; i < n_slabs; i++)

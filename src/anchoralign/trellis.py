@@ -11,8 +11,11 @@ blank longer never helps, so the trailing blank needs no column of its own.
 
 The fill keeps two rolling score rows and stores one advance-or-stay byte per
 cell, which is all the backtrack walk reads, plus the score columns where
-utterances end, which is all the end rule reads: (frames + 1) x (tokens + 1)
-bytes and 8 x frames x (utterances + 1) more, not a float64 score lattice.
+utterances end, which is all the end rule reads. Column j needs j frames, so
+no path ends past column frames - 1: the fill stops at the last utterance end
+before it, and the ends of later utterances are -inf. That is at most
+(frames + 1) x (min(tokens, frames - 1) + 1) bytes and 8 x frames x
+(utterances + 1) more, not a float64 score lattice.
 
 The fill and the backtrack walk run in C (_lattice.c), compiled with the
 system's `cc` on first use and cached beside this module's bytecode. Where
@@ -21,14 +24,18 @@ make the same IEEE additions and comparisons, so they return the same bits.
 
 The C fill splits the columns into slabs that run at once, one thread each,
 as a wavefront: a slab fills row t once the slab to its left has finished
-row t - 1, and each slab's row loop is vectorised (an AVX2 clone on x86-64).
-A fill of at least _MIN_SLAB_CELLS cells (rows x width) gets one slab per
-CPU it may use, each at least _MIN_SLAB_COLUMNS wide: max(1, min(usable
-CPUs // processes filling at once, width // _MIN_SLAB_COLUMNS)); a smaller
-fill gets one. A serial run fills in one process; a process pool's workers
-each take their share through share_cpus. Every cell makes the same sums
-and comparison whatever the slab count, so the lattice's bits, and every
-output, do not depend on it. No thread outlives a fill.
+row t - 1. Each slab's row loop reads its emissions from the window itself
+and is vectorised: gcc on x86-64 builds an AVX-512 (x86-64-v4) clone, an AVX2
+clone and a default one, and the CPU runs the best it has. On row t a slab
+scores only the columns up to t; every later cell is out of a path's reach,
+and the slab writes its known decision, 1, without scoring it. A fill of at
+least _MIN_SLAB_CELLS cells (rows x width) gets one slab per CPU it may use,
+each at least _MIN_SLAB_COLUMNS wide: max(1, min(usable CPUs // processes
+filling at once, width // _MIN_SLAB_COLUMNS)); a smaller fill gets one. A
+serial run fills in one process; a process pool's workers each take their
+share through share_cpus. Every cell makes the same sums and comparison
+whatever the slab count, so the lattice's bits, and every output, do not
+depend on it. No thread outlives a fill.
 """
 
 from __future__ import annotations
@@ -50,19 +57,21 @@ from .posterior_io import logsumexp
 from .textprep import TokenSequence
 
 _EMIT_BLOCK_ROWS = 32  # lattice rows per emission gather in the numpy fill
-# Columns a slab of the C fill has at least. Measured on a 2-core x86-64 VM,
-# two slabs against one: syncing costs a slab about 75-100 ns a row, against
-# about 1.4 ns a cell of row work, and starting and joining the thread about
-# 40 us a fill. With 256-column slabs the sync is under a third of a row's
-# work and the thread pays for itself within about 150 rows; on 6000-row
-# windows two slabs took 0.79 ns a cell against 0.88 at width 192 and 1.04
-# against 1.50 at width 256, and at width 96 they were even.
+# Columns a slab of the C fill has at least. Measured on a 2-core x86-64 VM
+# with the AVX-512 row loop, two slabs against one on 6000-row windows,
+# medians of 21-61 interleaved fills: they took 0.69x as long at width 512 and
+# 0.58-0.66x at 683-2048; with narrower slabs, 0.79-0.82x at width 256,
+# 0.86-0.96x at 192 and 1.15x at 128. Two 128-column slabs win on this VM, but
+# 256 keeps a margin for machines whose CPUs split a fill into more, narrower
+# slabs, which this 2-core VM cannot measure.
 _MIN_SLAB_COLUMNS = 256
 # Cells (rows x width) a fill has before it splits into slabs. Measured on the
-# same VM in process, two slabs against one, medians of 15-41 interleaved
-# runs: up to 300,000 cells they lost at some widths (1.04-1.06x as long at
-# width 683, 1.14x at 768 and 150,000 cells); from 350,000 cells they won at
-# every width from 512 to 2048, taking 0.69-0.87x as long.
+# same VM in process, two slabs against one, medians of 61 interleaved fills
+# at widths 512-1024 with at least as many rows as columns (the fill never
+# has fewer): below 350,000 cells they lost (1.01-1.17x as long). From 350,000
+# they took 0.78-1.00x as long wherever rows were at least 1.25 x width; on
+# square windows, where the second slab idles through the half of its
+# columns no path reaches, 0.94-1.07x.
 _MIN_SLAB_CELLS = 350_000
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_lattice.c")
 # no -ffast-math or -march=native: either may change the sums' bits
@@ -163,13 +172,15 @@ class Trellis:
 
     window is that window as a read-only float64 copy (T_w x V), which
     end_scores and backtrack read. Cell (t, j) is the best path that has
-    consumed tokens 1..j after frame t (row 0 = before any frame), for
-    j = 0..len(tokens). k[t][j] (uint8) is 1 where that path advanced into
-    column j on frame t and 0 where it stayed in column j; ties advance, and
-    row 0 and column 0 are 0. ends[t][e] (float64, frames x
+    consumed tokens 1..j after frame t (row 0 = before any frame). k[t][j]
+    (uint8) is 1 where that path advanced into column j on frame t and 0
+    where it stayed in column j; ties advance, and row 0 and column 0 are 0.
+    k holds the columns j = 0..n, n being the last end column below frames:
+    no path ends in a later column. ends[t][e] (float64, frames x
     len(end_columns)) is the path's log joint probability at cell
-    (t, end_columns[e]) for t = 0..frames - 1. end_columns holds 0, the end
-    of every utterance and len(tokens), sorted.
+    (t, end_columns[e]) for t = 0..frames - 1, -inf for the end columns past
+    n. end_columns holds 0, the end of every utterance and len(tokens),
+    sorted.
     """
 
     window: np.ndarray
@@ -213,7 +224,8 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     column 0 scores 0, and each later row scores
     max(prev[1:] + blank, prev[:-1] + emit), keeping the stay value on a tie;
     k stores advance >= stay per cell, and ends the score columns at
-    end_columns. k is allocated unzeroed: only its row 0 and column 0 are
+    end_columns; k stops at the last end column a path can reach (see
+    Trellis). k is allocated unzeroed: only its row 0 and column 0 are
     zeroed here, and both kernels write every other cell. The C kernel's
     fill computes it cell by cell in _slab_count(n_frames, width) column
     slabs, _fill_rows with numpy calls per row; only two score rows per slab
@@ -233,21 +245,24 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     end_columns = tuple(sorted({0, len(tokens), *(last + 1 for *_, last in ts.boundaries)}))
     if end_columns[0] < 0 or end_columns[-1] > len(tokens):
         raise ValueError("utterance boundaries out of range for the tokens")
-    columns = np.array(end_columns, dtype=np.int64)
+    # column j needs j frames and ends holds rows 0..n_frames - 1, so no path
+    # ends past column n_frames - 1: fill up to the last end column before it
+    columns = np.array([c for c in end_columns if c < n_frames], dtype=np.int64)
+    width = int(columns[-1]) + 1
+    tokens = tokens[: width - 1]
     # both kernels write every cell but row 0 and column 0, the free start
-    k = np.empty((n_frames + 1, len(tokens) + 1), dtype=np.uint8)
+    k = np.empty((n_frames + 1, width), dtype=np.uint8)
     k[0] = 0
     k[:, 0] = 0
-    ends = np.empty((n_frames, len(end_columns)))
+    ends = np.empty((n_frames, len(columns)))
     lib = _kernel()
     if lib is None:
         _fill_rows(window, tokens, blank_index, k, columns, ends)
     else:
-        width = k.shape[1]
         slabs = _slab_count(n_frames, width)
-        # each slab's two score rows and emission row, and a boundary column
-        # for each slab but the last, as _lattice.c's fill lays them out
-        scratch = np.empty(3 * (width - 1) + 2 * slabs + (slabs - 1) * (n_frames + 1))
+        # each slab's two score rows, and a boundary column for each slab but
+        # the last, as _lattice.c's fill lays them out
+        scratch = np.empty(2 * (width - 1) + 2 * slabs + (slabs - 1) * (n_frames + 1))
         lib.fill(
             window.ctypes.data,
             n_frames,
@@ -262,6 +277,9 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
             slabs,
             scratch.ctypes.data,
         )
+    if len(columns) < len(end_columns):  # the end columns past the fill have no path
+        unreached = np.full((n_frames, len(end_columns) - len(columns)), -np.inf)
+        ends = np.hstack([ends, unreached])
     for array in (window, k, ends):
         array.flags.writeable = False
     return Trellis(

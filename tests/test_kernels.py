@@ -15,6 +15,7 @@ from test_acceptance import (  # noqa: F401  (collected here once per kernel)
 )
 from test_trellis import (  # noqa: F401  (collected here once per kernel)
     compiled_kernel,
+    test_a_long_word_fills_only_the_columns_a_path_can_reach,
     test_a_prefix_ending_inside_an_utterance_raises,
     test_a_split_fill_equals_the_reference_fill,
     test_align_file_equals_a_run_on_the_reference_fill,

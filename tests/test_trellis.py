@@ -235,7 +235,8 @@ def test_fill_memory_is_a_byte_per_cell(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * (n_frames + 1) * (n_tokens + 1) / 4  # a float64 lattice is 8 bytes a cell
-    bound = (n_frames + 1) * (n_tokens + 1) + 8 * n_frames * (len(utts) + 1)  # README
+    # README's bound, met here: every token is within the window's reach
+    bound = (n_frames + 1) * (min(n_tokens, n_frames - 1) + 1) + 8 * n_frames * (len(utts) + 1)
     assert tr.k.nbytes + tr.ends.nbytes == bound
 
 
@@ -435,19 +436,23 @@ def _hard_window(rng, n_frames):
 )
 def test_fill_equals_the_reference_fill(n_frames):
     rng = np.random.default_rng(900 + n_frames)
-    for n_tokens in sorted({1, 2, n_frames // 2 + 1, n_frames, n_frames + 3}):
+    for n_tokens in sorted({1, 2, n_frames // 2 + 1, max(1, n_frames - 1), n_frames, n_frames + 3}):
         for _ in range(4):
             window = _hard_window(rng, n_frames)
             tokens = tuple(int(x) for x in rng.integers(1, 5, size=n_tokens))
             ts = TokenSequence(tokens, _token_boundaries(n_tokens))
             got = compute_trellis(window, ts, 0)
             want = _reference_fill(window, ts, 0)
-            assert np.array_equal(got.k, _reference_decisions(want, window, tokens, 0))
+            decisions = _reference_decisions(want, window, tokens, 0)
+            # every column ends an utterance; a path ends no later than column n_frames - 1
+            width = min(n_tokens, n_frames - 1) + 1
+            assert np.array_equal(got.k, decisions[:, :width])
             assert got.end_columns == tuple(range(n_tokens + 1))
             assert np.array_equal(got.ends, want[:-1, :-1])
             assert got.tokens == tokens
             one_utt = compute_trellis(window, TokenSequence(tokens, ((0, 0, n_tokens - 1),)), 0)
-            assert np.array_equal(one_utt.k, got.k)
+            one_width = n_tokens + 1 if n_tokens < n_frames else 1  # its end, or column 0 alone
+            assert np.array_equal(one_utt.k, decisions[:, :one_width])
             assert one_utt.end_columns == (0, n_tokens)
             assert np.array_equal(one_utt.ends, want[:-1, [0, n_tokens]])
             for n in range(n_tokens):  # every prefix's derived trailing-blank column
@@ -613,13 +618,15 @@ def _split_sequence(rng, width):
 
 
 def _split_cases(rng):
-    """(window, ts) pairs at each split width: a 1-row window, and one of
-    twice the width's rows, long enough for a path, with -inf emissions.
-    Tests that split them set _MIN_SLAB_CELLS to 1 so the 1-row fills split
-    too."""
+    """(window, ts) pairs at each split width, with -inf emissions: a 1-row
+    window, which reaches column 0 alone; one of the width's rows, the
+    fewest that reach every column, so that each slab after the first lies
+    wholly past the columns its first rows reach; and one of twice the
+    width's rows, long enough for a path. Tests that split them set
+    _MIN_SLAB_CELLS to 1 so the short fills split too."""
     for width in _SPLIT_WIDTHS:
         ts = _split_sequence(rng, width)
-        for n_frames in (1, 2 * width):
+        for n_frames in (1, width, 2 * width):
             yield _hard_window(rng, n_frames), ts
 
 
@@ -651,24 +658,36 @@ def test_every_slab_count_gives_the_same_bits(monkeypatch):
     assert counts == {1, 2, 3} and traced == len(_SPLIT_WIDTHS)
 
 
+def _assert_the_reference_lattice(got, want):
+    """got is the lattice of the _reference_trellis want up to the last end
+    column below the window's frame count, the last any path can end in."""
+    width = max(c for c in want.end_columns if c < len(want.window)) + 1
+    assert got.k.shape == (len(want.window) + 1, width)
+    assert np.array_equal(got.k, want.k[:, :width]) and np.array_equal(got.ends, want.ends)
+    assert got.end_columns == want.end_columns
+
+
 def test_a_split_fill_equals_the_reference_fill(monkeypatch):
     monkeypatch.setattr(trellis, "_fill_cpus", 3)  # as many slabs as each width allows
     monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
     rng = np.random.default_rng(612)
     for window, ts in _split_cases(rng):
         got, want = compute_trellis(window, ts, 0), _reference_trellis(window, ts, 0)
-        assert np.array_equal(got.k, want.k) and np.array_equal(got.ends, want.ends)
-        assert got.end_columns == want.end_columns
+        _assert_the_reference_lattice(got, want)
 
 
 def _zeroed_numpy_fill(window, ts, blank):
-    """k and ends of the numpy fill into zeroed arrays."""
-    columns = np.array(sorted({0, len(ts.tokens), *(last + 1 for *_, last in ts.boundaries)}))
-    k = np.zeros((len(window) + 1, len(ts.tokens) + 1), dtype=np.uint8)
-    ends = np.zeros((len(window), len(columns)))
+    """k and ends of the numpy fill into zeroed arrays, up to the last end
+    column below the window's frame count; the later end columns are -inf."""
+    columns = sorted({0, len(ts.tokens), *(last + 1 for *_, last in ts.boundaries)})
+    reached = np.array([c for c in columns if c < len(window)])
+    k = np.zeros((len(window) + 1, reached[-1] + 1), dtype=np.uint8)
+    ends = np.zeros((len(window), len(reached)))
     window = np.array(window, dtype=np.float64)
-    trellis._fill_rows(window, np.array(ts.tokens), blank, k, columns, ends)
-    return k.tobytes(), ends.tobytes()
+    tokens = np.array(ts.tokens[: reached[-1]], dtype=np.int64)
+    trellis._fill_rows(window, tokens, blank, k, reached, ends)
+    unreached = np.full((len(window), len(columns) - len(reached)), -np.inf)
+    return k.tobytes(), np.hstack([ends, unreached]).tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["C", "numpy"])
@@ -699,6 +718,114 @@ def test_an_unzeroed_lattice_gives_the_bits_of_a_zeroed_one(monkeypatch, kernel)
             assert (tr.k.tobytes(), tr.ends.tobytes()) == expected
             slabs.add(trellis._slab_count(len(window), tr.k.shape[1]))
     assert slabs == {1, 2}
+
+
+@pytest.mark.parametrize("kernel", ["C", "numpy"])
+def test_cells_out_of_a_paths_reach_advance_and_score_minus_inf(monkeypatch, kernel):
+    # column j needs j frames, so on row t every column past t is out of
+    # reach: its decision is 1 (-inf >= -inf advances) and its end score
+    # -inf. Windows of 1 row, of fewer rows than tokens, as many and one
+    # more; the C fill in 1-3 slabs, each slab after the first lying wholly
+    # out of reach on its first rows
+    lib = compiled_kernel() if kernel == "C" else None
+    monkeypatch.setattr(trellis, "_kernel", lambda: lib)
+    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
+    rng = np.random.default_rng(615)
+    n_tokens = 3 * _MIN_SLAB_COLUMNS
+    tokens = tuple(int(x) for x in rng.integers(1, len(VOCAB.symbols), size=n_tokens))
+    ts = TokenSequence(tokens, _token_boundaries(n_tokens))
+    slabs = set()
+    for n_frames in (1, n_tokens - 1, n_tokens, n_tokens + 1):
+        window = _hard_window(rng, n_frames)
+        want = _reference_trellis(window, ts, 0)
+        out_of_reach = np.array(want.end_columns) > np.arange(n_frames)[:, None]
+        for cpus in (1, 2, 3) if lib else (1,):
+            monkeypatch.setattr(trellis, "_fill_cpus", cpus)
+            got = compute_trellis(window, ts, 0)
+            slabs.add(trellis._slab_count(n_frames, got.k.shape[1]))
+            _assert_the_reference_lattice(got, want)
+            rows, columns = np.indices(got.k.shape)
+            assert (got.k[(columns > rows) & (rows > 0)] == 1).all()
+            assert (got.ends[out_of_reach] == -np.inf).all()
+    assert slabs == ({1, 2, 3} if lib else {1})
+
+
+def test_a_long_word_fills_only_the_columns_a_path_can_reach():
+    # a 60,000-character word after a short line: no path ends past column
+    # frames - 1, so the lattice stops at the short line's end column
+    utts = [Utterance(0, "abc", word_count=1), Utterance(1, "ab" * 30_000, word_count=1)]
+    ts = build_token_sequence(utts, VOCAB)
+    n_frames = 2000
+    window = -np.random.default_rng(10).exponential(size=(n_frames, len(VOCAB.symbols)))
+    tracemalloc.start()
+    try:
+        tr = compute_trellis(window, ts, VOCAB.blank_index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_tokens = len(ts.tokens)
+    bound = (n_frames + 1) * (min(n_tokens, n_frames - 1) + 1) + 8 * n_frames * (len(utts) + 1)
+    # README's bound, plus the fill's float64 copy of the window and its int64 tokens
+    assert peak < bound + 8 * (window.size + n_tokens) < (n_frames + 1) * (n_tokens + 1) / 20
+    assert tr.end_columns == (0, 3, n_tokens) and tr.k.shape == (n_frames + 1, 4)
+    assert (end_scores(tr) == -np.inf).all()
+    with pytest.raises(NoPathError):
+        backtrack(tr)
+    frames, _ = backtrack(tr, 3)
+    assert len(frames) == 4
+
+
+# ROW_CLONES for one target alone, and the CPU flags that target needs
+_ROW_TARGETS = {
+    "arch=x86-64-v4": {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
+    "avx2": {"avx2"},
+    None: set(),
+}
+
+
+def _cpu_flags():
+    """The CPU's feature flags from /proc/cpuinfo; none where it cannot be read."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            lines = [line for line in fh if line.startswith("flags")]
+    except OSError:
+        return set()
+    return {flag for line in lines for flag in line.split(":")[1].split()}
+
+
+@pytest.mark.parametrize("target", list(_ROW_TARGETS))
+def test_every_row_clone_gives_the_same_bits(monkeypatch, request, target):
+    # the library runs the one clone the CPU picks; build each alone, as a
+    # CPU without the others would run it, and check it against numpy
+    compiled_kernel()
+    missing = _ROW_TARGETS[target] - _cpu_flags()
+    if missing:
+        pytest.skip(f"the CPU lacks {' '.join(sorted(missing))} for target({target})")
+    clones = f'__attribute__((target("{target}")))' if target else ""
+    monkeypatch.setattr(trellis, "_CFLAGS", (*trellis._CFLAGS, f"-DROW_CLONES={clones}"))
+    trellis._kernel.cache_clear()
+    request.addfinalizer(trellis._kernel.cache_clear)
+    lib = trellis._kernel()
+    assert lib is not None
+    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
+    rng = np.random.default_rng(616)
+    cases = []
+    for _ in range(50):
+        window, ts, blank = random_window(
+            rng, max_frames=60, max_chars=40, max_vocab=6, tie_prone=True
+        )
+        cases.append((window, TokenSequence(ts.tokens, _token_boundaries(len(ts.tokens))), blank))
+    cases += [(window, ts, 0) for window, ts in _split_cases(rng)]
+    counts = set()
+    for window, ts, blank in cases:
+        monkeypatch.setattr(trellis, "_kernel", lambda: None)
+        want = _run(window, ts, blank)
+        monkeypatch.setattr(trellis, "_kernel", lambda: lib)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(trellis, "_fill_cpus", cpus)
+            counts.add(trellis._slab_count(len(window), len(ts.tokens) + 1))
+            assert _run(window, ts, blank) == want
+    assert counts == {1, 2, 3}
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
