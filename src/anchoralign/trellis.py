@@ -17,23 +17,33 @@ before it, and the ends of later utterances are -inf. That is at most
 (frames + 1) x (min(tokens, frames - 1) + 1) bytes and 8 x frames x
 (utterances + 1) more, not a float64 score lattice.
 
-The fill and the backtrack walk run in C (_lattice.c), compiled with the
-system's `cc` on first use and cached beside this module's bytecode. Where
-that fails, a numpy row kernel and a Python walk run instead; both kernels
-make the same IEEE additions and comparisons, so they return the same bits.
+The fill, the backtrack walk and backtrack's rho run in C (_lattice.c),
+compiled with the system's `cc` on first use and cached beside this module's
+bytecode. Where that fails, a numpy row kernel, a Python walk and a numpy rho
+run instead; both kernels make the same IEEE additions and comparisons, so
+they return the same bits.
 
 The C fill splits the columns into slabs that run at once, one thread each,
 as a wavefront: a slab fills row t once the slab to its left has finished
 row t - 1. Each slab's row loop reads its emissions from the window itself
 and is vectorised: gcc on x86-64 builds an AVX-512 (x86-64-v4) clone, an AVX2
-clone and a default one, and the CPU runs the best it has. On row t a slab
-scores only the columns up to t; every later cell is out of a path's reach,
-and the slab writes its known decision, 1, without scoring it. A fill of at
-least _MIN_SLAB_CELLS cells (rows x width) gets one slab per CPU it may use,
-each at least _MIN_SLAB_COLUMNS wide: max(1, min(usable CPUs // processes
-filling at once, width // _MIN_SLAB_COLUMNS)); a smaller fill gets one. A
-serial run fills in one process; a process pool's workers each take their
-share through share_cpus. Every cell makes the same sums and comparison
+clone and a default one, and the CPU runs the best it has. A float32 window
+of at most 64 symbols, such as the CLI's row slices of a PosteriorMatrix, is
+read in place by a table loop instead, where gcc on x86-64 builds it and the
+CPU has AVX-512 F/BW/DQ/VL: it keeps each row's emissions in four registers
+and picks every column's by its token with two permutes and a blend, where
+the clones load them one by one. float32 values widen to float64 exactly, so
+it makes the same sums and comparisons. On 6000-row windows of 38 symbols,
+one thread of a 2-core x86-64 VM, it took 0.37 ns a cell at width 676 and
+0.56-0.59 at width 2000, against 0.73-0.79 for the AVX-512 clone. On row t a
+slab scores only the columns up to t; every later cell is out of a path's
+reach, and the slab writes its known decision, 1, without scoring it. A fill
+of at least _MIN_SLAB_CELLS cells in a path's reach (about rows x width -
+width^2 / 2) gets one slab per CPU it may use, each at least
+_MIN_SLAB_COLUMNS wide: max(1, min(usable CPUs // processes filling at once,
+width // _MIN_SLAB_COLUMNS)); a smaller fill gets one. A serial run fills in
+one process; a process pool's workers each take their share through
+share_cpus. Every cell makes the same sums and comparison
 whatever the slab count, so the lattice's bits, and every output, do not
 depend on it. No thread outlives a fill.
 """
@@ -63,15 +73,24 @@ _EMIT_BLOCK_ROWS = 32  # lattice rows per emission gather in the numpy fill
 # 0.58-0.66x at 683-2048; with narrower slabs, 0.79-0.82x at width 256,
 # 0.86-0.96x at 192 and 1.15x at 128. Two 128-column slabs win on this VM, but
 # 256 keeps a margin for machines whose CPUs split a fill into more, narrower
-# slabs, which this 2-core VM cannot measure.
+# slabs, which this 2-core VM cannot measure. No seed-1 fill of a benchmark
+# workload is 256-511 columns wide, so replaying them with the table loop
+# (float32 windows) does not test this threshold.
 _MIN_SLAB_COLUMNS = 256
-# Cells (rows x width) a fill has before it splits into slabs. Measured on the
-# same VM in process, two slabs against one, medians of 61 interleaved fills
-# at widths 512-1024 with at least as many rows as columns (the fill never
-# has fewer): below 350,000 cells they lost (1.01-1.17x as long). From 350,000
-# they took 0.78-1.00x as long wherever rows were at least 1.25 x width; on
-# square windows, where the second slab idles through the half of its
-# columns no path reaches, 0.94-1.07x.
+# Cells in a path's reach a fill has before it splits into slabs. Measured on
+# the same VM in process as rows x width cells, two slabs against one,
+# medians of 61 interleaved fills at widths 512-1024 with at least as many
+# rows as columns (the fill never has fewer): below 350,000 cells they lost
+# (1.01-1.17x as long). From 350,000 they took 0.78-1.00x as long wherever
+# rows were at least 1.25 x width; on square windows, where the second slab
+# idles through the half of its columns no path reaches, 0.94-1.07x. So the
+# floor counts the cells in a path's reach (see _slab_count). Replaying every
+# seed-1 fill with the table loop, two slabs against one, medians of 15
+# (captions_long) or 31 interleaved passes per run: captions_long's 51 fills
+# (3914-6000 rows, 583-749 columns) took 0.88-0.98x as long in 3 runs, and
+# captions_mismatch_block's 8 fills 0.92-0.98x in 6; of those, the 673 x 663
+# fill (226,000 cells in reach, one slab now) 1.05-1.14x and the 1343 x 663
+# one (671,000) 0.96-0.99x.
 _MIN_SLAB_CELLS = 350_000
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_lattice.c")
 # no -ffast-math or -march=native: either may change the sums' bits
@@ -122,10 +141,14 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
         log.debug("lattice kernel: numpy, the C kernel is unavailable (%s)", exc)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.fill.argtypes = [ptr, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr, i64, ptr]
+    lib.fill.argtypes = [ptr, ptr, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr, i64, ptr]
     lib.fill.restype = None
     lib.walk.argtypes = [ptr, i64, i64, i64, ptr]
     lib.walk.restype = i64
+    lib.rho.argtypes = [ptr, i64, ptr, i64, ptr, i64, ptr]
+    lib.rho.restype = None
+    lib.table_rows.argtypes = []
+    lib.table_rows.restype = i64
     log.debug("lattice kernel: C (%s)", path)
     return lib
 
@@ -159,8 +182,12 @@ def share_cpus(processes: int) -> None:
 def _slab_count(n_frames: int, width: int) -> int:
     """Column slabs, one thread each, for a C fill of n_frames rows and width
     columns: one per CPU the fill may use, each at least _MIN_SLAB_COLUMNS
-    wide, and one slab for fewer than _MIN_SLAB_CELLS cells."""
-    if n_frames * width < _MIN_SLAB_CELLS:
+    wide, and one slab for fewer than _MIN_SLAB_CELLS cells in a path's
+    reach. Row t scores columns 1 .. min(t, width - 1), about
+    rows x width - width^2 / 2 cells in a fill, which never has fewer rows
+    than columns."""
+    reach = min(n_frames, width - 1)
+    if reach * (reach + 1) // 2 + (n_frames - reach) * (width - 1) < _MIN_SLAB_CELLS:
         return 1
     return max(1, min(_fill_cpus, width // _MIN_SLAB_COLUMNS))
 
@@ -180,14 +207,15 @@ class Trellis:
     len(end_columns)) is the path's log joint probability at cell
     (t, end_columns[e]) for t = 0..frames - 1, -inf for the end columns past
     n. end_columns holds 0, the end of every utterance and len(tokens),
-    sorted.
+    sorted. tokens (int64, read-only) are the token sequence's vocabulary
+    indices, all of them, also past n.
     """
 
     window: np.ndarray
     k: np.ndarray
     ends: np.ndarray
     end_columns: tuple[int, ...]
-    tokens: tuple[int, ...]
+    tokens: np.ndarray
     blank_index: int
 
 
@@ -228,10 +256,13 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     Trellis). k is allocated unzeroed: only its row 0 and column 0 are
     zeroed here, and both kernels write every other cell. The C kernel's
     fill computes it cell by cell in _slab_count(n_frames, width) column
-    slabs, _fill_rows with numpy calls per row; only two score rows per slab
-    are held at once.
+    slabs, reading a float32 window_logp's own rows where _float32_rows
+    allows; _fill_rows with numpy calls per row. Only two score rows per
+    slab are held at once.
     """
     window = np.array(window_logp, dtype=np.float64, order="C")  # the Trellis's own copy
+    # the C fill may read a float32 window's own rows (see _lattice.c)
+    window32 = window_logp if _float32_rows(window_logp) else None
     if window.ndim != 2 or window.shape[0] < 1:
         raise ValueError(f"bad window shape {window.shape}")
     n_frames, n_symbols = window.shape
@@ -249,7 +280,6 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     # ends past column n_frames - 1: fill up to the last end column before it
     columns = np.array([c for c in end_columns if c < n_frames], dtype=np.int64)
     width = int(columns[-1]) + 1
-    tokens = tokens[: width - 1]
     # both kernels write every cell but row 0 and column 0, the free start
     k = np.empty((n_frames + 1, width), dtype=np.uint8)
     k[0] = 0
@@ -257,14 +287,15 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     ends = np.empty((n_frames, len(columns)))
     lib = _kernel()
     if lib is None:
-        _fill_rows(window, tokens, blank_index, k, columns, ends)
+        _fill_rows(window, tokens[: width - 1], blank_index, k, columns, ends)
     else:
         slabs = _slab_count(n_frames, width)
-        # each slab's two score rows, and a boundary column for each slab but
-        # the last, as _lattice.c's fill lays them out
-        scratch = np.empty(2 * (width - 1) + 2 * slabs + (slabs - 1) * (n_frames + 1))
+        # each slab's two score rows, a boundary column for each slab but the
+        # last, and the tokens as int32, as _lattice.c's fill lays them out
+        scratch = np.empty(2 * (width - 1) + 2 * slabs + (slabs - 1) * (n_frames + 1) + width // 2)
         lib.fill(
             window.ctypes.data,
+            None if window32 is None else window32.ctypes.data,
             n_frames,
             n_symbols,
             tokens.ctypes.data,
@@ -280,15 +311,26 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     if len(columns) < len(end_columns):  # the end columns past the fill have no path
         unreached = np.full((n_frames, len(end_columns) - len(columns)), -np.inf)
         ends = np.hstack([ends, unreached])
-    for array in (window, k, ends):
+    for array in (window, k, ends, tokens):
         array.flags.writeable = False
     return Trellis(
         window=window,
         k=k,
         ends=ends,
         end_columns=end_columns,
-        tokens=ts.tokens,
+        tokens=tokens,
         blank_index=blank_index,
+    )
+
+
+def _float32_rows(window_logp) -> bool:
+    """Whether window_logp is a float32 array whose rows the C fill can read
+    in place: C-contiguous and aligned, as the CLI's row slices are."""
+    return (
+        isinstance(window_logp, np.ndarray)
+        and window_logp.dtype == np.float32
+        and window_logp.flags.c_contiguous
+        and window_logp.flags.aligned
     )
 
 
@@ -354,7 +396,8 @@ def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.
     frames[i + 1] - 1; the last entry is the trailing blank's frame, the
     path's last. rho is the per-frame score over the traced span:
     rho[f] = max(logP(aligned token | x_f), logP(blank | x_f)), NaN for
-    frames off the path.
+    frames off the path. The C kernel writes rho in one loop that chooses as
+    np.maximum does on x86-64; without it, numpy gathers it.
     """
     n = len(tr.tokens) if n_tokens is None else n_tokens
     ends = end_scores(tr, n)  # checks n
@@ -365,9 +408,21 @@ def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.
     # the path advanced into column j on row advance_row[j], emitting token
     # j - 1 on frame advance_row[j] - 1; the trailing blank fills row psi
     frames = np.append(_walk(tr.k, psi - 1, n)[1:], psi) - 1
-    symbols = np.repeat((*tr.tokens[:n], tr.blank_index), np.diff(frames, append=psi))
-    traced = np.arange(frames[0], psi)
     rho = np.full(len(window), np.nan)
+    lib = _kernel()
+    if lib is not None:
+        lib.rho(
+            window.ctypes.data,
+            window.shape[1],
+            tr.tokens.ctypes.data,
+            tr.blank_index,
+            frames.ctypes.data,
+            n,
+            rho.ctypes.data,
+        )
+        return frames, rho
+    symbols = np.repeat(np.append(tr.tokens[:n], tr.blank_index), np.diff(frames, append=psi))
+    traced = np.arange(frames[0], psi)
     rho[traced] = np.maximum(window[traced, symbols], window[traced, tr.blank_index])
     return frames, rho
 

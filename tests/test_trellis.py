@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import platform
 import subprocess
 import tracemalloc
 
@@ -352,7 +353,7 @@ def _reference_trellis(window_logp, ts, blank_index):
         k=_reference_decisions(ref_k, window, ts.tokens, blank_index),
         ends=ref_k[:-1, list(end_columns)],
         end_columns=end_columns,
-        tokens=ts.tokens,
+        tokens=np.array(ts.tokens, dtype=np.int64),
         blank_index=blank_index,
     )
 
@@ -449,7 +450,7 @@ def test_fill_equals_the_reference_fill(n_frames):
             assert np.array_equal(got.k, decisions[:, :width])
             assert got.end_columns == tuple(range(n_tokens + 1))
             assert np.array_equal(got.ends, want[:-1, :-1])
-            assert got.tokens == tokens
+            assert got.tokens.dtype == np.int64 and got.tokens.tolist() == list(tokens)
             one_utt = compute_trellis(window, TokenSequence(tokens, ((0, 0, n_tokens - 1),)), 0)
             one_width = n_tokens + 1 if n_tokens < n_frames else 1  # its end, or column 0 alone
             assert np.array_equal(one_utt.k, decisions[:, :one_width])
@@ -630,14 +631,24 @@ def _split_cases(rng):
             yield _hard_window(rng, n_frames), ts
 
 
+def _scored_cells(n_frames, width):
+    """The cells the C fill scores: columns 1 .. min(t, width - 1) on row t."""
+    return sum(min(t, width - 1) for t in range(1, n_frames + 1))
+
+
 def test_short_fills_take_one_slab(monkeypatch):
+    # the floor counts the cells a path can reach, not rows x width
     monkeypatch.setattr(trellis, "_fill_cpus", 2)
-    width = 4 * _MIN_SLAB_COLUMNS
-    rows = -(-_MIN_SLAB_CELLS // width)  # the fewest rows reaching the floor
-    assert trellis._slab_count(rows - 1, width) == 1
-    assert trellis._slab_count(rows, width) == 2
-    assert trellis._slab_count(1, _MIN_SLAB_CELLS - 1) == 1  # the floor counts cells, not rows
-    assert trellis._slab_count(1, _MIN_SLAB_CELLS) == 2
+    for width in (2 * _MIN_SLAB_COLUMNS, 4 * _MIN_SLAB_COLUMNS):
+        rows = 1  # the fewest rows reaching the floor
+        while _scored_cells(rows, width) < _MIN_SLAB_CELLS:
+            rows += 1
+        assert trellis._slab_count(rows - 1, width) == 1
+        assert trellis._slab_count(rows, width) == 2
+    # a square window reaches about half its cells
+    square = next(w for w in range(2 * _MIN_SLAB_COLUMNS, 10**6) if w * w >= _MIN_SLAB_CELLS)
+    assert trellis._slab_count(square, square) == 1
+    assert trellis._slab_count(1, _MIN_SLAB_CELLS) == 1  # one row reaches one column
     assert trellis._slab_count(_MIN_SLAB_CELLS, 2 * _MIN_SLAB_COLUMNS - 1) == 1
 
 
@@ -826,6 +837,145 @@ def test_every_row_clone_gives_the_same_bits(monkeypatch, request, target):
             counts.add(trellis._slab_count(len(window), len(ts.tokens) + 1))
             assert _run(window, ts, blank) == want
     assert counts == {1, 2, 3}
+
+
+# the CPU flags under which _lattice.c's fill runs its table loop
+_TABLE_FLAGS = {"avx512f", "avx512bw", "avx512dq", "avx512vl"}
+
+
+def _table_window(rng, n_frames, n_symbols, blank):
+    """A float32 window of n_symbols symbols in the style of _hard_window:
+    tie-prone dyadic rows mixed with random log probabilities, -inf cells,
+    frames whose blank is -inf, and zeros of both signs."""
+    rows = -0.125 * rng.integers(0, 9, size=(3, n_symbols)).astype(np.float64)
+    rows[0, rng.random(n_symbols) < 0.5] *= -0.0  # 0.0 and -0.0 both appear
+    window = rows[rng.integers(0, 3, size=n_frames)]
+    rough = rng.random(n_frames) < 0.3
+    window[rough] = np.log(rng.random((int(rough.sum()), n_symbols)))
+    window[rng.random(window.shape) < 0.05] = -np.inf
+    window[rng.random(n_frames) < 0.1, blank] = -np.inf
+    return window.astype(np.float32)
+
+
+def _table_cases(rng):
+    """(float32 window, ts, blank) with 2-65 symbols and the blank first or
+    last: rows of 1-16 columns and a few more, so every table and tail width
+    occurs, and for 38, 64 and 65 symbols the widths that split into 2 and 3
+    slabs. Every column ends an utterance."""
+    for n_symbols in (2, 16, 17, 32, 33, 38, 64, 65):
+        for blank in (0, n_symbols - 1):
+            others = [i for i in range(n_symbols) if i != blank]
+            shapes = [(1, 1), (9, 5), (17, 16), (18, 17), (40, 33), (60, 59)]
+            if n_symbols in (38, 64, 65):
+                shapes += [(2 * w, w - 1) for w in (2 * _MIN_SLAB_COLUMNS + 1, _SPLIT_WIDTHS[-1])]
+            for n_frames, n_tokens in shapes:
+                tokens = tuple(int(x) for x in rng.choice(others, size=n_tokens))
+                ts = TokenSequence(tokens, _token_boundaries(n_tokens))
+                yield _table_window(rng, n_frames, n_symbols, blank), ts, blank
+
+
+@pytest.mark.parametrize("table", ["in", "out"])
+def test_the_table_loop_gives_the_same_bits(monkeypatch, request, table):
+    # float32 windows of at most 64 symbols are scored by the AVX-512 table
+    # loop where it is built and the CPU has it; built without it (-DTABLE_ROWS=0),
+    # by the row clones. Both match the numpy kernel, at 1-3 slabs, and a
+    # float64 window whose values are not float32 values takes the row clones
+    lib = compiled_kernel()
+    if table == "in":
+        missing = _TABLE_FLAGS - _cpu_flags()
+        if missing:
+            pytest.skip(f"the CPU lacks {' '.join(sorted(missing))} for the table loop")
+        if not lib.table_rows():
+            pytest.skip("the table loop is not built here")
+    else:
+        monkeypatch.setattr(trellis, "_CFLAGS", (*trellis._CFLAGS, "-DTABLE_ROWS=0"))
+        trellis._kernel.cache_clear()
+        request.addfinalizer(trellis._kernel.cache_clear)
+        lib = trellis._kernel()
+        assert lib is not None and lib.table_rows() == 0
+    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
+    rng = np.random.default_rng(617)
+    counts, traced = set(), 0
+    for window, ts, blank in _table_cases(rng):
+        finite = np.isfinite(window)
+        off_grid = window.astype(np.float64)
+        off_grid[finite] -= rng.uniform(1e-12, 1e-9, size=int(finite.sum()))
+        for w in (window, off_grid):
+            monkeypatch.setattr(trellis, "_kernel", lambda: None)
+            want = _run(w, ts, blank)
+            monkeypatch.setattr(trellis, "_kernel", lambda: lib)
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(trellis, "_fill_cpus", cpus)
+                counts.add(trellis._slab_count(len(w), min(len(ts.tokens), len(w) - 1) + 1))
+                assert _run(w, ts, blank) == want
+            traced += want[1] is not None
+    assert counts == {1, 2, 3} and traced > 100
+
+
+def test_a_float32_windows_rows_are_read_in_place(monkeypatch):
+    # the C fill gets the caller's float32 rows, uncopied, as the table
+    # loop's window; other windows give it none
+    lib = compiled_kernel()
+    passed = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def fill(self, window, window32, *args):
+            passed.append(window32)
+            lib.fill(window, window32, *args)
+
+    monkeypatch.setattr(trellis, "_kernel", Spy)
+    rng = np.random.default_rng(619)
+    matrix = _table_window(rng, 60, 38, 0)
+    ts = TokenSequence((3, 4, 5), ((0, 0, 2),))
+    for window, in_place in [
+        (matrix[10:50], True),  # a row slice, as the aligner takes from its PosteriorMatrix
+        (matrix[10:50].astype(np.float64), False),
+        (matrix[::2], False),  # strided rows
+    ]:
+        compute_trellis(window, ts, 0)
+        assert passed[-1] == (window.ctypes.data if in_place else None)
+
+
+def test_the_c_rho_equals_the_numpy_rho(monkeypatch):
+    # rho is np.maximum(held symbol, blank) per traced frame; windows of 0.0,
+    # -0.0, -0.5 and -inf put ties, ties of zeros of both signs and -inf
+    # cells on many traced frames. np.maximum gives the second of two equal
+    # zeros on x86-64, as the C rho does; other CPUs' numpy may not
+    lib = compiled_kernel()
+    signed_zeros = platform.machine() in ("x86_64", "AMD64")
+    rng = np.random.default_rng(618)
+    compared = zero_ties = 0
+    for _ in range(200):
+        n_symbols, n_frames = int(rng.integers(2, 6)), int(rng.integers(2, 40))
+        values = np.array([0.0, -0.0, -0.5, -np.inf])
+        window = values[rng.choice(4, size=(n_frames, n_symbols), p=[0.35, 0.35, 0.2, 0.1])]
+        if not signed_zeros:
+            window = window + 0.0  # -0.0 + 0.0 is 0.0
+        tokens = rng.integers(1, n_symbols, size=int(rng.integers(1, n_frames)))
+        ts = TokenSequence(tuple(tokens.tolist()), _token_boundaries(len(tokens)))
+        tr = compute_trellis(window, ts, 0)
+        for n in range(len(tokens) + 1):
+            traces = []
+            for chosen in (lib, None):
+                monkeypatch.setattr(trellis, "_kernel", lambda chosen=chosen: chosen)
+                try:
+                    traces.append(backtrack(tr, n))
+                except NoPathError:
+                    traces.append(None)
+            if traces[0] is None:
+                assert traces[1] is None
+                continue
+            (frames, got), (want_frames, want) = traces
+            assert np.array_equal(frames, want_frames) and got.tobytes() == want.tobytes()
+            compared += 1
+            held = np.repeat(np.append(tokens[:n], 0), np.diff(frames, append=frames[-1] + 1))
+            traced = np.arange(frames[0], frames[-1] + 1)
+            a, b = tr.window[traced, held], tr.window[traced, 0]
+            zero_ties += bool(((a == 0) & (b == 0) & (np.signbit(a) != np.signbit(b))).any())
+    assert compared > 1000 and (zero_ties > 100 or not signed_zeros)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
