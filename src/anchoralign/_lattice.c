@@ -52,19 +52,13 @@
 
 /* gcc on x86-64 also builds score_row_table, which fill runs on a CPU with
  * AVX-512 F/BW/DQ/VL where the caller passes a float32 window: under the
- * guards that give ROW_CLONES its x86-64-v4 clone. A build may define
- * TABLE_ROWS as 0 to leave it out, as the tests do to check the row clones
- * alone on float32 windows. */
-#ifndef TABLE_ROWS
+ * guards that give ROW_CLONES its x86-64-v4 clone. */
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__linux__) && \
     __GNUC__ >= 11
 #define TABLE_ROWS 1
+#include <immintrin.h>
 #else
 #define TABLE_ROWS 0
-#endif
-#endif
-#if TABLE_ROWS
-#include <immintrin.h>
 #endif
 
 /* The most symbols score_row_table holds: four registers of 16 float32. */
@@ -120,15 +114,17 @@ ROW_CLONES static void score_row(int64_t n, const double *restrict prev,
 #define TABLE_TARGET __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
 
 /* score_row on the columns [i, i + 8) where mask is set, for their
- * emissions emit; returns the advance decisions as mask bits. */
+ * emissions emit; returns the advance decisions as mask bits. max_pd(a, b)
+ * is a > b ? a : b, which is score_row's stay >= advance ? stay : advance
+ * for any two values but NaN, and trellis.py rejects a window holding NaN
+ * or +inf, so no sum here is NaN. */
 TABLE_TARGET static inline __attribute__((always_inline)) __mmask8
 score_8(int64_t i, __mmask8 mask, __m512d emit, const double *restrict prev, __m512d stay_cost,
         double *restrict row)
 {
     const __m512d advance = _mm512_add_pd(_mm512_maskz_loadu_pd(mask, prev + i), emit);
     const __m512d stay = _mm512_add_pd(_mm512_maskz_loadu_pd(mask, prev + i + 1), stay_cost);
-    const __mmask8 stays = _mm512_cmp_pd_mask(stay, advance, _CMP_GE_OQ);
-    _mm512_mask_storeu_pd(row + i + 1, mask, _mm512_mask_blend_pd(stays, advance, stay));
+    _mm512_mask_storeu_pd(row + i + 1, mask, _mm512_max_pd(advance, stay));
     return _mm512_cmp_pd_mask(advance, stay, _CMP_GE_OQ);
 }
 
@@ -338,9 +334,9 @@ int64_t walk(const uint8_t *k, int64_t width, int64_t t, int64_t j, int64_t *adv
 
 /* Write out[f] = max(window[f][symbol], window[f][blank]) on the frames a
  * path of n tokens holds: token i on frames frames[i] .. frames[i + 1] - 1,
- * and the trailing blank on frame frames[n] alone. The max is np.maximum's
- * on x86-64, whose ties, -0.0 against 0.0 among them, give the second value
- * and whose NaNs propagate. */
+ * and the trailing blank on frame frames[n] alone. As with np.maximum, NaNs
+ * propagate; the sign of a zero against a zero of the other sign is
+ * unspecified, as np.maximum's differs between CPUs. */
 void rho(const double *window, int64_t n_symbols, const int64_t *tokens, int64_t blank,
          const int64_t *frames, int64_t n, double *out)
 {

@@ -396,8 +396,8 @@ def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.
     frames[i + 1] - 1; the last entry is the trailing blank's frame, the
     path's last. rho is the per-frame score over the traced span:
     rho[f] = max(logP(aligned token | x_f), logP(blank | x_f)), NaN for
-    frames off the path. The C kernel writes rho in one loop that chooses as
-    np.maximum does on x86-64; without it, numpy gathers it.
+    frames off the path; the sign of a zero max(0.0, -0.0) is unspecified.
+    The C kernel writes rho in one loop; without it, numpy gathers it.
     """
     n = len(tr.tokens) if n_tokens is None else n_tokens
     ends = end_scores(tr, n)  # checks n
