@@ -4,33 +4,20 @@
  * it validates every argument and allocates every buffer before the call,
  * so nothing here calls malloc. All arrays are C-contiguous: window is
  * n_frames x n_symbols, k is (n_frames + 1) x width bytes, ends is
- * n_frames x n_ends, tokens are vocabulary indices. The fill keeps two
- * rolling score rows and stores one advance decision per cell; each sum and
- * comparison is the one the numpy kernel makes, so the two write the same
- * bits for any slab count and in every clone of the row loop. Column j needs
- * j frames: on row t the columns past t are out of a path's reach, and the
- * fill writes their decision, 1, as the numpy kernel computes it (-inf >=
- * -inf), without scoring them. A float32 window of at most TABLE_SYMBOLS
- * symbols may be passed as well; on a CPU with AVX-512 its rows are scored by
- * score_row_table, which makes the same sums and comparisons. Build with
- * -ffp-contract=off and without -ffast-math to keep the bits.
+ * n_frames x n_ends, tokens are vocabulary indices. The fill runs on the
+ * calling thread, keeps two rolling score rows and stores one advance
+ * decision per cell; each sum and comparison is the one the numpy kernel
+ * makes, so the two write the same bits in every clone of the row loop.
+ * Column j needs j frames: on row t the columns past t are out of a path's
+ * reach, and the fill writes their decision, 1, as the numpy kernel computes
+ * it (-inf >= -inf), without scoring them. A float32 window of at most
+ * TABLE_SYMBOLS symbols may be passed as well; on a CPU with AVX-512 its rows
+ * are scored by score_row_table, which makes the same sums and comparisons.
+ * Build with -ffp-contract=off and without -ffast-math to keep the bits.
  */
-#define _POSIX_C_SOURCE 200809L
 #include <math.h>
-#include <pthread.h>
-#include <sched.h>
-#include <stdatomic.h>
 #include <stdint.h>
 #include <string.h>
-
-/* polls of the left slab's row count between sched_yield calls */
-#define SPINS_PER_YIELD 256
-/* Rows a slab lets its left neighbour run ahead when it has to wait, so that
- * it reads the neighbour's row count about once per LAG_ROWS rows, not once
- * per row. On a 6000 x 683 window on a 2-core x86-64 VM with the AVX-512
- * row loop, two slabs took 0.53-0.60 ns a cell waiting for 1 row and
- * 0.47-0.52 waiting for 16; 4 and 64 were no faster than 16. */
-#define LAG_ROWS 16
 
 /* gcc vectorises score_row in each clone: with 64-byte vectors and mask
  * registers in the x86-64-v4 (AVX-512 F/BW/DQ/VL) clone, 32-byte vectors in
@@ -63,34 +50,6 @@
 
 /* The most symbols score_row_table holds: four registers of 16 float32. */
 #define TABLE_SYMBOLS 64
-
-struct lattice {
-    const double *window;
-    const float *table; /* the float32 window score_row_table reads, or NULL */
-    int64_t n_frames, n_symbols;
-    const int64_t *tokens;
-    const int32_t *tokens32; /* tokens as int32, for score_row_table */
-    int64_t blank;
-    uint8_t *k;
-    int64_t width;
-    const int64_t *end_columns;
-    int64_t n_ends;
-    double *ends;
-};
-
-/* The lattice columns [lo, hi), filled row by row by one thread. prev and
- * row hold hi - lo + 1 scores, entry 0 being column lo - 1. Unless it is the
- * last slab, the slab writes its score in column hi - 1 on row t to right[t]
- * and then stores t in rows_done (release), which the slab to its right
- * loads (acquire). It writes ends for end_columns[end_lo .. end_hi), the end
- * columns in its range, column 0 being the first slab's. */
-struct slab {
-    _Alignas(64) _Atomic int64_t rows_done;
-    const struct lattice *lat;
-    int64_t lo, hi, end_lo, end_hi;
-    double *prev, *row, *right;
-    struct slab *left; /* NULL for the first slab, whose column lo - 1 is column 0 */
-};
 
 /* Score one row of n columns from the previous one, on frame w: advance =
  * prev[i] + w[tokens[i]] and stay = prev[i + 1] + stay_cost, row[i + 1] =
@@ -191,128 +150,52 @@ int64_t table_rows(void)
 }
 #endif
 
-/* Wait until the slab s has published at least `rows` rows; return the
- * count it has published. */
-static int64_t wait_rows(struct slab *s, int64_t rows)
+/* Fill the decisions k for width - 1 tokens, row by row on the calling
+ * thread. The score row before any frame is 0 then -inf; column 0 scores 0
+ * on every row; and row t scores max(stay, advance) with
+ * stay = prev[j] + blank[t-1] and advance = prev[j-1] + w[t-1][tokens[j-1]]
+ * as score_row does; the caller zeroes row 0 and column 0 of k. Before row t
+ * is scored, ends[t-1][e] takes row t - 1's score in column end_columns[e].
+ * Column j needs j frames, so on row t only columns 1 .. min(width - 1, t)
+ * are scored. Every later column scores -inf on both of its candidates, and
+ * -inf >= -inf advances, so its decision is 1 and its score stays the -inf
+ * both rows start with. scratch holds 2 x width doubles for the two score
+ * rows, then width / 2 that hold the tokens as int32. window32 is the window
+ * as float32 values, or NULL; where it is given, n_symbols <= TABLE_SYMBOLS
+ * and table_rows() is 1, the rows are scored with score_row_table. */
+void fill(const double *window, const float *window32, int64_t n_frames, int64_t n_symbols,
+          const int64_t *tokens, int64_t blank, uint8_t *k, int64_t width,
+          const int64_t *end_columns, int64_t n_ends, double *ends, double *scratch)
 {
-    int64_t done;
-    for (int spins = 0;
-         (done = atomic_load_explicit(&s->rows_done, memory_order_acquire)) < rows;)
-        if (++spins == SPINS_PER_YIELD) {
-            sched_yield();
-            spins = 0;
-        }
-    return done;
-}
-
-/* Fill one slab's columns on every row. Row t of column j reads row t - 1
- * at columns j - 1 and j only, so a slab may fill row t once the slab to
- * its left has published row t - 1; the first slab never waits. Column j
- * needs j frames, so on row t only columns lo .. min(hi - 1, t) are scored.
- * Every later column scores -inf on both of its candidates, and -inf >= -inf
- * advances, so its decision is 1 and its score stays the -inf both rows
- * start with; a slab that lies wholly past row t waits for nothing. */
-static void *fill_slab(void *arg)
-{
-    struct slab *s = arg;
-    const struct lattice *lat = s->lat;
-    const int64_t n = s->hi - s->lo;
-    const int64_t *tokens = lat->tokens + s->lo - 1;
-    double *prev = s->prev, *row = s->row;
-    int64_t left_rows = 0; /* rows the left slab is known to have published */
-    for (int64_t i = 0; i <= n; i++)
-        prev[i] = row[i] = -INFINITY;
-    if (!s->left)
-        prev[0] = row[0] = 0.0;
-    for (int64_t t = 1; t <= lat->n_frames; t++) {
-        const double *w = lat->window + (t - 1) * lat->n_symbols;
-        uint8_t *k = lat->k + t * lat->width + s->lo;
-        const int64_t reached = t - s->lo + 1; /* columns lo .. t */
-        const int64_t m = reached < 0 ? 0 : reached < n ? reached : n;
-        if (s->left && m > 0) { /* m > 0 puts t at lo >= 2 */
-            if (left_rows < t - 1)
-                left_rows = wait_rows(s->left, t - 1 + LAG_ROWS < lat->n_frames
-                                                   ? t - 1 + LAG_ROWS
-                                                   : lat->n_frames);
-            prev[0] = s->left->right[t - 1];
-        }
-        for (int64_t e = s->end_lo; e < s->end_hi; e++)
-            lat->ends[(t - 1) * lat->n_ends + e] = prev[lat->end_columns[e] - s->lo + 1];
+    const int64_t n = width - 1;
+    double *prev = scratch, *row = scratch + width;
+    int32_t *tokens32 = (int32_t *)(scratch + 2 * width);
+    if (window32 && n_symbols <= TABLE_SYMBOLS && table_rows())
+        for (int64_t j = 0; j < n; j++)
+            tokens32[j] = (int32_t)tokens[j];
+    else
+        window32 = NULL;
+    for (int64_t j = 0; j < width; j++)
+        prev[j] = row[j] = -INFINITY;
+    prev[0] = row[0] = 0.0;
+    for (int64_t t = 1; t <= n_frames; t++) {
+        const double *w = window + (t - 1) * n_symbols;
+        uint8_t *advances = k + t * width + 1;
+        const int64_t m = t < n ? t : n; /* columns 1 .. m are in a path's reach */
+        for (int64_t e = 0; e < n_ends; e++)
+            ends[(t - 1) * n_ends + e] = prev[end_columns[e]];
 #if TABLE_ROWS
-        if (lat->table)
-            score_row_table(m, prev, lat->table + (t - 1) * lat->n_symbols, lat->n_symbols,
-                            lat->tokens32 + s->lo - 1, w[lat->blank], row, k);
+        if (window32)
+            score_row_table(m, prev, window32 + (t - 1) * n_symbols, n_symbols, tokens32,
+                            w[blank], row, advances);
         else
 #endif
-            score_row(m, prev, w, tokens, w[lat->blank], row, k);
-        memset(k + m, 1, (size_t)(n - m));
-        if (s->right) {
-            s->right[t] = row[n];
-            atomic_store_explicit(&s->rows_done, t, memory_order_release);
-        }
+            score_row(m, prev, w, tokens, w[blank], row, advances);
+        memset(advances + m, 1, (size_t)(n - m));
         double *swap = prev;
         prev = row;
         row = swap;
     }
-    return NULL;
-}
-
-/* Fill the decisions k for width - 1 tokens in n_slabs column slabs, one
- * thread each. The score row before any frame is 0 then -inf; column 0
- * scores 0 on every row; and row t scores max(stay, advance) with
- * stay = prev[j] + blank[t-1] and advance = prev[j-1] + w[t-1][tokens[j-1]]
- * as score_row does; the caller zeroes row 0 and column 0 of k. Before row t
- * is scored, ends[t-1][e] takes row t - 1's score in column end_columns[e].
- * scratch holds 2 x (width - 1) + 2 x n_slabs doubles for the slabs' rows,
- * then n_frames + 1 for each slab but the last, then width / 2 that hold the
- * tokens as int32. window32 is the window as float32 values, or NULL; where
- * it is given, n_symbols <= TABLE_SYMBOLS and table_rows() is 1, every slab
- * scores its rows with score_row_table. A slab whose thread does not start
- * runs on the calling thread after the slabs to its left, so no thread
- * outlives the call and the bits never depend on it. */
-void fill(const double *window, const float *window32, int64_t n_frames, int64_t n_symbols,
-          const int64_t *tokens, int64_t blank, uint8_t *k, int64_t width,
-          const int64_t *end_columns, int64_t n_ends, double *ends, int64_t n_slabs,
-          double *scratch)
-{
-    struct lattice lat = {window, NULL,  n_frames,    n_symbols, tokens, NULL, blank,
-                          k,      width, end_columns, n_ends,    ends};
-    struct slab slabs[n_slabs];
-    pthread_t threads[n_slabs];
-    int started[n_slabs];
-    int64_t e = 0;
-    for (int64_t i = 0; i < n_slabs; i++) {
-        struct slab *s = &slabs[i];
-        atomic_init(&s->rows_done, 0);
-        s->lat = &lat;
-        s->lo = 1 + (width - 1) * i / n_slabs;
-        s->hi = 1 + (width - 1) * (i + 1) / n_slabs;
-        s->end_lo = e;
-        while (e < n_ends && end_columns[e] < s->hi)
-            e++;
-        s->end_hi = e;
-        s->prev = scratch;
-        s->row = s->prev + (s->hi - s->lo + 1);
-        s->right = i + 1 < n_slabs ? s->row + (s->hi - s->lo + 1) : NULL;
-        scratch = s->row + (s->hi - s->lo + 1) + (s->right ? n_frames + 1 : 0);
-        s->left = i ? &slabs[i - 1] : NULL;
-    }
-    if (window32 && n_symbols <= TABLE_SYMBOLS && table_rows()) {
-        int32_t *tokens32 = (int32_t *)scratch;
-        for (int64_t j = 0; j < width - 1; j++)
-            tokens32[j] = (int32_t)tokens[j];
-        lat.table = window32;
-        lat.tokens32 = tokens32;
-    }
-    for (int64_t i = 1; i < n_slabs; i++)
-        started[i] = pthread_create(&threads[i], NULL, fill_slab, &slabs[i]) == 0;
-    fill_slab(&slabs[0]);
-    for (int64_t i = 1; i < n_slabs; i++)
-        if (!started[i])
-            fill_slab(&slabs[i]);
-    for (int64_t i = 1; i < n_slabs; i++)
-        if (started[i])
-            pthread_join(threads[i], NULL);
 }
 
 /* Walk back from cell (t, j) to column 0, advancing where k[t][j] is set,

@@ -76,9 +76,8 @@ _LAZY = {
         "write_ground_truth",
     ),
     "textprep": ("estimate_time_refs", "load_utterances"),
-    "trellis": ("share_cpus",),
 }
-_ALIGN_MODULES = ("aligner", "posterior_io", "textprep", "trellis")
+_ALIGN_MODULES = ("aligner", "posterior_io", "textprep")
 __getattr__ = lazy_names(__name__, _LAZY)
 
 
@@ -375,9 +374,7 @@ def cmd_align(args: argparse.Namespace) -> int:
         import concurrent.futures
 
         pool_size = min(cfg.workers, len(jobs))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=pool_size, initializer=share_cpus, initargs=(pool_size,)
-        ) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_align_one, jobs))
     else:
         results = [_align_one(job) for job in jobs]

@@ -23,29 +23,20 @@ bytecode. Where that fails, a numpy row kernel, a Python walk and a numpy rho
 run instead; both kernels make the same IEEE additions and comparisons, so
 they return the same bits.
 
-The C fill splits the columns into slabs that run at once, one thread each,
-as a wavefront: a slab fills row t once the slab to its left has finished
-row t - 1. Each slab's row loop reads its emissions from the window itself
-and is vectorised: gcc on x86-64 builds an AVX-512 (x86-64-v4) clone, an AVX2
-clone and a default one, and the CPU runs the best it has. A float32 window
-of at most 64 symbols, such as the CLI's row slices of a PosteriorMatrix, is
-read in place by a table loop instead, where gcc on x86-64 builds it and the
-CPU has AVX-512 F/BW/DQ/VL: it keeps each row's emissions in four registers
-and picks every column's by its token with two permutes and a blend, where
-the clones load them one by one. float32 values widen to float64 exactly, so
-it makes the same sums and comparisons. On 6000-row windows of 38 symbols,
-one thread of a 2-core x86-64 VM, it took 0.37 ns a cell at width 676 and
-0.56-0.59 at width 2000, against 0.73-0.79 for the AVX-512 clone. On row t a
-slab scores only the columns up to t; every later cell is out of a path's
-reach, and the slab writes its known decision, 1, without scoring it. A fill
-of at least _MIN_SLAB_CELLS cells in a path's reach (about rows x width -
-width^2 / 2) gets one slab per CPU it may use, each at least
-_MIN_SLAB_COLUMNS wide: max(1, min(usable CPUs // processes filling at once,
-width // _MIN_SLAB_COLUMNS)); a smaller fill gets one. A serial run fills in
-one process; a process pool's workers each take their share through
-share_cpus. Every cell makes the same sums and comparison
-whatever the slab count, so the lattice's bits, and every output, do not
-depend on it. No thread outlives a fill.
+The C fill runs on the calling thread. Its row loop reads its emissions from
+the window itself and is vectorised: gcc on x86-64 builds an AVX-512
+(x86-64-v4) clone, an AVX2 clone and a default one, and the CPU runs the best
+it has. A float32 window of at most 64 symbols, such as the CLI's row slices
+of a PosteriorMatrix, is read in place by a table loop instead, where gcc on
+x86-64 builds it and the CPU has AVX-512 F/BW/DQ/VL: it keeps each row's
+emissions in four registers and picks every column's by its token with two
+permutes and a blend, where the clones load them one by one. float32 values
+widen to float64 exactly, so it makes the same sums and comparisons. On
+6000-row windows of 38 symbols, one thread of a 2-core x86-64 VM, it took
+0.37 ns a cell at width 676 and 0.56-0.59 at width 2000, against 0.73-0.79
+for the AVX-512 clone. On row t the fill scores only the columns up to t;
+every later cell is out of a path's reach, and the fill writes its known
+decision, 1, without scoring it.
 """
 
 from __future__ import annotations
@@ -67,34 +58,9 @@ from .posterior_io import logsumexp
 from .textprep import TokenSequence
 
 _EMIT_BLOCK_ROWS = 32  # lattice rows per emission gather in the numpy fill
-# Columns a slab of the C fill has at least. Measured on a 2-core x86-64 VM
-# with the AVX-512 row loop, two slabs against one on 6000-row windows,
-# medians of 21-61 interleaved fills: they took 0.69x as long at width 512 and
-# 0.58-0.66x at 683-2048; with narrower slabs, 0.79-0.82x at width 256,
-# 0.86-0.96x at 192 and 1.15x at 128. Two 128-column slabs win on this VM, but
-# 256 keeps a margin for machines whose CPUs split a fill into more, narrower
-# slabs, which this 2-core VM cannot measure. No seed-1 fill of a benchmark
-# workload is 256-511 columns wide, so replaying them with the table loop
-# (float32 windows) does not test this threshold.
-_MIN_SLAB_COLUMNS = 256
-# Cells in a path's reach a fill has before it splits into slabs. Measured on
-# the same VM in process as rows x width cells, two slabs against one,
-# medians of 61 interleaved fills at widths 512-1024 with at least as many
-# rows as columns (the fill never has fewer): below 350,000 cells they lost
-# (1.01-1.17x as long). From 350,000 they took 0.78-1.00x as long wherever
-# rows were at least 1.25 x width; on square windows, where the second slab
-# idles through the half of its columns no path reaches, 0.94-1.07x. So the
-# floor counts the cells in a path's reach (see _slab_count). Replaying every
-# seed-1 fill with the table loop, two slabs against one, medians of 15
-# (captions_long) or 31 interleaved passes per run: captions_long's 51 fills
-# (3914-6000 rows, 583-749 columns) took 0.88-0.98x as long in 3 runs, and
-# captions_mismatch_block's 8 fills 0.92-0.98x in 6; of those, the 673 x 663
-# fill (226,000 cells in reach, one slab now) 1.05-1.14x and the 1343 x 663
-# one (671,000) 0.96-0.99x.
-_MIN_SLAB_CELLS = 350_000
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_lattice.c")
 # no -ffast-math or -march=native: either may change the sums' bits
-_CFLAGS = ("-O3", "-pthread", "-fPIC", "-shared", "-ffp-contract=off")
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _BUILD_TIMEOUT_S = 120
 
 log = logging.getLogger("anchoralign.trellis")
@@ -141,7 +107,7 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
         log.debug("lattice kernel: numpy, the C kernel is unavailable (%s)", exc)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.fill.argtypes = [ptr, ptr, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr, i64, ptr]
+    lib.fill.argtypes = [ptr, ptr, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr, ptr]
     lib.fill.restype = None
     lib.walk.argtypes = [ptr, i64, i64, i64, ptr]
     lib.walk.restype = i64
@@ -158,38 +124,6 @@ def _kernel() -> ctypes.CDLL | None:
     """The compiled lattice kernel, loaded on the process's first fill or
     walk; None runs the numpy fill and the Python walk."""
     return _load_library()
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, the machine's CPU count elsewhere."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# threads one C fill may use: the usable CPUs over the processes filling at once
-_fill_cpus = _usable_cpus()
-
-
-def share_cpus(processes: int) -> None:
-    """Split the usable CPUs among `processes` processes filling at once; a
-    process pool's initializer, run in each worker."""
-    global _fill_cpus
-    _fill_cpus = max(1, _usable_cpus() // processes)
-
-
-def _slab_count(n_frames: int, width: int) -> int:
-    """Column slabs, one thread each, for a C fill of n_frames rows and width
-    columns: one per CPU the fill may use, each at least _MIN_SLAB_COLUMNS
-    wide, and one slab for fewer than _MIN_SLAB_CELLS cells in a path's
-    reach. Row t scores columns 1 .. min(t, width - 1), about
-    rows x width - width^2 / 2 cells in a fill, which never has fewer rows
-    than columns."""
-    reach = min(n_frames, width - 1)
-    if reach * (reach + 1) // 2 + (n_frames - reach) * (width - 1) < _MIN_SLAB_CELLS:
-        return 1
-    return max(1, min(_fill_cpus, width // _MIN_SLAB_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -255,10 +189,9 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     end_columns; k stops at the last end column a path can reach (see
     Trellis). k is allocated unzeroed: only its row 0 and column 0 are
     zeroed here, and both kernels write every other cell. The C kernel's
-    fill computes it cell by cell in _slab_count(n_frames, width) column
-    slabs, reading a float32 window_logp's own rows where _float32_rows
-    allows; _fill_rows with numpy calls per row. Only two score rows per
-    slab are held at once.
+    fill computes it cell by cell on the calling thread, reading a float32
+    window_logp's own rows where _float32_rows allows; _fill_rows with numpy
+    calls per row. Only two score rows are held at once.
     """
     window = np.array(window_logp, dtype=np.float64, order="C")  # the Trellis's own copy
     # the C fill may read a float32 window's own rows (see _lattice.c)
@@ -289,10 +222,8 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     if lib is None:
         _fill_rows(window, tokens[: width - 1], blank_index, k, columns, ends)
     else:
-        slabs = _slab_count(n_frames, width)
-        # each slab's two score rows, a boundary column for each slab but the
-        # last, and the tokens as int32, as _lattice.c's fill lays them out
-        scratch = np.empty(2 * (width - 1) + 2 * slabs + (slabs - 1) * (n_frames + 1) + width // 2)
+        # two score rows and the tokens as int32, as _lattice.c's fill lays them out
+        scratch = np.empty(2 * width + width // 2)
         lib.fill(
             window.ctypes.data,
             None if window32 is None else window32.ctypes.data,
@@ -305,7 +236,6 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
             columns.ctypes.data,
             len(columns),
             ends.ctypes.data,
-            slabs,
             scratch.ctypes.data,
         )
     if len(columns) < len(end_columns):  # the end columns past the fill have no path

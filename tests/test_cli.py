@@ -23,7 +23,7 @@ from anchoralign import (
     synth_posteriors,
     write_manifest,
 )
-from anchoralign import cli, trellis
+from anchoralign import cli
 from anchoralign.cli import (
     RunConfig,
     _parse_formats,
@@ -478,9 +478,9 @@ def test_align_pool_is_capped_at_the_file_count(synth_dirs, tmp_path, monkeypatc
     sizes = []
 
     class SerialPool:  # records the pool size and starts no process
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
-            assert initializer is trellis.share_cpus and initargs == (max_workers,)
+            assert initializer is None and initargs == ()
 
         def __enter__(self):
             return self

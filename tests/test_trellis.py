@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import math
-import os
 import subprocess
 import tracemalloc
 
@@ -35,7 +34,7 @@ from anchoralign import (
 from anchoralign import aligner, trellis
 from anchoralign.errors import ConfigError, NoPathError
 from anchoralign.posterior_io import logsumexp
-from anchoralign.trellis import _EMIT_BLOCK_ROWS, _MIN_SLAB_CELLS, _MIN_SLAB_COLUMNS, Trellis
+from anchoralign.trellis import _EMIT_BLOCK_ROWS, Trellis
 
 VOCAB = Vocab(symbols=("∅", " ", "a", "b", "c"), blank_index=0, separator_index=1)
 
@@ -220,14 +219,12 @@ def test_a_prefix_ending_inside_an_utterance_raises():
             backtrack(tr, n)
 
 
-def test_fill_memory_is_a_byte_per_cell(monkeypatch):
+def test_fill_memory_is_a_byte_per_cell():
     rng = np.random.default_rng(9)
     utts = [Utterance(i, "".join(rng.choice(list("abc"), 99)), word_count=1) for i in range(12)]
     ts = build_token_sequence(utts, VOCAB)
     n_frames, n_tokens = 3000, len(ts.tokens)  # 1,199 tokens with the separators
     window = -rng.exponential(size=(n_frames, len(VOCAB.symbols)))
-    monkeypatch.setattr(trellis, "_fill_cpus", 4)  # the C fill's slab buffers count too
-    assert trellis._slab_count(n_frames, n_tokens + 1) == 4
     tracemalloc.start()
     try:
         tr = compute_trellis(window, ts, VOCAB.blank_index)
@@ -599,16 +596,16 @@ def test_kernels_give_the_same_bits(monkeypatch, tie_prone):
     assert 0 < blocked < 150 // 2
 
 
-# --- the C fill's column slabs -----------------------------------------------
+# --- wide fills with interior utterance ends ---------------------------------
 
-# widths just below, at and above the thresholds of 2 and 3 slabs
-_SPLIT_WIDTHS = [n * _MIN_SLAB_COLUMNS + d for n in (2, 3) for d in (-1, 0, 1)]
+# widths around 512 and 768 columns
+_WIDE_WIDTHS = [n * 256 + d for n in (2, 3) for d in (-1, 0, 1)]
 
 
-def _split_sequence(rng, width):
+def _wide_sequence(rng, width):
     """Tokens for a lattice of width columns whose utterances end on columns
-    m - 1, m and m + 1 around the first column m of every slab after the
-    first, for 2 and 3 slabs, as _lattice.c splits the columns."""
+    m - 1, m and m + 1 around each column m = 1 + (width - 1) * i // n
+    (0 < i < n) that splits its token columns into halves and thirds."""
     n_tokens = width - 1
     starts = [1 + n_tokens * i // n for n in (2, 3) for i in range(1, n)]
     ends = sorted({c for m in starts for c in (m - 1, m, m + 1)} | {n_tokens})
@@ -617,55 +614,16 @@ def _split_sequence(rng, width):
     return TokenSequence(tokens, tuple((i, a, b - 1) for i, (a, b) in enumerate(zip(firsts, ends))))
 
 
-def _split_cases(rng):
-    """(window, ts) pairs at each split width, with -inf emissions: a 1-row
+def _wide_cases(rng):
+    """(window, ts) pairs at each wide width, with -inf emissions: a 1-row
     window, which reaches column 0 alone; one of the width's rows, the
-    fewest that reach every column, so that each slab after the first lies
-    wholly past the columns its first rows reach; and one of twice the
-    width's rows, long enough for a path. Tests that split them set
-    _MIN_SLAB_CELLS to 1 so the short fills split too."""
-    for width in _SPLIT_WIDTHS:
-        ts = _split_sequence(rng, width)
+    fewest that reach every column, so that most columns lie out of reach
+    on its first rows; and one of twice the width's rows, long enough for a
+    path."""
+    for width in _WIDE_WIDTHS:
+        ts = _wide_sequence(rng, width)
         for n_frames in (1, width, 2 * width):
             yield _hard_window(rng, n_frames), ts
-
-
-def _scored_cells(n_frames, width):
-    """The cells the C fill scores: columns 1 .. min(t, width - 1) on row t."""
-    return sum(min(t, width - 1) for t in range(1, n_frames + 1))
-
-
-def test_short_fills_take_one_slab(monkeypatch):
-    # the floor counts the cells a path can reach, not rows x width
-    monkeypatch.setattr(trellis, "_fill_cpus", 2)
-    for width in (2 * _MIN_SLAB_COLUMNS, 4 * _MIN_SLAB_COLUMNS):
-        rows = 1  # the fewest rows reaching the floor
-        while _scored_cells(rows, width) < _MIN_SLAB_CELLS:
-            rows += 1
-        assert trellis._slab_count(rows - 1, width) == 1
-        assert trellis._slab_count(rows, width) == 2
-    # a square window reaches about half its cells
-    square = next(w for w in range(2 * _MIN_SLAB_COLUMNS, 10**6) if w * w >= _MIN_SLAB_CELLS)
-    assert trellis._slab_count(square, square) == 1
-    assert trellis._slab_count(1, _MIN_SLAB_CELLS) == 1  # one row reaches one column
-    assert trellis._slab_count(_MIN_SLAB_CELLS, 2 * _MIN_SLAB_COLUMNS - 1) == 1
-
-
-def test_every_slab_count_gives_the_same_bits(monkeypatch):
-    lib = compiled_kernel()
-    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
-    rng = np.random.default_rng(611)
-    counts, traced = set(), 0
-    for window, ts in _split_cases(rng):
-        monkeypatch.setattr(trellis, "_kernel", lambda: None)
-        want = _run(window, ts, 0)
-        monkeypatch.setattr(trellis, "_kernel", lambda: lib)
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(trellis, "_fill_cpus", cpus)
-            counts.add(trellis._slab_count(len(window), len(ts.tokens) + 1))
-            assert _run(window, ts, 0) == want
-        traced += want[1] is not None
-    assert counts == {1, 2, 3} and traced == len(_SPLIT_WIDTHS)
 
 
 def _assert_the_reference_lattice(got, want):
@@ -677,13 +635,21 @@ def _assert_the_reference_lattice(got, want):
     assert got.end_columns == want.end_columns
 
 
-def test_a_split_fill_equals_the_reference_fill(monkeypatch):
-    monkeypatch.setattr(trellis, "_fill_cpus", 3)  # as many slabs as each width allows
-    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
+def test_a_wide_fill_equals_the_reference_fill(monkeypatch):
+    # the kernel in use fills the reference lattice, and its lattice,
+    # frames and rho are the numpy kernel's, bit for bit
+    kernel = trellis._kernel
     rng = np.random.default_rng(612)
-    for window, ts in _split_cases(rng):
-        got, want = compute_trellis(window, ts, 0), _reference_trellis(window, ts, 0)
-        _assert_the_reference_lattice(got, want)
+    traced = 0
+    for window, ts in _wide_cases(rng):
+        want = _reference_trellis(window, ts, 0)
+        _assert_the_reference_lattice(compute_trellis(window, ts, 0), want)
+        got = _run(window, ts, 0)
+        monkeypatch.setattr(trellis, "_kernel", lambda: None)
+        assert _run(window, ts, 0) == got
+        monkeypatch.setattr(trellis, "_kernel", kernel)
+        traced += got[1] is not None
+    assert traced == len(_WIDE_WIDTHS)
 
 
 def _zeroed_numpy_fill(window, ts, blank):
@@ -703,9 +669,9 @@ def _zeroed_numpy_fill(window, ts, blank):
 @pytest.mark.parametrize("kernel", ["C", "numpy"])
 def test_an_unzeroed_lattice_gives_the_bits_of_a_zeroed_one(monkeypatch, kernel):
     # k comes from np.empty with only row 0 and column 0 zeroed: every other
-    # cell must be written by the fill, at any slab count
+    # cell must be written by the fill
     lib = compiled_kernel() if kernel == "C" else None
-    cases = list(_split_cases(np.random.default_rng(613)))
+    cases = list(_wide_cases(np.random.default_rng(613)))
     want = [_zeroed_numpy_fill(window, ts, 0) for window, ts in cases]
     real_empty, dirty = np.empty, []
 
@@ -717,47 +683,33 @@ def test_an_unzeroed_lattice_gives_the_bits_of_a_zeroed_one(monkeypatch, kernel)
 
     monkeypatch.setattr(np, "empty", dirty_empty)
     monkeypatch.setattr(trellis, "_kernel", lambda: lib)
-    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
-    slabs = set()
-    for cpus in (1, 2):
-        monkeypatch.setattr(trellis, "_fill_cpus", cpus)
-        for (window, ts), expected in zip(cases, want):
-            dirty.clear()
-            tr = compute_trellis(window, ts, 0)
-            assert tr.k.shape in dirty
-            assert (tr.k.tobytes(), tr.ends.tobytes()) == expected
-            slabs.add(trellis._slab_count(len(window), tr.k.shape[1]))
-    assert slabs == {1, 2}
+    for (window, ts), expected in zip(cases, want):
+        dirty.clear()
+        tr = compute_trellis(window, ts, 0)
+        assert tr.k.shape in dirty
+        assert (tr.k.tobytes(), tr.ends.tobytes()) == expected
 
 
 @pytest.mark.parametrize("kernel", ["C", "numpy"])
 def test_cells_out_of_a_paths_reach_advance_and_score_minus_inf(monkeypatch, kernel):
     # column j needs j frames, so on row t every column past t is out of
     # reach: its decision is 1 (-inf >= -inf advances) and its end score
-    # -inf. Windows of 1 row, of fewer rows than tokens, as many and one
-    # more; the C fill in 1-3 slabs, each slab after the first lying wholly
-    # out of reach on its first rows
+    # -inf. Windows of 1 row, of fewer rows than tokens, as many and one more
     lib = compiled_kernel() if kernel == "C" else None
     monkeypatch.setattr(trellis, "_kernel", lambda: lib)
-    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
     rng = np.random.default_rng(615)
-    n_tokens = 3 * _MIN_SLAB_COLUMNS
+    n_tokens = 768
     tokens = tuple(int(x) for x in rng.integers(1, len(VOCAB.symbols), size=n_tokens))
     ts = TokenSequence(tokens, _token_boundaries(n_tokens))
-    slabs = set()
     for n_frames in (1, n_tokens - 1, n_tokens, n_tokens + 1):
         window = _hard_window(rng, n_frames)
         want = _reference_trellis(window, ts, 0)
         out_of_reach = np.array(want.end_columns) > np.arange(n_frames)[:, None]
-        for cpus in (1, 2, 3) if lib else (1,):
-            monkeypatch.setattr(trellis, "_fill_cpus", cpus)
-            got = compute_trellis(window, ts, 0)
-            slabs.add(trellis._slab_count(n_frames, got.k.shape[1]))
-            _assert_the_reference_lattice(got, want)
-            rows, columns = np.indices(got.k.shape)
-            assert (got.k[(columns > rows) & (rows > 0)] == 1).all()
-            assert (got.ends[out_of_reach] == -np.inf).all()
-    assert slabs == ({1, 2, 3} if lib else {1})
+        got = compute_trellis(window, ts, 0)
+        _assert_the_reference_lattice(got, want)
+        rows, columns = np.indices(got.k.shape)
+        assert (got.k[(columns > rows) & (rows > 0)] == 1).all()
+        assert (got.ends[out_of_reach] == -np.inf).all()
 
 
 def test_a_long_word_fills_only_the_columns_a_path_can_reach():
@@ -817,7 +769,6 @@ def test_every_row_clone_gives_the_same_bits(monkeypatch, request, target):
     request.addfinalizer(trellis._kernel.cache_clear)
     lib = trellis._kernel()
     assert lib is not None
-    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
     rng = np.random.default_rng(616)
     cases = []
     for _ in range(50):
@@ -825,17 +776,12 @@ def test_every_row_clone_gives_the_same_bits(monkeypatch, request, target):
             rng, max_frames=60, max_chars=40, max_vocab=6, tie_prone=True
         )
         cases.append((window, TokenSequence(ts.tokens, _token_boundaries(len(ts.tokens))), blank))
-    cases += [(window, ts, 0) for window, ts in _split_cases(rng)]
-    counts = set()
+    cases += [(window, ts, 0) for window, ts in _wide_cases(rng)]
     for window, ts, blank in cases:
         monkeypatch.setattr(trellis, "_kernel", lambda: None)
         want = _run(window, ts, blank)
         monkeypatch.setattr(trellis, "_kernel", lambda: lib)
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(trellis, "_fill_cpus", cpus)
-            counts.add(trellis._slab_count(len(window), len(ts.tokens) + 1))
-            assert _run(window, ts, blank) == want
-    assert counts == {1, 2, 3}
+        assert _run(window, ts, blank) == want
 
 
 def _table_window(rng, n_frames, n_symbols, blank):
@@ -855,14 +801,14 @@ def _table_window(rng, n_frames, n_symbols, blank):
 def _table_cases(rng):
     """(float32 window, ts, blank) with 2-65 symbols and the blank first or
     last: rows of 1-16 columns and a few more, so every table and tail width
-    occurs, and for 38, 64 and 65 symbols the widths that split into 2 and 3
-    slabs. Every column ends an utterance."""
+    occurs, and for 38, 64 and 65 symbols two wide ones. Every column ends an
+    utterance."""
     for n_symbols in (2, 16, 17, 32, 33, 38, 64, 65):
         for blank in (0, n_symbols - 1):
             others = [i for i in range(n_symbols) if i != blank]
             shapes = [(1, 1), (9, 5), (17, 16), (18, 17), (40, 33), (60, 59)]
             if n_symbols in (38, 64, 65):
-                shapes += [(2 * w, w - 1) for w in (2 * _MIN_SLAB_COLUMNS + 1, _SPLIT_WIDTHS[-1])]
+                shapes += [(2 * w, w - 1) for w in (_WIDE_WIDTHS[2], _WIDE_WIDTHS[-1])]
             for n_frames, n_tokens in shapes:
                 tokens = tuple(int(x) for x in rng.choice(others, size=n_tokens))
                 ts = TokenSequence(tokens, _token_boundaries(n_tokens))
@@ -873,12 +819,10 @@ def test_the_table_loop_gives_the_same_bits(monkeypatch):
     # float32 windows of at most 64 symbols are scored by the AVX-512 table
     # loop where it is built and the CPU has it, by the row clones elsewhere;
     # their exact float64 copies and float64 windows whose values are not
-    # float32 values always take the row clones. All match the numpy kernel,
-    # at 1-3 slabs
+    # float32 values always take the row clones. All match the numpy kernel
     lib = compiled_kernel()
-    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
     rng = np.random.default_rng(617)
-    counts, traced = set(), 0
+    traced = 0
     for window, ts, blank in _table_cases(rng):
         finite = np.isfinite(window)
         off_grid = window.astype(np.float64)
@@ -887,12 +831,9 @@ def test_the_table_loop_gives_the_same_bits(monkeypatch):
             monkeypatch.setattr(trellis, "_kernel", lambda: None)
             want = _run(w, ts, blank)
             monkeypatch.setattr(trellis, "_kernel", lambda: lib)
-            for cpus in (1, 2, 3):
-                monkeypatch.setattr(trellis, "_fill_cpus", cpus)
-                counts.add(trellis._slab_count(len(w), min(len(ts.tokens), len(w) - 1) + 1))
-                assert _run(w, ts, blank) == want
+            assert _run(w, ts, blank) == want
             traced += want[1] is not None
-    assert counts == {1, 2, 3} and traced > 100
+    assert traced > 100
 
 
 def test_a_float32_windows_rows_are_read_in_place(monkeypatch):
@@ -957,42 +898,6 @@ def test_the_c_rho_equals_the_numpy_rho(monkeypatch):
             a, b = tr.window[traced, held], tr.window[traced, 0]
             zero_ties += bool(((a == 0) & (b == 0) & (np.signbit(a) != np.signbit(b))).any())
     assert compared > 1000 and zero_ties > 100
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
-def test_no_thread_outlives_a_fill(monkeypatch):
-    compiled_kernel()
-    monkeypatch.setattr(trellis, "_fill_cpus", 3)
-    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
-    rng = np.random.default_rng(613)
-    ts = _split_sequence(rng, _SPLIT_WIDTHS[-1])
-    assert trellis._slab_count(50, len(ts.tokens) + 1) == 3
-    before = len(os.listdir("/proc/self/task"))
-    compute_trellis(_hard_window(rng, 50), ts, 0)
-    assert len(os.listdir("/proc/self/task")) == before
-
-
-def test_a_slab_whose_thread_does_not_start_gives_the_same_bits(monkeypatch, tmp_path):
-    compiled_kernel()
-    header = tmp_path / "no_threads.h"  # every pthread_create fails as at a thread limit
-    header.write_text(
-        "#include <errno.h>\n#include <pthread.h>\n#define pthread_create(t, a, f, arg) EAGAIN\n"
-    )
-    cc = tmp_path / "cc-no-threads"
-    cc.write_text(f'#!/bin/sh\nexec cc -include "{header}" "$@"\n')
-    cc.chmod(0o755)
-    monkeypatch.setattr(trellis, "__file__", str(tmp_path / "trellis.py"))  # cache it in tmp_path
-    no_threads = trellis._load_library(str(cc))
-    assert no_threads is not None
-    monkeypatch.setattr(trellis, "_fill_cpus", 3)
-    monkeypatch.setattr(trellis, "_MIN_SLAB_CELLS", 1)
-    rng = np.random.default_rng(614)
-    for window, ts in _split_cases(rng):
-        results = []
-        for chosen in (None, no_threads):
-            monkeypatch.setattr(trellis, "_kernel", lambda chosen=chosen: chosen)
-            results.append(_run(window, ts, 0))
-        assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("cc", ["no-such-compiler", "false"])
