@@ -635,20 +635,25 @@ def _assert_the_reference_lattice(got, want):
     assert got.end_columns == want.end_columns
 
 
-def test_a_wide_fill_equals_the_reference_fill(monkeypatch):
-    # the kernel in use fills the reference lattice, and its lattice,
-    # frames and rho are the numpy kernel's, bit for bit
-    kernel = trellis._kernel
+def test_a_split_fill_equals_the_reference_fill():
+    # lattices split by utterance ends around their halves and thirds
     rng = np.random.default_rng(612)
+    for window, ts in _wide_cases(rng):
+        got, want = compute_trellis(window, ts, 0), _reference_trellis(window, ts, 0)
+        _assert_the_reference_lattice(got, want)
+
+
+def test_a_wide_fill_gives_the_numpy_kernels_bits(monkeypatch):
+    # the C kernel's lattice, frames and rho are the numpy kernel's, bit for bit
+    lib = compiled_kernel()
+    rng = np.random.default_rng(611)
     traced = 0
     for window, ts in _wide_cases(rng):
-        want = _reference_trellis(window, ts, 0)
-        _assert_the_reference_lattice(compute_trellis(window, ts, 0), want)
-        got = _run(window, ts, 0)
         monkeypatch.setattr(trellis, "_kernel", lambda: None)
-        assert _run(window, ts, 0) == got
-        monkeypatch.setattr(trellis, "_kernel", kernel)
-        traced += got[1] is not None
+        want = _run(window, ts, 0)
+        monkeypatch.setattr(trellis, "_kernel", lambda: lib)
+        assert _run(window, ts, 0) == want
+        traced += want[1] is not None
     assert traced == len(_WIDE_WIDTHS)
 
 
