@@ -7,7 +7,9 @@ anchoring the next window after the last accepted frame. Scores double as
 per-utterance quality labels for downstream filtering.
 """
 
-from . import _lazy
+import importlib
+import sys
+from typing import Callable, Mapping
 
 __version__ = "0.1.0"
 
@@ -105,7 +107,33 @@ _EXPORTS = {
 
 __all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
 
-__getattr__ = _lazy.lazy_names(__name__, _EXPORTS)
+
+def lazy_names(
+    module_name: str, sources: Mapping[str, tuple[str, ...]]
+) -> Callable[[str], object]:
+    """A PEP 562 module `__getattr__` for module_name, re-exporting the
+    names in `sources`, which maps a module of this package to the names
+    taken from it, as _EXPORTS does.
+
+    The first read of a name imports its module and binds the name in
+    module_name, so later reads never reach the hook, and a name bound
+    there first, by an assignment or a patch, is the one every later read
+    gets. Any other name raises AttributeError.
+    """
+    home = {name: source for source, names in sources.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        source = home.get(name)
+        if source is None:
+            raise AttributeError(f"module {module_name!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{__name__}.{source}"), name)
+        setattr(sys.modules[module_name], name, value)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = lazy_names(__name__, _EXPORTS)
 
 
 def __dir__() -> list[str]:

@@ -22,30 +22,31 @@
 /* gcc vectorises score_row in each clone: with 64-byte vectors and mask
  * registers in the x86-64-v4 (AVX-512 F/BW/DQ/VL) clone, 32-byte vectors in
  * the AVX2 one. Adding, comparing and blending are exact in every lane, so
- * every clone writes the same bits. gcc before 11 has no x86-64-v4 and builds
- * the AVX2 and default clones; elsewhere only the default is built. A build
- * may define ROW_CLONES itself, as the tests do to check one target alone. */
-#ifndef ROW_CLONES
+ * every clone writes the same bits. gcc on x86-64 Linux builds the AVX2 and
+ * default clones, and from gcc 11 on, the x86-64-v4 clone and
+ * score_row_table, which fill runs on a CPU with AVX-512 F/BW/DQ/VL where the
+ * caller passes a float32 window. Elsewhere only the default is built. A
+ * build may define ROW_CLONES itself, as the tests do to check one target
+ * alone. */
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__linux__)
-#if __GNUC__ >= 11
-#define ROW_CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+#define GCC_X86_64 1
 #else
-#define ROW_CLONES __attribute__((target_clones("avx2", "default")))
+#define GCC_X86_64 0
 #endif
+#define TABLE_ROWS (GCC_X86_64 && __GNUC__ >= 11)
+
+#ifndef ROW_CLONES
+#if TABLE_ROWS
+#define ROW_CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+#elif GCC_X86_64
+#define ROW_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define ROW_CLONES
 #endif
 #endif
 
-/* gcc on x86-64 also builds score_row_table, which fill runs on a CPU with
- * AVX-512 F/BW/DQ/VL where the caller passes a float32 window: under the
- * guards that give ROW_CLONES its x86-64-v4 clone. */
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__linux__) && \
-    __GNUC__ >= 11
-#define TABLE_ROWS 1
+#if TABLE_ROWS
 #include <immintrin.h>
-#else
-#define TABLE_ROWS 0
 #endif
 
 /* The most symbols score_row_table holds: four registers of 16 float32. */
@@ -135,20 +136,20 @@ TABLE_TARGET static void score_row_table(int64_t n, const double *restrict prev,
         score_16(i, (__mmask16)((1u << (n - i)) - 1), table, prev, tokens, stay, row, advances);
 }
 
+#endif
+
 /* 1 where fill may run score_row_table: it is built and the CPU has
  * AVX-512 F/BW/DQ/VL. */
-int64_t table_rows(void)
+static int table_rows(void)
 {
+#if TABLE_ROWS
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
            __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl");
-}
 #else
-int64_t table_rows(void)
-{
     return 0;
-}
 #endif
+}
 
 /* Fill the decisions k for width - 1 tokens, row by row on the calling
  * thread. The score row before any frame is 0 then -inf; column 0 scores 0

@@ -21,7 +21,8 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._lazy import np
+import numpy as np
+
 from .common import AlignParams, normalize_score
 from .errors import ConfigError, NoPathError
 from .posterior_io import FrameMap, PosteriorMatrix, Vocab, map_frames_back
@@ -52,8 +53,8 @@ class WindowResult:
 
     @property
     def last_score(self) -> float:
-        """The best attempt's score: the accepted one's if any, else -inf
-        when no count had a path."""
+        """The best attempt's score: the accepted one's if any, else the
+        best rejected score, which is -inf only when no count had a path."""
         return float(max(score for _, score in self.attempts))
 
 

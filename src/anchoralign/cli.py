@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ._lazy import lazy_names, np
+from . import _EXPORTS, lazy_names
 from .common import (
     MAX_WORDS_PER_UTT,
     SCORE_REF_S,
@@ -54,29 +54,10 @@ if TYPE_CHECKING:
     from .posterior_io import Vocab
     from .trellis import UtteranceAlignment
 
-# What align and synth run, by module, imported when a command first needs it
-# (see _load): the parser, filter and stats start without the alignment stack.
-_LAZY = {
-    "aligner": ("align_file", "frames_to_seconds"),
-    "posterior_io": (
-        "SpeechRegions",
-        "apply_speech_regions",
-        "identity_frame_map",
-        "load_posteriors",
-        "load_regions",
-        "load_vocab",
-        "save_posteriors",
-        "save_regions",
-        "save_vocab",
-    ),
-    "synthdata": (
-        "default_spanish_vocab",
-        "parse_manifest",
-        "synth_posteriors",
-        "write_ground_truth",
-    ),
-    "textprep": ("estimate_time_refs", "load_utterances"),
-}
+# What align and synth run, by module: the package's own entries, imported when
+# a command first needs them (see _load), so the parser, filter and stats start
+# without numpy or the alignment stack.
+_LAZY = {m: _EXPORTS[m] for m in ("aligner", "posterior_io", "synthdata", "textprep")}
 _ALIGN_MODULES = ("aligner", "posterior_io", "textprep")
 __getattr__ = lazy_names(__name__, _LAZY)
 
@@ -366,9 +347,6 @@ def cmd_align(args: argparse.Namespace) -> int:
         log.warning("no posterior/transcript pairs to align")
         return 0
     jobs = [(file_id, cfg, vocab) for file_id in paired]
-    # numpy's lazy import runs here, once: forked workers share the parent's
-    # copy, and no file's posterior load pays for it
-    np.ndarray
     if cfg.workers > 1:
         # only a pool needs these; ProcessPoolExecutor's first read loads multiprocessing
         import concurrent.futures

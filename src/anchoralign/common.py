@@ -19,6 +19,9 @@ FRAGMENT_FRAMES = 30
 SCORE_REF_S = 8.0
 SHORT_PENALTY = -4.0
 MAX_WORDS_PER_UTT = 24
+# max_window_s spans at most this many window steps, so a pending utterance
+# is retried through at most this many grows before it is skipped
+MAX_WINDOW_STEPS = 10_000
 
 
 def knob(default: Any, help: str, **meta: Any) -> Any:
@@ -65,6 +68,13 @@ class AlignParams:
 
     def __post_init__(self) -> None:
         check_knobs(self)
+        # bound max_window_s itself, not its distance from window_s: a step
+        # under half an ulp of a huge window_s would grow it forever in place
+        if self.max_window_s / self.window_step_s > MAX_WINDOW_STEPS:
+            raise ConfigError(
+                f"max_window_s must be at most {MAX_WINDOW_STEPS} x window_step_s"
+                f" ({MAX_WINDOW_STEPS * self.window_step_s:g} s), got {self.max_window_s}"
+            )
 
 
 def normalize_score(score: float, duration_s: float, ref_s: float = SCORE_REF_S) -> float:

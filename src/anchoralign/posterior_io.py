@@ -16,7 +16,8 @@ import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._lazy import np
+import numpy as np
+
 from .common import _atomic_write_bytes, _atomic_write_text
 from .errors import (
     FrameMapError,

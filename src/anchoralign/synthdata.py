@@ -12,7 +12,8 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from ._lazy import np
+import numpy as np
+
 from .common import _atomic_write_text
 from .errors import ManifestError
 from .posterior_io import DEFAULT_FRAME_DURATION_S, PosteriorMatrix, Vocab

@@ -51,7 +51,8 @@ import os
 import platform
 from dataclasses import dataclass
 
-from ._lazy import np
+import numpy as np
+
 from .common import FRAGMENT_FRAMES, SHORT_PENALTY
 from .errors import ConfigError, NoPathError
 from .posterior_io import logsumexp
@@ -113,8 +114,6 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
     lib.walk.restype = i64
     lib.rho.argtypes = [ptr, i64, ptr, i64, ptr, i64, ptr]
     lib.rho.restype = None
-    lib.table_rows.argtypes = []
-    lib.table_rows.restype = i64
     log.debug("lattice kernel: C (%s)", path)
     return lib
 

@@ -30,6 +30,7 @@ from anchoralign import (
     segment_score,
     synth_posteriors,
 )
+from anchoralign.common import MAX_WINDOW_STEPS
 from anchoralign.errors import ConfigError, NoPathError
 
 FRAME_S = 0.02
@@ -458,6 +459,10 @@ def test_file_validates_inputs(spanish_vocab):
         {"max_utts_per_window": 0},
         {"threshold": float("nan")},
         {"short_penalty": float("-inf")},
+        # past 2^53 steps a grow no longer changes a float window: it would grow forever
+        {"max_window_s": 1e300},
+        {"window_s": 1e300, "max_window_s": 1e300},
+        {"max_window_s": MAX_WINDOW_STEPS * 60.0 + 1e-6},
     ],
 )
 def test_params_reject_out_of_range_values(bad):
@@ -465,9 +470,13 @@ def test_params_reject_out_of_range_values(bad):
         AlignParams(**bad)
 
 
+def test_params_accept_a_max_window_at_the_step_bound():
+    AlignParams(max_window_s=MAX_WINDOW_STEPS * 60.0)
+
+
 def test_file_rejects_windows_under_one_frame(spanish_vocab):
     pm, _, utts = _render(_spans([TEXT_A], 50, 150), spanish_vocab, 4.0)
-    for bad in ({"window_s": 0.001}, {"window_step_s": 0.001}):
+    for bad in ({"window_s": 0.001}, {"window_step_s": 0.001, "max_window_s": 1.0}):
         with pytest.raises(ConfigError):
             align_file(pm, utts, spanish_vocab, AlignParams(**bad))
 

@@ -66,10 +66,10 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_parser_filter_and_stats_load_no_numpy(scored_jsonl, tmp_path):
-    # numpy loads on first use: the parser, filter and stats never touch an array
+    # numpy loads with the first array module: the parser, filter and stats import none
     code = """
 import json, sys
-from anchoralign import _lazy, cli
+from anchoralign import cli
 
 def numpy_modules():
     return [m for m in sys.modules if m.startswith("numpy.")]
@@ -79,8 +79,8 @@ seen = {"parser": numpy_modules()}
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
     seen[" ".join(argv[:3])] = numpy_modules()
-_lazy.np.zeros(1)
-seen["after an array"] = bool(numpy_modules())
+import anchoralign.posterior_io
+seen["after an array module"] = bool(numpy_modules())
 print(json.dumps(seen))
 """
     jsonl, out = str(scored_jsonl), str(tmp_path / "out")
@@ -99,7 +99,7 @@ print(json.dumps(seen))
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen.pop("after an array") is True  # the check would see a loaded numpy
+    assert seen.pop("after an array module") is True  # the check would see a loaded numpy
     assert seen == {
         "parser": [],
         "filter --method absolute": [],
@@ -238,12 +238,27 @@ print(json.dumps(cli._align_one(("filea", cfg, load_vocab(cfg.vocab)))["error"])
     assert (tmp_path / "filea.align.jsonl").stat().st_size > 0
 
 
-def test_lazy_import_of_a_missing_module_raises():
-    from anchoralign._lazy import lazy_import
+def test_align_loads_numpy_before_it_builds_the_pool(synth_dirs, tmp_path):
+    # forked workers share the parent's numpy, and no file's posterior load pays its import
+    code = """
+import concurrent.futures, contextlib, json, sys
+import anchoralign.cli as cli
 
-    with pytest.raises(ModuleNotFoundError) as info:
-        lazy_import("anchoralign_no_such_module")
-    assert info.value.name == "anchoralign_no_such_module"
+numpy_loaded = []
+
+class Recorder(contextlib.nullcontext):  # runs the jobs in order, in this process
+    def __init__(self, max_workers):
+        super().__init__(self)
+        numpy_loaded.append("numpy" in sys.modules)
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+concurrent.futures.ProcessPoolExecutor = Recorder
+print(json.dumps([cli.main(json.loads(sys.argv[1])), numpy_loaded]))
+"""
+    data, vocab_path = synth_dirs
+    argv = _align_argv(data, vocab_path, tmp_path / "out", "--workers", "2")
+    assert _run_fresh(code, json.dumps(argv)) == [0, [True]]
 
 
 # --- config file and flag precedence -----------------------------------------
@@ -665,6 +680,15 @@ def test_align_out_of_range_setting_exits_2(overlong_text, tmp_path, caplog, fla
     assert _run_align(data, vocab_path, tmp_path / "out", *flags) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and "ConfigError" in errors[0] and "\n" not in errors[0]
+
+
+def test_align_with_a_max_window_of_too_many_steps_exits_2(overlong_text, tmp_path):
+    # every window of this file is rejected, so a max_window_s the config let through
+    # would grow one forever; the child's timeout fails the test in place of a hang
+    data, vocab_path = overlong_text
+    argv = _align_argv(data, vocab_path, tmp_path / "out", "--max-window-s", "1e300")
+    code = "import json, sys, anchoralign.cli as cli; print(cli.main(json.loads(sys.argv[1])))"
+    assert _run_fresh(code, json.dumps(argv)) == 2
 
 
 def test_align_with_a_score_ref_that_overflows_the_normalized_score_exits_2(

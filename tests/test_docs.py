@@ -82,5 +82,5 @@ def test_a_bare_import_loads_only_leaf_modules():
     code = "import sys, anchoralign; print(*sorted(m for m in sys.modules if 'anchoralign.' in m))"
     proc = _run_python(["-c", code], ROOT)
     assert proc.returncode == 0, proc.stderr
-    leaves = {"anchoralign._lazy", "anchoralign.common", "anchoralign.errors"}
+    leaves = {"anchoralign.common", "anchoralign.errors"}
     assert set(proc.stdout.split()) <= leaves
