@@ -28,7 +28,8 @@ from .common import (
     MAX_WORDS_PER_UTT,
     SCORE_REF_S,
     AlignParams,
-    _atomic_write_text,
+    _data_lines,
+    _write_lines,
     check_knobs,
     knob,
 )
@@ -146,22 +147,18 @@ def parse_config_file(path: str | os.PathLike) -> dict[str, object]:
     """Parse a flat `key = value` config file into setting field values."""
     settings = {_key(f): f for f in _settings()}
     values: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in settings:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            f = settings[key]
-            try:
-                values[f.name] = _parser_of(f)(val.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    for where, line in _data_lines(path):
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected `key = value`, got {line!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in settings:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        f = settings[key]
+        try:
+            values[f.name] = _parser_of(f)(val.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -258,7 +255,7 @@ def write_alignment_jsonl(path: str, run: AlignmentRun, texts: dict[int, str], p
         json.dumps(_jsonl_record(a, texts[a.utt_index], pass_id), ensure_ascii=False, allow_nan=False)
         for a in run.utterances
     ]
-    _atomic_write_text(path, "".join(line + "\n" for line in lines))
+    _write_lines(path, lines)
 
 
 def write_ctm(path: str, run: AlignmentRun, texts: dict[int, str]) -> None:
@@ -268,7 +265,7 @@ def write_ctm(path: str, run: AlignmentRun, texts: dict[int, str]) -> None:
         lines.append(
             f"{a.file_id} 1 {a.start_s:.3f} {dur:.3f} {texts[a.utt_index]} {math.exp(a.s_seg):.6f}"
         )
-    _atomic_write_text(path, "".join(line + "\n" for line in lines))
+    _write_lines(path, lines)
 
 
 def write_segments(path: str, run: AlignmentRun) -> None:
@@ -276,7 +273,7 @@ def write_segments(path: str, run: AlignmentRun) -> None:
         f"{a.file_id}-{a.utt_index:04d} {a.file_id} {a.start_s:.3f} {a.end_s:.3f}"
         for a in run.utterances
     ]
-    _atomic_write_text(path, "".join(line + "\n" for line in lines))
+    _write_lines(path, lines)
 
 
 def _align_one(job: tuple[str, RunConfig, Vocab]) -> dict:
@@ -367,10 +364,7 @@ def cmd_align(args: argparse.Namespace) -> int:
         log.info(
             "%s: aligned %d utterances, skipped %d", res["file_id"], res["aligned"], res["skipped"]
         )
-    _atomic_write_text(
-        os.path.join(cfg.output_dir, "iterations.log"),
-        "".join(line + "\n" for line in log_lines),
-    )
+    _write_lines(os.path.join(cfg.output_dir, "iterations.log"), log_lines)
     return 2 if failures else 0
 
 
@@ -402,8 +396,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
         kept, report = filter_normalized(everything, ref_s=args.ref_s, **cutoff)
     kept_rows = set(kept)
     for name, rows in per_file:
-        lines = [row.line for row in rows if row in kept_rows]
-        _atomic_write_text(os.path.join(args.output_dir, name), "".join(l + "\n" for l in lines))
+        _write_lines(
+            os.path.join(args.output_dir, name), (row.line for row in rows if row in kept_rows)
+        )
     write_filter_report_csv(os.path.join(args.output_dir, "filter_report.csv"), [report])
     log.info(
         "%s filter kept %d/%d rows (cutoff %.6f)",
@@ -417,15 +412,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 def _load_split_map(path: str) -> dict[str, str]:
     splits: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected `file_id,split`")
-            splits[parts[0].strip()] = parts[1].strip()
+    for where, line in _data_lines(path):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ConfigError(f"{where}: expected `file_id,split`, got {line!r}")
+        splits[parts[0].strip()] = parts[1].strip()
     return splits
 
 
@@ -451,6 +442,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     _load("posterior_io", "synthdata")
+    from .textprep import format_timed_line  # synthdata has loaded textprep
     os.makedirs(args.output_dir, exist_ok=True)
     vocab = load_vocab(args.vocab) if args.vocab else default_spanish_vocab()
     spec = parse_manifest(args.manifest)
@@ -459,12 +451,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if not file_id:
         file_id = os.path.splitext(os.path.basename(args.manifest))[0]
     save_posteriors(os.path.join(args.output_dir, file_id + POSTERIOR_SUFFIX), pm)
-    caption_lines = [
-        f"{u.start_s:.3f} {u.end_s:.3f} {u.text}" for u in spec.utterances
-    ]
-    _atomic_write_text(
+    _write_lines(
         os.path.join(args.output_dir, file_id + TRANSCRIPT_SUFFIX),
-        "".join(line + "\n" for line in caption_lines),
+        (format_timed_line(u.start_s, u.end_s, u.text) for u in spec.utterances),
     )
     save_regions(
         os.path.join(args.output_dir, file_id + REGIONS_SUFFIX),

@@ -1,5 +1,6 @@
 """What every command shares, free of array code: the knobs, the score
-constants, the duration normalisation of scores and the atomic file writes.
+constants, the duration normalisation of scores, the atomic file writes and
+the text-file line rules.
 
 The argument parser, `filter` and `stats` read only this module, the errors
 and the filters, so they start without importing the alignment stack.
@@ -11,7 +12,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .errors import ConfigError
 
@@ -105,5 +106,16 @@ def _atomic_write_bytes(path: str | os.PathLike, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+def _write_lines(path: str | os.PathLike, lines: Iterable[str]) -> None:
+    """Write each line followed by a newline, as UTF-8, atomically."""
+    _atomic_write_bytes(path, "".join(line + "\n" for line in lines).encode("utf-8"))
+
+
+def _data_lines(path: str | os.PathLike) -> Iterator[tuple[str, str]]:
+    """Yield (f"{path}:{lineno}", line) for each line of a UTF-8 text file,
+    stripped, that is neither blank nor a `#` comment."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield f"{path}:{lineno}", line

@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .common import SCORE_REF_S, _atomic_write_text, normalize_score
+from .common import SCORE_REF_S, _write_lines, normalize_score
 from .errors import ConfigError
 
 ABSOLUTE_CUTOFF = -1.0
@@ -201,7 +201,7 @@ def recovery_stats(
 def write_histogram_csv(path: str | os.PathLike, hist: Iterable[tuple[float, int]]) -> None:
     lines = ["bin_start,count"]
     lines += [f"{start:.2f},{count}" for start, count in hist]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_recovery_csv(
@@ -209,7 +209,7 @@ def write_recovery_csv(
 ) -> None:
     lines = ["split,total_hours,aligned_hours,filtered_hours"]
     lines += [f"{name},{tot:.4f},{ali:.4f},{filt:.4f}" for name, tot, ali, filt in rows]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_filter_report_csv(path: str | os.PathLike, reports: Iterable[FilterReport]) -> None:
@@ -219,4 +219,4 @@ def write_filter_report_csv(path: str | os.PathLike, reports: Iterable[FilterRep
         f"{r.kept_hours:.4f},{r.cutoff:.6f}"
         for r in reports
     ]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, lines)

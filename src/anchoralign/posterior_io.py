@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .common import _atomic_write_bytes, _atomic_write_text
+from .common import _atomic_write_bytes, _data_lines, _write_lines
 from .errors import (
     FrameMapError,
     NoSpeechError,
@@ -119,12 +119,14 @@ class Vocab:
     def separator_symbol(self) -> str:
         return self.symbols[self.separator_index]
 
+    def lines(self) -> list[str]:
+        """The vocab file's lines: #blank, #separator, then `index<TAB>symbol`."""
+        return [f"#blank {self.blank_index}", f"#separator {self.separator_index}"] + [
+            f"{i}\t{sym}" for i, sym in enumerate(self.symbols)
+        ]
+
     def checksum(self) -> str:
-        payload = "\n".join(
-            [f"#blank {self.blank_index}", f"#separator {self.separator_index}"]
-            + [f"{i}\t{sym}" for i, sym in enumerate(self.symbols)]
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256("\n".join(self.lines()).encode("utf-8")).hexdigest()
 
 
 def load_vocab(path: str | os.PathLike) -> Vocab:
@@ -132,28 +134,30 @@ def load_vocab(path: str | os.PathLike) -> Vocab:
     entries: dict[int, str] = {}
     blank_index = None
     separator_index = None
+    # a symbol may be whitespace, so lines are not stripped
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
+            where = f"{path}:{lineno}"
             if line == "":
                 continue
             if line.startswith("#blank "):
-                blank_index = _parse_directive_index(line, lineno)
+                blank_index = _parse_directive_index(line, where)
                 continue
             if line.startswith("#separator "):
-                separator_index = _parse_directive_index(line, lineno)
+                separator_index = _parse_directive_index(line, where)
                 continue
             if line.startswith("#"):
                 continue
             if "\t" not in line:
-                raise VocabFormatError(f"line {lineno}: expected index<TAB>symbol")
+                raise VocabFormatError(f"{where}: expected index<TAB>symbol")
             idx_text, symbol = line.split("\t", 1)
             try:
                 idx = int(idx_text)
             except ValueError as exc:
-                raise VocabFormatError(f"line {lineno}: bad index {idx_text!r}") from exc
+                raise VocabFormatError(f"{where}: bad index {idx_text!r}") from exc
             if idx in entries:
-                raise VocabFormatError(f"line {lineno}: duplicate index {idx}")
+                raise VocabFormatError(f"{where}: duplicate index {idx}")
             entries[idx] = unicodedata.normalize("NFC", symbol)
     if blank_index is None:
         raise VocabFormatError("missing #blank directive")
@@ -169,16 +173,14 @@ def load_vocab(path: str | os.PathLike) -> Vocab:
 
 
 def save_vocab(path: str | os.PathLike, vocab: Vocab) -> None:
-    lines = [f"#blank {vocab.blank_index}", f"#separator {vocab.separator_index}"]
-    lines += [f"{i}\t{sym}" for i, sym in enumerate(vocab.symbols)]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, vocab.lines())
 
 
-def _parse_directive_index(line: str, lineno: int) -> int:
+def _parse_directive_index(line: str, where: str) -> int:
     try:
         return int(line.split(None, 1)[1])
     except (IndexError, ValueError) as exc:
-        raise VocabFormatError(f"line {lineno}: bad directive {line!r}") from exc
+        raise VocabFormatError(f"{where}: bad directive {line!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -322,24 +324,19 @@ class SpeechRegions:
 def load_regions(path: str | os.PathLike) -> SpeechRegions:
     """Read `start_s end_s` lines; blank lines and # comments are skipped."""
     spans = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise SpeechRegionsError(f"line {lineno}: expected start_s end_s")
-            try:
-                spans.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise SpeechRegionsError(f"line {lineno}: bad floats {line!r}") from exc
+    for where, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise SpeechRegionsError(f"{where}: expected start_s end_s, got {line!r}")
+        try:
+            spans.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise SpeechRegionsError(f"{where}: bad floats {line!r}") from exc
     return SpeechRegions(regions=tuple(spans))
 
 
 def save_regions(path: str | os.PathLike, sr: SpeechRegions) -> None:
-    lines = [f"{start:.3f} {end:.3f}" for start, end in sr.regions]
-    _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(path, (f"{start:.3f} {end:.3f}" for start, end in sr.regions))
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import _atomic_write_text
+from .common import _data_lines, _write_lines
 from .errors import ManifestError
 from .posterior_io import DEFAULT_FRAME_DURATION_S, PosteriorMatrix, Vocab
-from .textprep import TokenSequence
+from .textprep import TokenSequence, format_timed_line, parse_timed_line
 
 ORACLE_MAX_FRAMES = 14
 ORACLE_MAX_PADDED = 10
@@ -249,12 +249,13 @@ def parse_manifest(path: str | os.PathLike) -> SynthSpec:
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
+            where = f"{path}:{lineno}"
             if not line:
                 continue
             if line.startswith("#"):
                 parts = line[1:].split(None, 1)
                 if len(parts) != 2:
-                    raise ManifestError(f"line {lineno}: bad directive {line!r}")
+                    raise ManifestError(f"{where}: bad directive {line!r}")
                 name, value = parts[0], parts[1].strip()
                 try:
                     if name == "seed":
@@ -272,25 +273,16 @@ def parse_manifest(path: str | os.PathLike) -> SynthSpec:
                     elif name == "peak_scale":
                         peak_scale = float(value)
                     else:
-                        raise ManifestError(f"line {lineno}: unknown directive #{name}")
+                        raise ManifestError(f"{where}: unknown directive #{name}")
                 except ValueError as exc:
-                    raise ManifestError(f"line {lineno}: bad value {value!r}") from exc
+                    raise ManifestError(f"{where}: bad value {value!r}") from exc
                 continue
-            parts = line.split(None, 2)
-            if len(parts) != 3:
-                raise ManifestError(f"line {lineno}: expected start_s end_s text")
-            try:
-                start_s, end_s = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ManifestError(f"line {lineno}: bad timestamps") from exc
+            timed = parse_timed_line(line)
+            if timed is None:
+                raise ManifestError(f"{where}: expected start_s end_s text, got {line!r}")
+            start_s, end_s, text = timed
             utts.append(
-                SynthUtterance(
-                    text=parts[2],
-                    start_s=start_s,
-                    end_s=end_s,
-                    peak_scale=peak_scale,
-                    char_rate=rate,
-                )
+                SynthUtterance(text, start_s, end_s, peak_scale=peak_scale, char_rate=rate)
             )
     return SynthSpec(
         utterances=tuple(utts),
@@ -321,25 +313,20 @@ def write_manifest(path: str | os.PathLike, spec: SynthSpec) -> None:
         if utt.peak_scale != peak_scale:
             peak_scale = utt.peak_scale
             lines.append(f"#peak_scale {peak_scale}")
-        lines.append(f"{utt.start_s:.3f} {utt.end_s:.3f} {utt.text}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+        lines.append(format_timed_line(utt.start_s, utt.end_s, utt.text))
+    _write_lines(path, lines)
 
 
 def write_ground_truth(path: str | os.PathLike, truths: list[tuple[int, int, int]]) -> None:
-    lines = ["# utt_index start_frame end_frame"]
-    lines += [f"{i}\t{s}\t{e}" for i, s, e in truths]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    header = "# utt_index start_frame end_frame"
+    _write_lines(path, [header] + [f"{i}\t{s}\t{e}" for i, s, e in truths])
 
 
 def load_ground_truth(path: str | os.PathLike) -> list[tuple[int, int, int]]:
     truths = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            i, s, e = line.split("\t")
-            truths.append((int(i), int(s), int(e)))
+    for _, line in _data_lines(path):
+        i, s, e = line.split("\t")
+        truths.append((int(i), int(s), int(e)))
     return truths
 
 

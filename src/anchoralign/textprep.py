@@ -138,15 +138,15 @@ def load_utterances(
     """
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
-    non_empty = [line for line in lines if line.strip()]
-    if non_empty and all(_caption_prefix(line) is not None for line in non_empty):
-        texts = [_caption_prefix(line) for line in non_empty]
+    captions = [parse_timed_line(line) for line in lines if line.strip()]
+    if captions and all(captions):
+        texts = [caption[2] for caption in captions]
     else:
         texts = ["\n".join(lines)]
     utts: list[Utterance] = []
     for text in texts:
         try:
-            normalized = normalize_text(text, vocab)  # type: ignore[arg-type]
+            normalized = normalize_text(text, vocab)
         except EmptyTextError:
             continue
         for chunk in split_utterances(normalized, max_words, vocab.separator_symbol):
@@ -156,13 +156,18 @@ def load_utterances(
     return utts
 
 
-def _caption_prefix(line: str) -> str | None:
+def parse_timed_line(line: str) -> tuple[float, float, str] | None:
+    """Split a `start_s end_s text` line of a caption transcript or a
+    synthesis manifest; None when it has no text after two floats."""
     parts = line.split(None, 2)
     if len(parts) != 3:
         return None
     try:
-        float(parts[0])
-        float(parts[1])
+        return float(parts[0]), float(parts[1]), parts[2]
     except ValueError:
         return None
-    return parts[2]
+
+
+def format_timed_line(start_s: float, end_s: float, text: str) -> str:
+    """The `start_s end_s text` line parse_timed_line reads, times to the millisecond."""
+    return f"{start_s:.3f} {end_s:.3f} {text}"
