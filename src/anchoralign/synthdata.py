@@ -324,9 +324,14 @@ def write_ground_truth(path: str | os.PathLike, truths: list[tuple[int, int, int
 
 def load_ground_truth(path: str | os.PathLike) -> list[tuple[int, int, int]]:
     truths = []
-    for _, line in _data_lines(path):
-        i, s, e = line.split("\t")
-        truths.append((int(i), int(s), int(e)))
+    for where, line in _data_lines(path):
+        try:
+            i, s, e = (int(field) for field in line.split("\t"))
+        except ValueError as exc:
+            raise ManifestError(
+                f"{where}: expected utt_index<TAB>start_frame<TAB>end_frame, got {line!r}"
+            ) from exc
+        truths.append((i, s, e))
     return truths
 
 
