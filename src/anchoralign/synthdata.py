@@ -9,6 +9,7 @@ lattice recurrence, for small windows.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -71,35 +72,51 @@ def synth_posteriors(
     to seeded uniform draws. Returns the matrix and one
     (utt_index, start_frame, end_frame) triple per utterance covering its
     first through last character frame.
+
+    A spec that cannot be rendered raises ManifestError, among others for a
+    time or rate that is not finite, a negative seed, or more frames than
+    numpy can address for the vocab.
     """
     dur = spec.frame_duration_s
-    if dur <= 0:
-        raise ManifestError("frame_duration_s must be positive")
+    if not 0 < dur < math.inf:
+        raise ManifestError(f"frame_duration_s must be positive and finite, got {dur}")
+    if spec.noise_seed < 0:
+        raise ManifestError(f"noise seed must be >= 0, got {spec.noise_seed}")
     if not 0.0 < spec.peak_prob <= 1.0:
         raise ManifestError(f"peak_prob {spec.peak_prob} outside (0, 1]")
     gap_peak = spec.gap_peak if spec.gap_peak is not None else spec.peak_prob
     if not 0.0 < gap_peak <= 1.0:
         raise ManifestError(f"gap_peak {gap_peak} outside (0, 1]")
-    if spec.utterances:
-        last_end = max(u.end_s for u in spec.utterances)
-    else:
-        last_end = 0.0
+    for utt_index, utt in enumerate(spec.utterances):
+        if not 0 <= utt.start_s < utt.end_s < math.inf:
+            raise ManifestError(
+                f"utterance {utt_index}: span {utt.start_s} to {utt.end_s} s is not"
+                " a finite, non-empty span from 0 on"
+            )
+    last_end = max((u.end_s for u in spec.utterances), default=0.0)
     total_s = spec.total_s if spec.total_s is not None else last_end + 1.0
+    if not 0 < total_s < math.inf:
+        raise ManifestError(f"total_s must be positive and finite, got {total_s}")
+    # the float64 frames x symbols buffer must fit in numpy's address range
+    max_frames = np.iinfo(np.intp).max // (8 * vocab.size)
+    if total_s / dur > max_frames:
+        raise ManifestError(
+            f"total_s {total_s} s holds more than the {max_frames} frames of {dur} s"
+            f" numpy can allocate for {vocab.size} symbols"
+        )
     n_frames = int(round(total_s / dur))
     if n_frames < 1:
         raise ManifestError("corpus has no frames")
-    if last_end > total_s + 1e-9:
-        raise ManifestError("utterances extend past total_s")
 
     sym = np.full(n_frames, vocab.blank_index, dtype=np.int64)
     peak = np.full(n_frames, gap_peak)
     truths = []
     prev_end = -1
     for utt_index, utt in enumerate(spec.utterances):
-        if utt.end_s <= utt.start_s:
-            raise ManifestError(f"utterance {utt_index}: empty span")
         start_f = int(round(utt.start_s / dur))
         end_f_excl = int(round(utt.end_s / dur))
+        if end_f_excl > n_frames:
+            raise ManifestError(f"utterance {utt_index}: ends past total_s {total_s}")
         if start_f <= prev_end:
             raise ManifestError(f"utterance {utt_index}: overlaps previous one")
         tokens = _text_tokens(utt.text, vocab, utt_index)
@@ -109,9 +126,12 @@ def synth_posteriors(
         if rate is None:
             region = span
         else:
-            if rate <= 0:
-                raise ManifestError(f"utterance {utt_index}: char_rate must be positive")
-            region = min(span, int(round(n / rate / dur)))
+            if not 0 < rate < math.inf:
+                raise ManifestError(
+                    f"utterance {utt_index}: char_rate must be positive and finite, got {rate}"
+                )
+            # clamped before rounding: a tiny rate overflows to inf
+            region = int(round(min(n / rate / dur, span)))
         if region < n:
             raise ManifestError(
                 f"utterance {utt_index}: {region} frames cannot place {n} chars"
@@ -126,15 +146,16 @@ def synth_posteriors(
         truths.append((utt_index, int(positions[0]), int(positions[-1])))
         prev_end = end_f_excl - 1
 
+    # one float64 buffer holds the draws, then the probabilities, then their logs
     rng = np.random.default_rng(spec.noise_seed)
-    draws = rng.random((n_frames, vocab.size)) + 1e-12
+    probs = rng.random((n_frames, vocab.size))
+    probs += 1e-12
     rows = np.arange(n_frames)
-    draws[rows, sym] = 0.0
-    noise = draws * ((1.0 - peak) / draws.sum(axis=1))[:, None]
-    probs = noise
+    probs[rows, sym] = 0.0
+    probs *= ((1.0 - peak) / probs.sum(axis=1))[:, None]
     probs[rows, sym] = peak
     with np.errstate(divide="ignore"):
-        logp = np.log(probs).astype(np.float32)
+        logp = np.log(probs, out=probs).astype(np.float32)
     pm = PosteriorMatrix(data=logp, frame_duration_s=dur, vocab_id=vocab.checksum())
     return pm, truths
 

@@ -19,7 +19,9 @@ from anchoralign import (
     PosteriorMatrix,
     load_ground_truth,
     load_posteriors,
+    load_regions,
     load_vocab,
+    parse_manifest,
     synth_posteriors,
     write_manifest,
 )
@@ -32,7 +34,7 @@ from anchoralign.cli import (
     parse_config_file,
     resolve_config,
 )
-from anchoralign.errors import ConfigError
+from anchoralign.errors import ConfigError, ManifestError, SpeechRegionsError, VocabFormatError
 
 # --- dependencies ------------------------------------------------------------
 
@@ -407,6 +409,53 @@ def test_synth_default_file_id(tmp_path):
     rc = main(["synth", "--manifest", str(manifest), "--output-dir", str(tmp_path / "o")])
     assert rc == 0
     assert (tmp_path / "o" / "island.ctcp").exists()
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        "nan 1.0 abc\n",
+        "0 inf abc\n",
+        "#total nan\n0 1 abc\n",
+        "#rate nan\n0 1 abc\n",
+        "#frame_duration nan\n0 1 abc\n",
+        "#seed -1\n0 1 abc\n",
+        # more frames than numpy can address: rejected before anything is allocated
+        "#total 1e300\n0 1 abc\n",
+        "#frame_duration 1e-300\n0 1 abc\n",
+    ],
+)
+def test_synth_of_an_unrenderable_manifest_exits_2(tmp_path, caplog, manifest):
+    path = tmp_path / "bad.manifest"
+    path.write_text(manifest, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--manifest", str(path), "--output-dir", str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].startswith("ManifestError: ")
+    assert os.listdir(out) == []
+
+
+# --- text-file formats ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "reader, error, content, lineno",
+    [
+        (load_vocab, VocabFormatError, "#blank 0\n#separator 1\n0\tx\n1\t \n2 y\n", 5),
+        (load_regions, SpeechRegionsError, "# speech\n0.0 1.0\n\n2.0\n", 4),
+        (parse_manifest, ManifestError, "#seed 3\n0.0 1.0 hola\ncero uno hola\n", 3),
+        (load_ground_truth, ManifestError, "# utt start end\n0\t5\t9\n1\t12\n", 3),
+        (cli._load_split_map, ConfigError, "# file_id,split\na,train\nb\n", 3),
+        (parse_config_file, ConfigError, "workers = 1\n\nworkers\n", 3),
+    ],
+    ids=["vocab", "regions", "manifest", "truth", "split-map", "config"],
+)
+def test_a_malformed_line_is_named_by_path_and_line(tmp_path, reader, error, content, lineno):
+    path = tmp_path / "input.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(error) as info:
+        reader(path)
+    assert f"{path}:{lineno}:" in str(info.value)
 
 
 # --- align -------------------------------------------------------------------

@@ -160,6 +160,20 @@ def test_vocab_checksum_tracks_content(spanish_vocab):
     assert other.checksum() != spanish_vocab.checksum()
 
 
+def test_default_vocab_checksum_is_pinned(spanish_vocab):
+    # every PosteriorMatrix.vocab_id of the default vocab is this hex: the
+    # vocab text it hashes must not drift
+    want = "7f588369c9581f48769ad92771e4d97e389c1609dd35e9fb180e94908362025a"
+    assert spanish_vocab.checksum() == want
+    assert hashlib.sha256("\n".join(spanish_vocab.lines()).encode()).hexdigest() == want
+
+
+def test_saved_vocab_is_its_lines(tmp_path, spanish_vocab):
+    path = tmp_path / "vocab.txt"
+    save_vocab(path, spanish_vocab)
+    assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in spanish_vocab.lines())
+
+
 # --- posterior matrix --------------------------------------------------------
 
 

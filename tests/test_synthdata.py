@@ -1,6 +1,7 @@
 """Synthetic posterior rendering, manifests, and the exhaustive oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,11 +210,47 @@ def test_peak_one_alignment_recovers_truth_exactly(spanish_vocab):
             utterances=(SynthUtterance(text="a", start_s=0.0, end_s=5.0),), total_s=1.0
         ),
         dict(utterances=(), frame_duration_s=0.0),
+        # rejected before anything is allocated
+        dict(utterances=(SynthUtterance(text="a", start_s=math.nan, end_s=0.5),)),
+        dict(utterances=(SynthUtterance(text="a", start_s=0.0, end_s=math.inf),)),
+        dict(utterances=(SynthUtterance(text="a", start_s=-1.0, end_s=0.5),)),
+        dict(utterances=(), total_s=math.nan),
+        dict(utterances=(), frame_duration_s=math.nan),
+        dict(utterances=(), noise_seed=-1),
+        dict(utterances=(), total_s=1e300),
+        dict(utterances=(), frame_duration_s=5e-324),
+        dict(utterances=(SynthUtterance(text="a", start_s=0.0, end_s=0.5),), char_rate=math.nan),
     ],
 )
 def test_rendering_rejects_bad_specs(spanish_vocab, spec_kwargs):
     with pytest.raises(ManifestError):
         synth_posteriors(SynthSpec(**spec_kwargs), spanish_vocab)
+
+
+def test_a_tiny_char_rate_spreads_characters_over_the_whole_span(spanish_vocab):
+    # n / rate overflows to inf; the region is clamped to the span before rounding
+    utt = SynthUtterance(text="hola", start_s=0.0, end_s=0.5)
+    spread, _ = synth_posteriors(SynthSpec(utterances=(utt,)), spanish_vocab)
+    tiny, _ = synth_posteriors(SynthSpec(utterances=(utt,), char_rate=5e-324), spanish_vocab)
+    assert tiny.data.tobytes() == spread.data.tobytes()
+
+
+def test_rendering_peaks_under_20_bytes_per_cell(spanish_vocab):
+    # the draws, the probabilities and their logs share one float64 buffer,
+    # and the float32 result is the only other matrix
+    n_frames = 20_025
+    spec = SynthSpec(
+        utterances=(SynthUtterance(text="hola", start_s=1.0, end_s=2.0),),
+        total_s=n_frames * FRAME_S,
+    )
+    tracemalloc.start()
+    try:
+        pm, _ = synth_posteriors(spec, spanish_vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pm.data.shape == (n_frames, spanish_vocab.size)
+    assert peak <= 20 * pm.data.size
 
 
 def test_default_total_pads_after_last_utterance(spanish_vocab):
@@ -352,3 +389,12 @@ def test_ground_truth_round_trip(tmp_path):
     write_ground_truth(path, truths)
     assert load_ground_truth(path) == truths
     assert path.read_text(encoding="utf-8").startswith("# utt_index")
+
+
+@pytest.mark.parametrize("row", ["0\t5", "0\t5\t9\t1", "0 5 9", "0\t5\tnine", "0\t5.0\t9"])
+def test_ground_truth_row_must_be_three_tab_separated_integers(tmp_path, row):
+    path = tmp_path / "f.truth.tsv"
+    path.write_text(f"0\t1\t2\n{row}\n", encoding="utf-8")
+    with pytest.raises(ManifestError) as info:
+        load_ground_truth(path)
+    assert str(info.value).startswith(f"{path}:2: expected utt_index<TAB>")
