@@ -165,13 +165,13 @@ def test_default_vocab_checksum_is_pinned(spanish_vocab):
     # vocab text it hashes must not drift
     want = "7f588369c9581f48769ad92771e4d97e389c1609dd35e9fb180e94908362025a"
     assert spanish_vocab.checksum() == want
-    assert hashlib.sha256("\n".join(spanish_vocab.lines()).encode()).hexdigest() == want
 
 
-def test_saved_vocab_is_its_lines(tmp_path, spanish_vocab):
+def test_vocab_checksum_hashes_the_saved_file(tmp_path, spanish_vocab):
     path = tmp_path / "vocab.txt"
     save_vocab(path, spanish_vocab)
-    assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in spanish_vocab.lines())
+    blob = path.read_bytes()
+    assert blob.endswith(b"\n") and hashlib.sha256(blob[:-1]).hexdigest() == spanish_vocab.checksum()
 
 
 # --- posterior matrix --------------------------------------------------------
