@@ -43,6 +43,7 @@ _EXPORTS = {
         "NoSpeechError",
         "PosteriorFormatError",
         "SpeechRegionsError",
+        "TextDecodeError",
         "VocabFormatError",
     ),
     "filters": (

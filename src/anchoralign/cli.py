@@ -25,10 +25,12 @@ from typing import TYPE_CHECKING
 
 from . import _EXPORTS, lazy_names
 from .common import (
+    MAX_GAP_S,
     MAX_WORDS_PER_UTT,
     SCORE_REF_S,
     AlignParams,
     _data_lines,
+    _lines,
     _write_lines,
     check_knobs,
     knob,
@@ -119,7 +121,7 @@ class RunConfig:
     pass_id: int = knob(1, "pass number recorded in jsonl rows", key="pass")
     max_words: int = knob(MAX_WORDS_PER_UTT, "words per utterance cap", at_least=1)
     max_gap_s: float = knob(
-        30.0, "non-speech gaps longer than this many seconds are compressed away", at_least=0
+        MAX_GAP_S, "non-speech gaps longer than this many seconds are compressed away", at_least=0
     )
     align: AlignParams = field(default_factory=AlignParams)
 
@@ -220,14 +222,9 @@ def load_alignment_jsonl(path: str | os.PathLike) -> list[AlignmentRow]:
     s_seg, start_s and end_s, with end_s after start_s; any other row raises
     AlignmentFormatError naming path:line.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as exc:
-        raise AlignmentFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+    for where, line in _lines(path):
+        line = line.strip()
         if not line:
             continue
         try:
@@ -243,7 +240,7 @@ def load_alignment_jsonl(path: str | os.PathLike) -> list[AlignmentRow]:
             and end_s > start_s
         ):
             raise AlignmentFormatError(
-                f"{path}:{lineno}: expected a JSON object with a string file_id and finite"
+                f"{where}: expected a JSON object with a string file_id and finite"
                 f" numbers s_seg, start_s < end_s; got {line[:80]!r}"
             )
         rows.append(AlignmentRow(file_id, s_seg, end_s - start_s, end_s, line))
@@ -280,7 +277,8 @@ def _align_one(job: tuple[str, RunConfig, Vocab]) -> dict:
     """Align a single posterior/transcript pair and write its outputs.
 
     Runs in a worker process; returns a picklable summary so the parent can
-    assemble the corpus iteration log deterministically.
+    assemble the corpus iteration log deterministically. An AnchorAlignError or
+    OSError (a TextDecodeError naming path:line among them) is the summary's error.
     """
     file_id, cfg, vocab = job
     _load(*_ALIGN_MODULES)  # a spawned worker starts from a bare import
@@ -320,7 +318,7 @@ def _align_one(job: tuple[str, RunConfig, Vocab]) -> dict:
             "aligned": len(run.utterances),
             "skipped": len(run.skipped),
         }
-    except (AnchorAlignError, OSError, UnicodeDecodeError) as exc:
+    except (AnchorAlignError, OSError) as exc:
         return {"file_id": file_id, "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -575,19 +573,14 @@ def _setup_logging() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a bad input's AnchorAlignError or OSError logs one line, exit 2."""
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AnchorAlignError as exc:
+    except (AnchorAlignError, OSError) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
-        return 2
-    except OSError as exc:
-        log.error("%s", exc)
-        return 2
-    except UnicodeDecodeError as exc:
-        log.error("input file is not UTF-8 text: %s", exc)
         return 2
 
 

@@ -14,12 +14,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from .errors import ConfigError
+from .errors import ConfigError, TextDecodeError
 
 FRAGMENT_FRAMES = 30
 SCORE_REF_S = 8.0
 SHORT_PENALTY = -4.0
 MAX_WORDS_PER_UTT = 24
+MAX_GAP_S = 30.0  # non-speech gaps longer than this are compressed away
 # max_window_s spans at most this many window steps, so a pending utterance
 # is retried through at most this many grows before it is skipped
 MAX_WINDOW_STEPS = 10_000
@@ -111,11 +112,24 @@ def _write_lines(path: str | os.PathLike, lines: Iterable[str]) -> None:
     _atomic_write_bytes(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
+def _lines(path: str | os.PathLike) -> Iterator[tuple[str, str]]:
+    """Yield (f"{path}:{lineno}", line) for each line of a UTF-8 text file, its
+    LF, CRLF or CR removed. A line that is not UTF-8 raises TextDecodeError: a
+    byte that does not decode becomes a lone surrogate, which cannot encode."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise TextDecodeError(f"{where}: not UTF-8 text (byte 0x{byte:02x})") from None
+            yield where, line.removesuffix("\n")
+
+
 def _data_lines(path: str | os.PathLike) -> Iterator[tuple[str, str]]:
-    """Yield (f"{path}:{lineno}", line) for each line of a UTF-8 text file,
-    stripped, that is neither blank nor a `#` comment."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield f"{path}:{lineno}", line
+    """The lines of _lines, stripped, that are neither blank nor a `#` comment."""
+    for where, line in _lines(path):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield where, line

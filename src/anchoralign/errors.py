@@ -5,6 +5,10 @@ class AnchorAlignError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class TextDecodeError(AnchorAlignError):
+    """A line of a text input file is not UTF-8."""
+
+
 class VocabFormatError(AnchorAlignError):
     """Vocabulary file is malformed or inconsistent."""
 

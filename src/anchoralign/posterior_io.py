@@ -15,10 +15,11 @@ import struct
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
-from .common import _atomic_write_bytes, _data_lines, _write_lines
+from .common import MAX_GAP_S, _atomic_write_bytes, _data_lines, _lines, _write_lines
 from .errors import (
     FrameMapError,
     NoSpeechError,
@@ -135,30 +136,23 @@ def load_vocab(path: str | os.PathLike) -> Vocab:
     blank_index = None
     separator_index = None
     # a symbol may be whitespace, so lines are not stripped
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            where = f"{path}:{lineno}"
-            if line == "":
-                continue
-            if line.startswith("#blank "):
-                blank_index = _parse_directive_index(line, where)
-                continue
-            if line.startswith("#separator "):
-                separator_index = _parse_directive_index(line, where)
-                continue
-            if line.startswith("#"):
-                continue
-            if "\t" not in line:
-                raise VocabFormatError(f"{where}: expected index<TAB>symbol")
-            idx_text, symbol = line.split("\t", 1)
-            try:
-                idx = int(idx_text)
-            except ValueError as exc:
-                raise VocabFormatError(f"{where}: bad index {idx_text!r}") from exc
-            if idx in entries:
-                raise VocabFormatError(f"{where}: duplicate index {idx}")
-            entries[idx] = unicodedata.normalize("NFC", symbol)
+    for where, line in _lines(path):
+        if line.startswith("#blank "):
+            blank_index = _parse_directive_index(line, where)
+        elif line.startswith("#separator "):
+            separator_index = _parse_directive_index(line, where)
+        if line == "" or line.startswith("#"):
+            continue
+        if "\t" not in line:
+            raise VocabFormatError(f"{where}: expected index<TAB>symbol")
+        idx_text, symbol = line.split("\t", 1)
+        try:
+            idx = int(idx_text)
+        except ValueError as exc:
+            raise VocabFormatError(f"{where}: bad index {idx_text!r}") from exc
+        if idx in entries:
+            raise VocabFormatError(f"{where}: duplicate index {idx}")
+        entries[idx] = unicodedata.normalize("NFC", symbol)
     if blank_index is None:
         raise VocabFormatError("missing #blank directive")
     if separator_index is None:
@@ -279,18 +273,26 @@ def _read_binary_posteriors(path: str | os.PathLike) -> tuple[np.ndarray, float]
 
 
 def _read_text_posteriors(path: str | os.PathLike) -> tuple[np.ndarray, float]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise PosteriorFormatError("text header must be: T V frame_duration_s")
-        try:
-            t, v, frame_dur = int(header[0]), int(header[1]), float(header[2])
-        except ValueError as exc:
-            raise PosteriorFormatError(f"bad text header {header!r}") from exc
-        try:
-            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise PosteriorFormatError("unparseable posterior row") from exc
+    lines = _lines(path)
+    where, header = next(lines, (f"{path}:1", ""))
+    try:
+        t_text, v_text, dur_text = header.split()
+        t, v, frame_dur = int(t_text), int(v_text), float(dur_text)
+    except ValueError as exc:
+        raise PosteriorFormatError(
+            f"{where}: text header must be `T V frame_duration_s`, got {header!r}"
+        ) from exc
+
+    def rows() -> Iterator[str]:
+        nonlocal where
+        for where, line in lines:
+            yield line
+
+    try:
+        # loadtxt takes an iterable's lines one at a time, so where names the failing row
+        data = np.loadtxt(rows(), dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise PosteriorFormatError(f"{where}: unparseable posterior row") from exc
     if data.shape != (t, v):
         raise PosteriorFormatError(f"expected {t}x{v} values, got {data.shape}")
     return data.astype(np.float32), frame_dur
@@ -368,7 +370,7 @@ def map_frames_back(fm: FrameMap, frame: int) -> int:
 
 
 def apply_speech_regions(
-    pm: PosteriorMatrix, sr: SpeechRegions, max_gap_s: float = 30.0
+    pm: PosteriorMatrix, sr: SpeechRegions, max_gap_s: float = MAX_GAP_S
 ) -> tuple[PosteriorMatrix, FrameMap]:
     """Drop frames inside non-speech gaps longer than max_gap_s.
 

@@ -8,6 +8,7 @@ lattice recurrence, for small windows.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import _data_lines, _write_lines
+from .common import _data_lines, _lines, _write_lines
 from .errors import ManifestError
 from .posterior_io import DEFAULT_FRAME_DURATION_S, PosteriorMatrix, Vocab
 from .textprep import TokenSequence, format_timed_line, parse_timed_line
@@ -252,88 +253,74 @@ def random_window(
 # --- manifest I/O -----------------------------------------------------------
 
 
+def _none_or_float(value: str) -> float | None:
+    return None if value.lower() == "none" else float(value)
+
+
+# manifest directive -> (the dataclass it sets a field of, field, parser), in
+# write order; a SynthUtterance field holds for the utterance lines after it
+_DIRECTIVES = {
+    "seed": (SynthSpec, "noise_seed", int),
+    "peak": (SynthSpec, "peak_prob", float),
+    "gap_peak": (SynthSpec, "gap_peak", _none_or_float),
+    "frame_duration": (SynthSpec, "frame_duration_s", float),
+    "total": (SynthSpec, "total_s", float),
+    "rate": (SynthUtterance, "char_rate", _none_or_float),
+    "peak_scale": (SynthUtterance, "peak_scale", float),
+}
+
+
 def parse_manifest(path: str | os.PathLike) -> SynthSpec:
     """Read a corpus manifest: `start_s end_s text` lines plus # directives.
 
     #seed, #peak, #gap_peak, #frame_duration, and #total set corpus-level
     values; #rate and #peak_scale apply to the utterance lines that follow
-    them (#rate none restores span-filling placement).
+    them (#rate none restores span-filling placement). A value no directive
+    sets keeps its SynthSpec or SynthUtterance field default.
     """
-    seed = 0
-    peak = 0.9
-    gap_peak: float | None = None
-    frame_duration = DEFAULT_FRAME_DURATION_S
-    total: float | None = None
-    rate: float | None = None
-    peak_scale = 1.0
+    values: dict[type, dict[str, object]] = {SynthSpec: {}, SynthUtterance: {}}
     utts: list[SynthUtterance] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            where = f"{path}:{lineno}"
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split(None, 1)
-                if len(parts) != 2:
-                    raise ManifestError(f"{where}: bad directive {line!r}")
-                name, value = parts[0], parts[1].strip()
-                try:
-                    if name == "seed":
-                        seed = int(value)
-                    elif name == "peak":
-                        peak = float(value)
-                    elif name == "gap_peak":
-                        gap_peak = None if value.lower() == "none" else float(value)
-                    elif name == "frame_duration":
-                        frame_duration = float(value)
-                    elif name == "total":
-                        total = float(value)
-                    elif name == "rate":
-                        rate = None if value.lower() == "none" else float(value)
-                    elif name == "peak_scale":
-                        peak_scale = float(value)
-                    else:
-                        raise ManifestError(f"{where}: unknown directive #{name}")
-                except ValueError as exc:
-                    raise ManifestError(f"{where}: bad value {value!r}") from exc
-                continue
-            timed = parse_timed_line(line)
-            if timed is None:
-                raise ManifestError(f"{where}: expected start_s end_s text, got {line!r}")
-            start_s, end_s, text = timed
-            utts.append(
-                SynthUtterance(text, start_s, end_s, peak_scale=peak_scale, char_rate=rate)
-            )
-    return SynthSpec(
-        utterances=tuple(utts),
-        frame_duration_s=frame_duration,
-        peak_prob=peak,
-        noise_seed=seed,
-        gap_peak=gap_peak,
-        total_s=total,
-    )
+    for where, line in _lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line[1:].split(None, 1)
+            if len(parts) != 2:
+                raise ManifestError(f"{where}: bad directive {line!r}")
+            name, value = parts
+            if name not in _DIRECTIVES:
+                raise ManifestError(f"{where}: unknown directive #{name}")
+            cls, key, parse = _DIRECTIVES[name]
+            try:
+                values[cls][key] = parse(value)
+            except ValueError as exc:
+                raise ManifestError(f"{where}: bad value {value!r}") from exc
+            continue
+        timed = parse_timed_line(line)
+        if timed is None:
+            raise ManifestError(f"{where}: expected start_s end_s text, got {line!r}")
+        start_s, end_s, text = timed
+        utts.append(SynthUtterance(text, start_s, end_s, **values[SynthUtterance]))
+    return SynthSpec(utterances=tuple(utts), **values[SynthSpec])
 
 
 def write_manifest(path: str | os.PathLike, spec: SynthSpec) -> None:
+    """Write spec as parse_manifest reads it back: each utterance carries its
+    effective char_rate (its own, else the spec's), so both render alike."""
     lines = [
-        f"#seed {spec.noise_seed}",
-        f"#peak {spec.peak_prob}",
-        f"#frame_duration {spec.frame_duration_s}",
+        f"#{name} {getattr(spec, key)}"
+        for name, (cls, key, _) in _DIRECTIVES.items()
+        if cls is SynthSpec and getattr(spec, key) is not None
     ]
-    if spec.gap_peak is not None:
-        lines.insert(2, f"#gap_peak {spec.gap_peak}")
-    if spec.total_s is not None:
-        lines.append(f"#total {spec.total_s}")
-    rate = spec.char_rate
-    peak_scale = 1.0
+    prev = SynthUtterance("", 0.0, 0.0)  # field defaults, where parse_manifest starts
     for utt in spec.utterances:
-        if utt.char_rate != rate:
-            rate = utt.char_rate
-            lines.append(f"#rate {'none' if rate is None else rate}")
-        if utt.peak_scale != peak_scale:
-            peak_scale = utt.peak_scale
-            lines.append(f"#peak_scale {peak_scale}")
+        if utt.char_rate is None:
+            utt = dataclasses.replace(utt, char_rate=spec.char_rate)
+        for name, (cls, key, _) in _DIRECTIVES.items():
+            if cls is SynthUtterance and (value := getattr(utt, key)) != getattr(prev, key):
+                lines.append(f"#{name} {'none' if value is None else value}")
+        prev = utt
         lines.append(format_timed_line(utt.start_s, utt.end_s, utt.text))
     _write_lines(path, lines)
 

@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Sequence
 
-from .common import MAX_WORDS_PER_UTT
+from .common import MAX_WORDS_PER_UTT, _lines
 from .errors import ConfigError, EmptyTextError
 from .posterior_io import Vocab
 
@@ -136,8 +136,7 @@ def load_utterances(
     whole file is plain text chunked by max_words. Lines that normalize to
     nothing are dropped.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    lines = [line for _, line in _lines(path)]
     captions = [parse_timed_line(line) for line in lines if line.strip()]
     if captions and all(captions):
         texts = [caption[2] for caption in captions]

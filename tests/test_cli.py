@@ -17,11 +17,14 @@ from conftest import small_file_spec
 from anchoralign import (
     AlignParams,
     PosteriorMatrix,
+    default_spanish_vocab,
     load_ground_truth,
     load_posteriors,
     load_regions,
+    load_utterances,
     load_vocab,
     parse_manifest,
+    save_vocab,
     synth_posteriors,
     write_manifest,
 )
@@ -34,7 +37,14 @@ from anchoralign.cli import (
     parse_config_file,
     resolve_config,
 )
-from anchoralign.errors import ConfigError, ManifestError, SpeechRegionsError, VocabFormatError
+from anchoralign.errors import (
+    ConfigError,
+    ManifestError,
+    PosteriorFormatError,
+    SpeechRegionsError,
+    TextDecodeError,
+    VocabFormatError,
+)
 
 # --- dependencies ------------------------------------------------------------
 
@@ -447,8 +457,21 @@ def test_synth_of_an_unrenderable_manifest_exits_2(tmp_path, caplog, manifest):
         (load_ground_truth, ManifestError, "# utt start end\n0\t5\t9\n1\t12\n", 3),
         (cli._load_split_map, ConfigError, "# file_id,split\na,train\nb\n", 3),
         (parse_config_file, ConfigError, "workers = 1\n\nworkers\n", 3),
+        (load_posteriors, PosteriorFormatError, "3 2 0.02\n-1 -1\n-1 x\n-1 -1\n", 3),
+        (load_posteriors, PosteriorFormatError, "3 2 0.02\n-1 -1\n\n-1 -1\n-1\n", 5),
+        (load_posteriors, PosteriorFormatError, "3 2\n-1 -1\n", 1),
     ],
-    ids=["vocab", "regions", "manifest", "truth", "split-map", "config"],
+    ids=[
+        "vocab",
+        "regions",
+        "manifest",
+        "truth",
+        "split-map",
+        "config",
+        "posterior-value",
+        "posterior-columns",
+        "posterior-header",
+    ],
 )
 def test_a_malformed_line_is_named_by_path_and_line(tmp_path, reader, error, content, lineno):
     path = tmp_path / "input.txt"
@@ -456,6 +479,68 @@ def test_a_malformed_line_is_named_by_path_and_line(tmp_path, reader, error, con
     with pytest.raises(error) as info:
         reader(path)
     assert f"{path}:{lineno}:" in str(info.value)
+
+
+_JSONL_ROW = '{"file_id": "f", "s_seg": -0.5, "start_s": 0.0, "end_s": 1.0}\n'
+# each text input's reader, and two valid lines to put before a line that is not UTF-8
+_TEXT_INPUTS = {
+    "vocab": (load_vocab, "#blank 0\n#separator 1\n"),
+    "regions": (load_regions, "0.0 1.0\n2.0 3.0\n"),
+    "manifest": (parse_manifest, "#seed 3\n0.0 1.0 hola\n"),
+    "truth": (load_ground_truth, "0\t5\t9\n1\t12\t15\n"),
+    "split-map": (cli._load_split_map, "a,train\nb,dev\n"),
+    "config": (parse_config_file, "workers = 1\npass = 2\n"),
+    "jsonl": (load_alignment_jsonl, _JSONL_ROW * 2),
+    "transcript": (lambda path: load_utterances(path, default_spanish_vocab()), "una\ndos\n"),
+    "text-posterior": (load_posteriors, "3 2 0.02\n-1 -1\n"),
+}
+_NOT_UTF8 = b"una \xff linea\n"
+
+
+@pytest.mark.parametrize("name", list(_TEXT_INPUTS))
+def test_a_line_that_is_not_utf8_is_named_by_path_and_line(tmp_path, name):
+    reader, head = _TEXT_INPUTS[name]
+    path = tmp_path / "input.txt"
+    path.write_bytes(head.encode("utf-8") + _NOT_UTF8 + b"0 1 tres\n")
+    with pytest.raises(TextDecodeError, match=re.escape(f"{path}:3: not UTF-8 text (byte 0xff)")):
+        reader(path)
+
+
+@pytest.mark.parametrize("name", [name for name in _TEXT_INPUTS if name != "truth"])
+def test_a_text_input_that_is_not_utf8_exits_2_naming_its_line(
+    synth_dirs, scored_jsonl, tmp_path, caplog, name
+):
+    data, vocab_path = synth_dirs
+    # align reads regions, transcripts and posteriors per file: the bad one is fileb's
+    per_file = {
+        "regions": "fileb.regions",
+        "transcript": "fileb.txt",
+        "text-posterior": "fileb.ctcp",
+    }
+    bad = data / per_file[name] if name in per_file else tmp_path / "bad.txt"
+    bad.write_bytes(_TEXT_INPUTS[name][1].encode("utf-8") + _NOT_UTF8)
+    out = str(tmp_path / "out")
+    argv = {
+        "vocab": _align_argv(data, bad, out),
+        "config": _align_argv(data, vocab_path, out, "--config", str(bad)),
+        "regions": _align_argv(data, vocab_path, out, "--regions-dir", str(data)),
+        "split-map": ["stats", str(scored_jsonl), "--split-map", str(bad), "--output-dir", out],
+        "jsonl": ["filter", str(bad), "--output-dir", out],
+        "manifest": ["synth", "--manifest", str(bad), "--output-dir", out],
+    }.get(name, _align_argv(data, vocab_path, out))
+    assert main(argv) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and f"TextDecodeError: {bad}:3: not UTF-8" in errors[0], errors
+    if name in per_file:
+        assert os.path.exists(os.path.join(out, "filea.align.jsonl"))  # the good file aligned
+
+
+def test_a_crlf_vocab_reads_as_its_lf_form(tmp_path):
+    vocab = default_spanish_vocab()  # its separator symbol is a space
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    save_vocab(lf, vocab)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_vocab(crlf) == load_vocab(lf) == vocab
 
 
 # --- align -------------------------------------------------------------------
@@ -636,7 +721,7 @@ def test_align_reports_non_utf8_transcript_with_exit_2(synth_dirs, tmp_path, cap
     assert (out / "filea.align.jsonl").exists()  # the good file still aligned
     assert not (out / "fileb.align.jsonl").exists()
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert len(errors) == 1 and "fileb" in errors[0] and "UnicodeDecodeError" in errors[0]
+    assert len(errors) == 1 and f"{data / 'fileb.txt'}:1: not UTF-8" in errors[0]
 
 
 @pytest.mark.parametrize("option", ["--config", "--vocab", "--split-map"])

@@ -1,5 +1,7 @@
-"""The README's library example, every demo script and the public names work as written."""
+"""The README's library example, every demo script and the public names work as
+written, and the package keeps its text-file rules in one place."""
 
+import ast
 import importlib
 import os
 import re
@@ -84,3 +86,29 @@ def test_a_bare_import_loads_only_leaf_modules():
     assert proc.returncode == 0, proc.stderr
     leaves = {"anchoralign.common", "anchoralign.errors"}
     assert set(proc.stdout.split()) <= leaves
+
+
+def _text_mode_opens(path):
+    """Line numbers of the `open(` calls in a source file whose mode, the second
+    argument or `mode=`, is not a string constant holding "b"."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if not (modes and isinstance(modes[0], ast.Constant) and "b" in modes[0].value):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_text_input_is_opened_by_the_one_line_reader():
+    # common._lines decides how a text file is decoded, split and numbered; a
+    # second text-mode open would be a second, diverging rule
+    package = ROOT / "src" / "anchoralign"
+    opens = {p.name: lines for p in sorted(package.glob("*.py")) if (lines := _text_mode_opens(p))}
+    assert list(opens) == ["common.py"] and len(opens["common.py"]) == 1, opens
+    reader = next(
+        node
+        for node in ast.parse((package / "common.py").read_text("utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_lines"
+    )
+    assert reader.lineno <= opens["common.py"][0] <= reader.end_lineno

@@ -348,6 +348,25 @@ def test_manifest_round_trip(tmp_path):
     assert parse_manifest(path) == spec
 
 
+@pytest.mark.parametrize("utt_rate", [None, 12.0])
+def test_a_spec_level_char_rate_survives_a_manifest(tmp_path, utt_rate):
+    spec = SynthSpec(
+        utterances=(
+            SynthUtterance("abc", 0.0, 2.0),
+            SynthUtterance("de", 2.5, 4.0, char_rate=utt_rate),
+            SynthUtterance("fg", 4.5, 6.0),
+        ),
+        char_rate=5.0,
+    )
+    path = tmp_path / "rate.manifest"
+    write_manifest(path, spec)
+    vocab = default_spanish_vocab()
+    pm, truths = synth_posteriors(spec, vocab)
+    reread_pm, reread_truths = synth_posteriors(parse_manifest(path), vocab)
+    assert reread_pm.data.tobytes() == pm.data.tobytes()
+    assert reread_truths == truths
+
+
 def test_manifest_parsing_details(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text(
