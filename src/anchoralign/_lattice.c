@@ -1,4 +1,5 @@
-/* Lattice fill and backtrack walk for anchoralign.trellis.
+/* Lattice fill and path trace for anchoralign.trellis: one fill per window
+ * and one trace per backtrack, each the C twin of a numpy kernel function.
  *
  * trellis.py compiles this file on first use and calls it through ctypes;
  * it validates every argument and allocates every buffer before the call,
@@ -13,6 +14,9 @@
  * it (-inf >= -inf), without scoring them. A float32 window of at most
  * TABLE_SYMBOLS symbols may be passed as well; on a CPU with AVX-512 its rows
  * are scored by score_row_table, which makes the same sums and comparisons.
+ * The trace walks k back from a path's end and writes the path's emission
+ * frames and its per-frame score rho in the same pass, choosing each rho
+ * value by the comparison the numpy kernel's _trace makes.
  * Build with -ffp-contract=off and without -ffast-math to keep the bits.
  */
 #include <math.h>
@@ -55,7 +59,7 @@
 /* Score one row of n columns from the previous one, on frame w: advance =
  * prev[i] + w[tokens[i]] and stay = prev[i + 1] + stay_cost, row[i + 1] =
  * max(stay, advance) keeping stay on a tie as np.maximum(stay, advance)
- * does, and advances[i] = advance >= stay, the walk's rule, under which
+ * does, and advances[i] = advance >= stay, the trace's rule, under which
  * ties advance. */
 ROW_CLONES static void score_row(int64_t n, const double *restrict prev,
                                  const double *restrict w, const int64_t *restrict tokens,
@@ -199,37 +203,31 @@ void fill(const double *window, const float *window32, int64_t n_frames, int64_t
     }
 }
 
-/* Walk back from cell (t, j) to column 0, advancing where k[t][j] is set,
- * and record in advance_row[j] the row where the path advanced into column
- * j. Returns 0, or -1 if the walk runs past row 0 first. */
-int64_t walk(const uint8_t *k, int64_t width, int64_t t, int64_t j, int64_t *advance_row)
+/* Trace the best path of j tokens back from cell (t, j), whose trailing
+ * blank is emitted on frame t, to column 0, advancing where k[t][j] is set.
+ * frames[j] = t, and frames[i] is the frame on which the path emits token i;
+ * it holds that token up to frame frames[i + 1] - 1. Every frame f the path
+ * passes gets rho[f] = a > b || isnan(a) ? a : b, a being the log
+ * probability of the symbol held on f and b the blank's: row t - 1 holds
+ * tokens[j - 1], and frame t the blank. So a tie, a zero against a zero of
+ * the other sign too, gives the blank's value, and a NaN propagates; the
+ * numpy kernel's _trace writes the same rule. Returns 0, or -1 if the walk
+ * runs past row 0 first. */
+int64_t trace(const uint8_t *k, int64_t width, const double *window, int64_t n_symbols,
+              const int64_t *tokens, int64_t blank, int64_t t, int64_t j, int64_t *frames,
+              double *rho)
 {
+    frames[j] = t;
+    rho[t] = window[t * n_symbols + blank];
     while (j > 0) {
         if (t < 1)
             return -1;
-        if (k[t * width + j]) {
-            advance_row[j] = t;
-            j--;
-        }
+        const double a = window[(t - 1) * n_symbols + tokens[j - 1]];
+        const double b = window[(t - 1) * n_symbols + blank];
+        rho[t - 1] = a > b || isnan(a) ? a : b;
+        if (k[t * width + j])
+            frames[--j] = t - 1;
         t--;
     }
     return 0;
-}
-
-/* Write out[f] = max(window[f][symbol], window[f][blank]) on the frames a
- * path of n tokens holds: token i on frames frames[i] .. frames[i + 1] - 1,
- * and the trailing blank on frame frames[n] alone. As with np.maximum, NaNs
- * propagate; the sign of a zero against a zero of the other sign is
- * unspecified, as np.maximum's differs between CPUs. */
-void rho(const double *window, int64_t n_symbols, const int64_t *tokens, int64_t blank,
-         const int64_t *frames, int64_t n, double *out)
-{
-    for (int64_t i = 0; i <= n; i++) {
-        const int64_t symbol = i < n ? tokens[i] : blank;
-        const int64_t end = i < n ? frames[i + 1] : frames[n] + 1;
-        for (int64_t f = frames[i]; f < end; f++) {
-            const double a = window[f * n_symbols + symbol], b = window[f * n_symbols + blank];
-            out[f] = a > b || isnan(a) ? a : b;
-        }
-    }
 }

@@ -116,7 +116,7 @@ def _lines(path: str | os.PathLike) -> Iterator[tuple[str, str]]:
     """Yield (f"{path}:{lineno}", line) for each line of a UTF-8 text file, its
     LF, CRLF or CR removed. A line that is not UTF-8 raises TextDecodeError: a
     byte that does not decode becomes a lone surrogate, which cannot encode."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             where = f"{path}:{lineno}"
             try:

@@ -69,45 +69,12 @@ def filter_chebyshev(
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
-    """np.mean and np.std of float64 values, bit for bit: the sum over n,
-    and the root of the sum of squared deviations over n."""
+    """Mean and standard deviation of float64 values: the sum over n, and the
+    root of the sum of squared deviations over n. math.fsum rounds each sum
+    once, exactly, so neither depends on the values' order."""
     n = len(values)
-    mean = _sum(values) / n
-    return mean, math.sqrt(_sum([(v - mean) * (v - mean) for v in values]) / n)
-
-
-def _sum(values: list[float]) -> float:
-    """Sum of float64 values in the order np.add.reduce adds them: the
-    reduction's identity 0.0 plus their pairwise sum."""
-    return 0.0 + _pairwise_sum(values, 0, len(values))
-
-
-def _pairwise_sum(values: list[float], first: int, n: int) -> float:
-    """numpy's pairwise summation of values[first : first + n], addition for
-    addition (the pairwise_sum template of numpy's umath/loops_utils.h.src).
-
-    Under 8 values it is a plain loop. Up to 128 it keeps 8 running sums, one
-    per position modulo 8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    and adds the remainder. Above 128 it splits at n // 2 rounded down to a
-    multiple of 8 and adds the two halves' sums.
-    """
-    if n < 8:
-        res = 0.0
-        for i in range(first, first + n):
-            res += values[i]
-        return res
-    if n <= 128:
-        r = values[first : first + 8]
-        blocks_end = first + n - n % 8
-        for i in range(first + 8, blocks_end, 8):
-            r = [acc + v for acc, v in zip(r, values[i : i + 8])]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(blocks_end, first + n):
-            res += values[i]
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values, first, half) + _pairwise_sum(values, first + half, n - half)
+    mean = math.fsum(values) / n
+    return mean, math.sqrt(math.fsum((v - mean) * (v - mean) for v in values) / n)
 
 
 def filter_normalized(

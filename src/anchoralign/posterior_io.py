@@ -153,17 +153,20 @@ def load_vocab(path: str | os.PathLike) -> Vocab:
         if idx in entries:
             raise VocabFormatError(f"{where}: duplicate index {idx}")
         entries[idx] = unicodedata.normalize("NFC", symbol)
-    if blank_index is None:
-        raise VocabFormatError("missing #blank directive")
-    if separator_index is None:
-        raise VocabFormatError("missing #separator directive")
-    if not entries:
-        raise VocabFormatError("no symbol entries")
-    size = len(entries)
-    if sorted(entries) != list(range(size)):
-        raise VocabFormatError("symbol indices must cover 0..V-1 without gaps")
-    symbols = tuple(entries[i] for i in range(size))
-    return Vocab(symbols=symbols, blank_index=blank_index, separator_index=separator_index)
+    try:  # the checks of the whole file name the file
+        if blank_index is None:
+            raise VocabFormatError("missing #blank directive")
+        if separator_index is None:
+            raise VocabFormatError("missing #separator directive")
+        if not entries:
+            raise VocabFormatError("no symbol entries")
+        size = len(entries)
+        if sorted(entries) != list(range(size)):
+            raise VocabFormatError("symbol indices must cover 0..V-1 without gaps")
+        symbols = tuple(entries[i] for i in range(size))
+        return Vocab(symbols=symbols, blank_index=blank_index, separator_index=separator_index)
+    except VocabFormatError as exc:
+        raise VocabFormatError(f"{path}: {exc}") from None
 
 
 def save_vocab(path: str | os.PathLike, vocab: Vocab) -> None:
@@ -314,26 +317,37 @@ class SpeechRegions:
     regions: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        prev_end = None
+        prev_end = 0.0
         for start, end in self.regions:
-            if not (0.0 <= start < end):
-                raise SpeechRegionsError(f"bad region ({start}, {end})")
-            if prev_end is not None and start < prev_end:
-                raise SpeechRegionsError("regions must be sorted and non-overlapping")
+            _check_region(start, end, prev_end)
             prev_end = end
 
 
+def _check_region(start: float, end: float, prev_end: float, where: str = "") -> None:
+    """Raise SpeechRegionsError, its message prefixed by where, unless
+    0 <= start < end and the region starts at or after prev_end."""
+    if not (0.0 <= start < end):
+        raise SpeechRegionsError(f"{where}bad region ({start}, {end})")
+    if start < prev_end:
+        raise SpeechRegionsError(f"{where}regions must be sorted and non-overlapping")
+
+
 def load_regions(path: str | os.PathLike) -> SpeechRegions:
-    """Read `start_s end_s` lines; blank lines and # comments are skipped."""
+    """Read `start_s end_s` lines; blank lines and # comments are skipped. A
+    region that SpeechRegions would reject is named by its path:line."""
     spans = []
+    prev_end = 0.0
     for where, line in _data_lines(path):
         parts = line.split()
         if len(parts) != 2:
             raise SpeechRegionsError(f"{where}: expected start_s end_s, got {line!r}")
         try:
-            spans.append((float(parts[0]), float(parts[1])))
+            start, end = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise SpeechRegionsError(f"{where}: bad floats {line!r}") from exc
+        _check_region(start, end, prev_end, f"{where}: ")
+        spans.append((start, end))
+        prev_end = end
     return SpeechRegions(regions=tuple(spans))
 
 

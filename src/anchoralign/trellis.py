@@ -10,18 +10,20 @@ after its last token; since no log probability is positive, holding that
 blank longer never helps, so the trailing blank needs no column of its own.
 
 The fill keeps two rolling score rows and stores one advance-or-stay byte per
-cell, which is all the backtrack walk reads, plus the score columns where
+cell, which is all the trace reads, plus the score columns where
 utterances end, which is all the end rule reads. Column j needs j frames, so
 no path ends past column frames - 1: the fill stops at the last utterance end
 before it, and the ends of later utterances are -inf. That is at most
 (frames + 1) x (min(tokens, frames - 1) + 1) bytes and 8 x frames x
 (utterances + 1) more, not a float64 score lattice.
 
-The fill, the backtrack walk and backtrack's rho run in C (_lattice.c),
-compiled with the system's `cc` on first use and cached beside this module's
-bytecode. Where that fails, a numpy row kernel, a Python walk and a numpy rho
-run instead; both kernels make the same IEEE additions and comparisons, so
-they return the same bits.
+Each kernel has two calls: one fill per window, and one trace per backtrack,
+which walks the decisions back and writes the path's frames and rho as it
+goes. The C kernel (_lattice.c) is compiled with the system's `cc` on first
+use and cached beside this module's bytecode. Where that fails, the numpy
+kernel runs instead: a numpy row fill, and a trace that walks in Python and
+gathers rho with numpy. Both kernels make the same IEEE additions and
+comparisons, so they return the same bits.
 
 The C fill runs on the calling thread. Its row loop reads its emissions from
 the window itself and is vectorised: gcc on x86-64 builds an AVX-512
@@ -110,10 +112,8 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.fill.argtypes = [ptr, ptr, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr, ptr]
     lib.fill.restype = None
-    lib.walk.argtypes = [ptr, i64, i64, i64, ptr]
-    lib.walk.restype = i64
-    lib.rho.argtypes = [ptr, i64, ptr, i64, ptr, i64, ptr]
-    lib.rho.restype = None
+    lib.trace.argtypes = [ptr, i64, ptr, i64, ptr, i64, i64, i64, ptr, ptr]
+    lib.trace.restype = i64
     log.debug("lattice kernel: C (%s)", path)
     return lib
 
@@ -121,7 +121,7 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
 @functools.cache
 def _kernel() -> ctypes.CDLL | None:
     """The compiled lattice kernel, loaded on the process's first fill or
-    walk; None runs the numpy fill and the Python walk."""
+    trace; None runs the numpy kernel's fill and trace."""
     return _load_library()
 
 
@@ -325,57 +325,62 @@ def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.
     frames[i + 1] - 1; the last entry is the trailing blank's frame, the
     path's last. rho is the per-frame score over the traced span:
     rho[f] = max(logP(aligned token | x_f), logP(blank | x_f)), NaN for
-    frames off the path; the sign of a zero max(0.0, -0.0) is unspecified.
-    The C kernel writes rho in one loop; without it, numpy gathers it.
+    frames off the path; a tie, 0.0 against -0.0 too, gives the blank's
+    value. One kernel call, C's trace or the numpy kernel's _trace, walks the
+    path and writes both.
     """
     n = len(tr.tokens) if n_tokens is None else n_tokens
     ends = end_scores(tr, n)  # checks n
-    window = tr.window
     psi = int(np.argmax(ends)) + 1  # earliest row attaining the max
     if ends[psi - 1] == -np.inf:
-        raise NoPathError(f"window of {len(window)} frames cannot hold {n + 1} tokens")
-    # the path advanced into column j on row advance_row[j], emitting token
-    # j - 1 on frame advance_row[j] - 1; the trailing blank fills row psi
-    frames = np.append(_walk(tr.k, psi - 1, n)[1:], psi) - 1
-    rho = np.full(len(window), np.nan)
+        raise NoPathError(f"window of {len(tr.window)} frames cannot hold {n + 1} tokens")
+    frames = np.empty(n + 1, dtype=np.int64)
+    rho = np.full(len(tr.window), np.nan)
+    # the layouts the C trace reads; compute_trellis's arrays pass uncopied,
+    # a Trellis built by hand may hold others
+    k = np.ascontiguousarray(tr.k, dtype=np.uint8)
+    window = np.ascontiguousarray(tr.window, dtype=np.float64)
+    tokens = np.ascontiguousarray(tr.tokens, dtype=np.int64)
     lib = _kernel()
-    if lib is not None:
-        lib.rho(
-            window.ctypes.data,
-            window.shape[1],
-            tr.tokens.ctypes.data,
-            tr.blank_index,
-            frames.ctypes.data,
-            n,
-            rho.ctypes.data,
-        )
-        return frames, rho
-    symbols = np.repeat(np.append(tr.tokens[:n], tr.blank_index), np.diff(frames, append=psi))
-    traced = np.arange(frames[0], psi)
-    rho[traced] = np.maximum(window[traced, symbols], window[traced, tr.blank_index])
+    if lib is None:
+        _trace(tr, psi - 1, n, frames, rho)
+    elif lib.trace(
+        k.ctypes.data,
+        k.shape[1],
+        window.ctypes.data,
+        window.shape[1],
+        tokens.ctypes.data,
+        tr.blank_index,
+        psi - 1,
+        n,
+        frames.ctypes.data,
+        rho.ctypes.data,
+    ):
+        raise NoPathError("backtrack walked past the window start")
     return frames, rho
 
 
-def _walk(k: np.ndarray, t: int, j: int) -> np.ndarray:
-    """Walk back from cell (t, j) to column 0, advancing where k[t][j] is
-    set, and return advance_row (int64, j + 1 entries): entry i is the row
-    where the path advanced into column i, 0 for column 0. backtrack has
-    validated every index."""
-    advance_row = np.zeros(j + 1, dtype=np.int64)
-    lib = _kernel()
-    if lib is not None:
-        k = np.ascontiguousarray(k, dtype=np.uint8)
-        if lib.walk(k.ctypes.data, k.shape[1], t, j, advance_row.ctypes.data):
-            raise NoPathError("backtrack walked past the window start")
-        return advance_row
+def _trace(tr: Trellis, t: int, j: int, frames: np.ndarray, rho: np.ndarray) -> None:
+    """The numpy kernel's trace, _lattice.c's trace in Python: walk back from
+    cell (t, j), whose trailing blank is on frame t, writing each token's
+    emission frame into frames, then write rho on the traced frames in one
+    gather, by the same rule: the held symbol's value a where
+    a > b or a is NaN, else the blank's value b. backtrack has validated
+    every index; a walk past row 0 raises NoPathError."""
+    n = j
+    frames[n] = t
     while j > 0:
         if t < 1:
             raise NoPathError("backtrack walked past the window start")
-        if k[t, j]:
-            advance_row[j] = t
+        if tr.k[t, j]:
             j -= 1
+            frames[j] = t - 1
         t -= 1
-    return advance_row
+    traced = np.arange(frames[0], frames[n] + 1)
+    symbols = np.append(tr.tokens[:n], tr.blank_index)
+    held = np.repeat(symbols, np.diff(frames, append=frames[n] + 1))  # frame by frame
+    a, b = tr.window[traced, held], tr.window[traced, tr.blank_index]
+    rho[traced] = np.where((a > b) | np.isnan(a), a, b)
 
 
 def fragment_scores(rho: np.ndarray, fragment_frames: int = FRAGMENT_FRAMES) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -533,6 +534,42 @@ def test_a_text_input_that_is_not_utf8_exits_2_naming_its_line(
     assert len(errors) == 1 and f"TextDecodeError: {bad}:3: not UTF-8" in errors[0], errors
     if name in per_file:
         assert os.path.exists(os.path.join(out, "filea.align.jsonl"))  # the good file aligned
+
+
+# a whole file each text input's reader reads; line 1 of each would not parse
+# with a byte-order mark before it
+_BOM_TWINS = {
+    "vocab": "#blank 0\n#separator 1\n0\t∅\n1\t \n2\ta\n",
+    "regions": "0.0 1.0\n2.0 3.0\n",
+    "manifest": "#seed 3\n0.0 1.0 hola\n",
+    "truth": "0\t5\t9\n1\t12\t15\n",
+    "split-map": "a,train\nb,dev\n",
+    "config": "workers = 1\npass = 2\n",
+    "jsonl": _JSONL_ROW * 2,
+    "transcript": "0.0 1.0 una\n1.0 2.0 dos\n",
+    "text-posterior": "2 2 0.02\n" + "-0.6931471805599453 -0.6931471805599453\n" * 2,
+}
+
+
+@pytest.mark.parametrize("name", list(_TEXT_INPUTS))
+def test_a_byte_order_mark_reads_as_its_twin_without_one(tmp_path, name):
+    reader = _TEXT_INPUTS[name][0]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(_BOM_TWINS[name], encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert pickle.dumps(reader(marked)) == pickle.dumps(reader(plain))
+
+
+def test_a_caption_transcript_with_a_byte_order_mark_aligns_as_without(synth_dirs, tmp_path):
+    # with the mark kept, line 1 is no caption line and the file reads as plain text
+    data, vocab_path = synth_dirs
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    assert _run_align(data, vocab_path, plain) == 0
+    transcript = data / "fileb.txt"
+    transcript.write_bytes(b"\xef\xbb\xbf" + transcript.read_bytes())
+    assert _run_align(data, vocab_path, marked) == 0
+    for name in sorted(os.listdir(plain)):
+        assert (marked / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 def test_a_crlf_vocab_reads_as_its_lf_form(tmp_path):

@@ -1,7 +1,7 @@
 """The lattice tests of test_trellis.py and test_acceptance.py, run on each
 lattice kernel.
 
-trellis runs its fill and backtrack walk in C when the library builds and on
+trellis runs its fill and trace in C when the library builds and on
 numpy otherwise. pytest collects the test functions imported below again in
 this module, where the autouse `kernel` fixture runs each of them once per
 kernel; in their own modules they run on whichever kernel the process loaded.
@@ -45,7 +45,7 @@ from anchoralign import trellis
 
 @pytest.fixture(autouse=True, params=["C", "numpy"])
 def kernel(request, monkeypatch):
-    """Selects the compiled kernel or the numpy fill and Python walk."""
+    """Selects the compiled kernel or the numpy kernel."""
     lib = compiled_kernel() if request.param == "C" else None
     monkeypatch.setattr(trellis, "_kernel", lambda: lib)
     return request.param

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import struct
 import tracemalloc
 import warnings
@@ -148,6 +149,28 @@ def test_load_vocab_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "bad.txt"
     path.write_text(content, encoding="utf-8")
     with pytest.raises(VocabFormatError):
+        load_vocab(path)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("#separator 1\n0\tx\n1\t \n", "missing #blank directive"),
+        ("#blank 0\n0\tx\n1\t \n", "missing #separator directive"),
+        ("#blank 0\n#separator 1\n", "no symbol entries"),
+        ("#blank 0\n#separator 1\n0\tx\n2\ty\n", "symbol indices must cover 0..V-1"),
+        # and each error of Vocab itself
+        ("#blank 0\n#separator 1\n0\tx\n", "vocab needs at least blank and separator"),
+        ("#blank 0\n#separator 1\n0\tx\n1\tx\n", "vocab symbols are not unique"),
+        ("#blank 0\n#separator 2\n0\tx\n1\t \n", "separator index 2 out of range"),
+        ("#blank 0\n#separator 0\n0\tx\n1\t \n", "blank and separator must be distinct"),
+        ("#blank 0\n#separator 1\n0\tx\n1\t \n2\t\n", "empty symbol"),
+    ],
+)
+def test_a_vocab_error_of_the_whole_file_names_the_file(tmp_path, content, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(VocabFormatError, match=re.escape(f"{path}: {message}")):
         load_vocab(path)
 
 
@@ -481,6 +504,21 @@ def test_regions_file_parsing(tmp_path):
         load_regions(path)
     path.write_text("zero one\n", encoding="utf-8")
     with pytest.raises(SpeechRegionsError):
+        load_regions(path)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("0.0 1.0\nnan 5\n", "2: bad region (nan, 5.0)"),
+        ("0.0 1.0\n3.0 2.0\n", "2: bad region (3.0, 2.0)"),
+        ("# speech\n2.0 3.0\n\n1.0 1.5\n", "4: regions must be sorted and non-overlapping"),
+    ],
+)
+def test_a_region_speech_regions_rejects_is_named_by_path_and_line(tmp_path, content, message):
+    path = tmp_path / "file.regions"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(SpeechRegionsError, match=re.escape(f"{path}:{message}")):
         load_regions(path)
 
 

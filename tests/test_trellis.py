@@ -868,11 +868,24 @@ def test_a_float32_windows_rows_are_read_in_place(monkeypatch):
         assert passed[-1] == (window.ctypes.data if in_place else None)
 
 
+def _both_traces(monkeypatch, lib, tr, n):
+    """backtrack(tr, n) on the C kernel and on the numpy kernel, None where
+    it raises NoPathError."""
+    traces = []
+    for chosen in (lib, None):
+        monkeypatch.setattr(trellis, "_kernel", lambda chosen=chosen: chosen)
+        try:
+            traces.append(backtrack(tr, n))
+        except NoPathError:
+            traces.append(None)
+    return traces
+
+
 def test_the_c_rho_equals_the_numpy_rho(monkeypatch):
-    # rho is np.maximum(held symbol, blank) per traced frame; windows of 0.0,
-    # -0.0, -0.5 and -inf put ties, ties of zeros of both signs and -inf
-    # cells on many traced frames. The sign of a zero in rho is unspecified:
-    # np.maximum's choice between 0.0 and -0.0 differs between CPUs
+    # rho is the held symbol's value where it beats the blank's, else the
+    # blank's, per traced frame; windows of 0.0, -0.0, -0.5 and -inf put ties,
+    # ties of zeros of both signs and -inf cells on many traced frames. Both
+    # kernels write the same bytes, so a zero's sign counts
     lib = compiled_kernel()
     rng = np.random.default_rng(618)
     compared = zero_ties = 0
@@ -884,25 +897,58 @@ def test_the_c_rho_equals_the_numpy_rho(monkeypatch):
         ts = TokenSequence(tuple(tokens.tolist()), _token_boundaries(len(tokens)))
         tr = compute_trellis(window, ts, 0)
         for n in range(len(tokens) + 1):
-            traces = []
-            for chosen in (lib, None):
-                monkeypatch.setattr(trellis, "_kernel", lambda chosen=chosen: chosen)
-                try:
-                    traces.append(backtrack(tr, n))
-                except NoPathError:
-                    traces.append(None)
+            traces = _both_traces(monkeypatch, lib, tr, n)
             if traces[0] is None:
                 assert traces[1] is None
                 continue
             (frames, got), (want_frames, want) = traces
-            assert np.array_equal(frames, want_frames)
-            assert np.array_equal(got, want, equal_nan=True)
+            assert frames.tobytes() == want_frames.tobytes()
+            assert got.tobytes() == want.tobytes()
             compared += 1
             held = np.repeat(np.append(tokens[:n], 0), np.diff(frames, append=frames[-1] + 1))
             traced = np.arange(frames[0], frames[-1] + 1)
             a, b = tr.window[traced, held], tr.window[traced, 0]
-            zero_ties += bool(((a == 0) & (b == 0) & (np.signbit(a) != np.signbit(b))).any())
+            ties = (a == 0) & (b == 0) & (np.signbit(a) != np.signbit(b))
+            zero_ties += bool(ties.any())
+            # a tie gives the blank's zero
+            assert (np.signbit(got[traced][ties]) == np.signbit(b[ties])).all()
     assert compared > 1000 and zero_ties > 100
+
+
+def test_a_trace_past_row_0_raises_on_both_kernels(monkeypatch):
+    # a lattice filled from a window always holds a path back to column 0 from
+    # a finite end; hand-built decisions that advance too rarely do not, and
+    # both kernels raise where the walk runs past row 0, and agree elsewhere,
+    # also on a float32 window and int32 tokens, which C reads converted
+    lib = compiled_kernel()
+    rng = np.random.default_rng(620)
+    raised = agreed = 0
+    for case in range(100):
+        n_frames, n = int(rng.integers(2, 30)), int(rng.integers(1, 10))
+        window = np.log(rng.dirichlet(np.ones(4), size=n_frames))
+        tokens = rng.integers(1, 4, size=n)
+        if case % 2:
+            window, tokens = window.astype(np.float32), tokens.astype(np.int32)
+        k = (rng.random((n_frames + 1, n + 1)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+        k[0] = k[:, 0] = 0
+        tr = Trellis(
+            window=window,
+            k=k,
+            ends=np.zeros((n_frames, 2)),
+            end_columns=(0, n),
+            tokens=tokens,
+            blank_index=0,
+        )
+        traces = _both_traces(monkeypatch, lib, tr, n)
+        if traces[0] is None:
+            assert traces[1] is None
+            raised += 1
+            continue
+        (frames, rho), (want_frames, want) = traces
+        assert frames.tobytes() == want_frames.tobytes()
+        assert rho.tobytes() == want.tobytes()
+        agreed += 1
+    assert raised > 20 and agreed > 20
 
 
 @pytest.mark.parametrize("cc", ["no-such-compiler", "false"])
