@@ -1,9 +1,12 @@
 /* Lattice fill and path trace for anchoralign.trellis: one fill per window
  * and one trace per backtrack, each the C twin of a numpy kernel function.
  *
- * trellis.py compiles this file on first use and calls it through ctypes;
- * it validates every argument and allocates every buffer before the call,
- * so nothing here calls malloc. All arrays are C-contiguous: window is
+ * trellis.py compiles this file on first use and calls it through ctypes,
+ * and allocates every buffer before the call, so nothing here calls malloc.
+ * No argument is checked here: trellis.Trellis's constructor is the one
+ * place that checks what these loops index (the shapes of window, k and
+ * ends, the token and blank values, the sorted end columns), and backtrack
+ * passes a j below width. All arrays are C-contiguous: window is
  * n_frames x n_symbols, k is (n_frames + 1) x width bytes, ends is
  * n_frames x n_ends, tokens are vocabulary indices. The fill runs on the
  * calling thread, keeps two rolling score rows and stores one advance
@@ -80,8 +83,8 @@ ROW_CLONES static void score_row(int64_t n, const double *restrict prev,
 /* score_row on the columns [i, i + 8) where mask is set, for their
  * emissions emit; returns the advance decisions as mask bits. max_pd(a, b)
  * is a > b ? a : b, which is score_row's stay >= advance ? stay : advance
- * for any two values but NaN, and trellis.py rejects a window holding NaN
- * or +inf, so no sum here is NaN. */
+ * for any two values but NaN, and the Trellis constructor rejects a window
+ * holding NaN or +inf, so no sum here is NaN. */
 TABLE_TARGET static inline __attribute__((always_inline)) __mmask8
 score_8(int64_t i, __mmask8 mask, __m512d emit, const double *restrict prev, __m512d stay_cost,
         double *restrict row)
@@ -160,7 +163,8 @@ static int table_rows(void)
  * on every row; and row t scores max(stay, advance) with
  * stay = prev[j] + blank[t-1] and advance = prev[j-1] + w[t-1][tokens[j-1]]
  * as score_row does; the caller zeroes row 0 and column 0 of k. Before row t
- * is scored, ends[t-1][e] takes row t - 1's score in column end_columns[e].
+ * is scored, ends[t-1][e] takes row t - 1's score in column end_columns[e],
+ * or -inf for an end column past width - 1, which no path reaches.
  * Column j needs j frames, so on row t only columns 1 .. min(width - 1, t)
  * are scored. Every later column scores -inf on both of its candidates, and
  * -inf >= -inf advances, so its decision is 1 and its score stays the -inf
@@ -187,8 +191,10 @@ void fill(const double *window, const float *window32, int64_t n_frames, int64_t
         const double *w = window + (t - 1) * n_symbols;
         uint8_t *advances = k + t * width + 1;
         const int64_t m = t < n ? t : n; /* columns 1 .. m are in a path's reach */
-        for (int64_t e = 0; e < n_ends; e++)
-            ends[(t - 1) * n_ends + e] = prev[end_columns[e]];
+        for (int64_t e = 0; e < n_ends; e++) {
+            const int64_t c = end_columns[e];
+            ends[(t - 1) * n_ends + e] = c < width ? prev[c] : (double)-INFINITY;
+        }
 #if TABLE_ROWS
         if (window32)
             score_row_table(m, prev, window32 + (t - 1) * n_symbols, n_symbols, tokens32,

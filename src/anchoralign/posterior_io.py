@@ -7,9 +7,11 @@ default for synthesis and the CLI).
 
 from __future__ import annotations
 
+import bisect
 import copy
 import hashlib
 import math
+import operator
 import os
 import struct
 import unicodedata
@@ -376,9 +378,13 @@ def identity_frame_map(n_frames: int) -> FrameMap:
 
 
 def map_frames_back(fm: FrameMap, frame: int) -> int:
-    """Translate a compressed frame index to the original timeline."""
-    for comp_start, orig_start, length in fm.segments:
-        if comp_start <= frame < comp_start + length:
+    """Translate a compressed frame index to the original timeline: the
+    segment holding it is the last one starting at or before it, found by
+    bisection."""
+    i = bisect.bisect_right(fm.segments, frame, key=operator.itemgetter(0))
+    if i:
+        comp_start, orig_start, length = fm.segments[i - 1]
+        if frame < comp_start + length:
             return orig_start + (frame - comp_start)
     raise FrameMapError(f"frame {frame} outside compressed range of {fm.compressed_frames}")
 

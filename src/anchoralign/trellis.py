@@ -49,6 +49,7 @@ import functools
 import hashlib
 import importlib.util
 import logging
+import operator
 import os
 import platform
 from dataclasses import dataclass
@@ -130,18 +131,28 @@ class Trellis:
     """Forward lattice of advance decisions, read-only, bound to the window
     it was filled from.
 
-    window is that window as a read-only float64 copy (T_w x V), which
-    end_scores and backtrack read. Cell (t, j) is the best path that has
-    consumed tokens 1..j after frame t (row 0 = before any frame). k[t][j]
-    (uint8) is 1 where that path advanced into column j on frame t and 0
-    where it stayed in column j; ties advance, and row 0 and column 0 are 0.
-    k holds the columns j = 0..n, n being the last end column below frames:
-    no path ends in a later column. ends[t][e] (float64, frames x
-    len(end_columns)) is the path's log joint probability at cell
-    (t, end_columns[e]) for t = 0..frames - 1, -inf for the end columns past
-    n. end_columns holds 0, the end of every utterance and len(tokens),
-    sorted. tokens (int64, read-only) are the token sequence's vocabulary
-    indices, all of them, also past n.
+    window is that window (T_w x V), which end_scores and backtrack read.
+    Cell (t, j) is the best path that has consumed tokens 1..j after frame t
+    (row 0 = before any frame). k[t][j] is 1 where that path advanced into
+    column j on frame t and 0 where it stayed in column j; ties advance, and
+    row 0 and column 0 are 0. k holds the columns j = 0..n, n being the last
+    end column below frames: no path ends in a later column. ends[t][e] is
+    the path's log joint probability at cell (t, end_columns[e]) for
+    t = 0..frames - 1, -inf for the end columns past n. end_columns holds 0,
+    the end of every utterance and len(tokens), sorted. tokens are the token
+    sequence's vocabulary indices, all of them, also past n.
+
+    The constructor is the one place that checks what the kernels index, so
+    a Trellis built by hand is held to the same rules as compute_trellis's:
+    - window is 2-D with at least 1 row, holding no NaN and no value above 0;
+    - k is (frames + 1) x width, with 1 <= width <= len(tokens) + 1;
+    - ends is frames x len(end_columns);
+    - end_columns is sorted without repeats, from 0 to len(tokens);
+    - tokens are 1-D, and they and blank_index lie in [0, V).
+    It holds window, k, ends and tokens as read-only C-contiguous float64,
+    uint8, float64 and int64 arrays, converting others (a float32 window,
+    int32 tokens) once; the tokens are always its own copy, since their
+    values index the window.
     """
 
     window: np.ndarray
@@ -150,6 +161,59 @@ class Trellis:
     end_columns: tuple[int, ...]
     tokens: np.ndarray
     blank_index: int
+
+    def __post_init__(self) -> None:
+        window = _read_only(self.window, np.float64)
+        k = _read_only(self.k, np.uint8)
+        ends = _read_only(self.ends, np.float64)
+        tokens = np.array(self.tokens, dtype=np.int64)  # its own copy: the values index memory
+        tokens.flags.writeable = False
+        end_columns = tuple(map(operator.index, self.end_columns))
+        blank_index = operator.index(self.blank_index)
+        if window.ndim != 2 or window.shape[0] < 1:
+            raise ValueError(f"bad window shape {window.shape}")
+        n_frames, n_symbols = window.shape
+        if tokens.ndim != 1:
+            raise ValueError(f"tokens of shape {tokens.shape} are not 1-D")
+        if k.ndim != 2 or k.shape[0] != n_frames + 1 or not 1 <= k.shape[1] <= len(tokens) + 1:
+            raise ValueError(
+                f"k of shape {k.shape} does not fit {n_frames} frames and {len(tokens)} tokens"
+            )
+        if ends.shape != (n_frames, len(end_columns)):
+            raise ValueError(
+                f"ends of shape {ends.shape} does not fit {n_frames} frames"
+                f" and {len(end_columns)} end columns"
+            )
+        if (
+            end_columns[:1] != (0,)
+            or end_columns[-1] != len(tokens)
+            or any(a >= b for a, b in zip(end_columns, end_columns[1:]))
+        ):
+            raise ValueError(f"end columns {end_columns} do not rise from 0 to {len(tokens)}")
+        if not 0 <= blank_index < n_symbols:
+            raise ValueError(f"blank index {blank_index} out of range for {n_symbols} symbols")
+        if (tokens < 0).any() or (tokens >= n_symbols).any():
+            raise ValueError("token index out of vocab range")
+        if not window.max() <= 0:  # backtrack's end rule relies on it
+            raise ValueError("window holds a positive or NaN log probability")
+        checked = {
+            "window": window,
+            "k": k,
+            "ends": ends,
+            "end_columns": end_columns,
+            "tokens": tokens,
+            "blank_index": blank_index,
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+
+
+def _read_only(array, dtype) -> np.ndarray:
+    """array as a read-only C-contiguous array of dtype: a view where it
+    already is one, so the caller's array stays writable, else a copy."""
+    view = np.ascontiguousarray(array, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -180,9 +244,11 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     natural log), keeping a read-only float64 copy of the window in the
     Trellis.
 
-    Every window value must be <= 0 (a log probability): backtrack's end
-    rule relies on it. The score row before any frame is 0 then -inf,
-    column 0 scores 0, and each later row scores
+    The Trellis is built before the fill, so its constructor checks the
+    window, tokens and blank (see Trellis) before either kernel reads them;
+    every window value must be <= 0 (a log probability), as backtrack's end
+    rule relies on it. The score row before any frame is 0 then -inf, column 0
+    scores 0, and each later row scores
     max(prev[1:] + blank, prev[:-1] + emit), keeping the stay value on a tie;
     k stores advance >= stay per cell, and ends the score columns at
     end_columns; k stops at the last end column a path can reach (see
@@ -195,31 +261,29 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     window = np.array(window_logp, dtype=np.float64, order="C")  # the Trellis's own copy
     # the C fill may read a float32 window's own rows (see _lattice.c)
     window32 = window_logp if _float32_rows(window_logp) else None
-    if window.ndim != 2 or window.shape[0] < 1:
-        raise ValueError(f"bad window shape {window.shape}")
-    n_frames, n_symbols = window.shape
-    tokens = np.array(ts.tokens, dtype=np.int64)
-    if not 0 <= blank_index < n_symbols:
-        raise ValueError(f"blank index {blank_index} out of range for {n_symbols} symbols")
-    if (tokens < 0).any() or (tokens >= n_symbols).any():
-        raise ValueError("token index out of vocab range")
-    if not window.max() <= 0:
-        raise ValueError("window holds a positive or NaN log probability")
-    end_columns = tuple(sorted({0, len(tokens), *(last + 1 for *_, last in ts.boundaries)}))
-    if end_columns[0] < 0 or end_columns[-1] > len(tokens):
-        raise ValueError("utterance boundaries out of range for the tokens")
+    n_frames = window.shape[0] if window.ndim else 0  # Trellis rejects a window not 2-D
+    end_columns = tuple(sorted({0, len(ts.tokens), *(last + 1 for *_, last in ts.boundaries)}))
     # column j needs j frames and ends holds rows 0..n_frames - 1, so no path
     # ends past column n_frames - 1: fill up to the last end column before it
-    columns = np.array([c for c in end_columns if c < n_frames], dtype=np.int64)
-    width = int(columns[-1]) + 1
+    width = max((c for c in end_columns if c < n_frames), default=0) + 1
     # both kernels write every cell but row 0 and column 0, the free start
     k = np.empty((n_frames + 1, width), dtype=np.uint8)
+    ends = np.empty((n_frames, len(end_columns)))
+    tr = Trellis(
+        window=window,
+        k=k,
+        ends=ends,
+        end_columns=end_columns,
+        tokens=ts.tokens,
+        blank_index=blank_index,
+    )
+    # tr holds read-only views of k and ends; the fill writes them through these
     k[0] = 0
     k[:, 0] = 0
-    ends = np.empty((n_frames, len(columns)))
+    columns = np.array(end_columns, dtype=np.int64)
     lib = _kernel()
     if lib is None:
-        _fill_rows(window, tokens[: width - 1], blank_index, k, columns, ends)
+        _fill_rows(window, tr.tokens[: width - 1], tr.blank_index, k, columns, ends)
     else:
         # two score rows and the tokens as int32, as _lattice.c's fill lays them out
         scratch = np.empty(2 * width + width // 2)
@@ -227,9 +291,9 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
             window.ctypes.data,
             None if window32 is None else window32.ctypes.data,
             n_frames,
-            n_symbols,
-            tokens.ctypes.data,
-            blank_index,
+            window.shape[1],
+            tr.tokens.ctypes.data,
+            tr.blank_index,
             k.ctypes.data,
             width,
             columns.ctypes.data,
@@ -237,19 +301,7 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
             ends.ctypes.data,
             scratch.ctypes.data,
         )
-    if len(columns) < len(end_columns):  # the end columns past the fill have no path
-        unreached = np.full((n_frames, len(end_columns) - len(columns)), -np.inf)
-        ends = np.hstack([ends, unreached])
-    for array in (window, k, ends, tokens):
-        array.flags.writeable = False
-    return Trellis(
-        window=window,
-        k=k,
-        ends=ends,
-        end_columns=end_columns,
-        tokens=tokens,
-        blank_index=blank_index,
-    )
+    return tr
 
 
 def _float32_rows(window_logp) -> bool:
@@ -275,16 +327,21 @@ def _fill_rows(
     rolling score rows: per frame, ends[t - 1] = prev[end_columns],
     advance = prev[:-1] + emit, row = prev[1:] + blank, k[t] = advance >= row
     and row = max(row, advance), with the emissions gathered for
-    _EMIT_BLOCK_ROWS rows at a time."""
+    _EMIT_BLOCK_ROWS rows at a time. The sorted end_columns past k's last
+    column, which no path reaches, end at -inf on every row."""
     prev, row = np.zeros(k.shape[1]), np.zeros(k.shape[1])  # column 0 stays 0
     prev[1:] = -np.inf
+    reached = int(np.searchsorted(end_columns, k.shape[1]))
+    ends[:, reached:] = -np.inf
+    end_columns, reached_ends = end_columns[:reached], ends[:, :reached]
     blank = window[:, blank_index].tolist()
     advance = np.empty(len(tokens))
     decisions = k[1:, 1:].view(np.bool_)
     for t0 in range(0, len(window), _EMIT_BLOCK_ROWS):
         block = slice(t0, t0 + _EMIT_BLOCK_ROWS)
         emits = window[block].take(tokens, axis=1)
-        for emit, stay, decided, end_row in zip(emits, blank[block], decisions[block], ends[block]):
+        rows = zip(emits, blank[block], decisions[block], reached_ends[block])
+        for emit, stay, decided, end_row in rows:
             prev.take(end_columns, out=end_row)
             np.add(prev[:-1], emit, out=advance)
             np.add(prev[1:], stay, out=row[1:])
@@ -318,7 +375,9 @@ def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.
     longest batch answers every shorter one, bit for bit. The path ends on
     the earliest frame maximizing end_scores, holding its trailing blank for
     that one frame, and the walk back reads only tr.k. Ties pick the
-    earliest end frame and prefer advancing.
+    earliest end frame and prefer advancing. Where no path ends in column
+    n_tokens, because the window is too short for it or k stops before it,
+    NoPathError is raised before any kernel call.
 
     Returns frames (int64, n_tokens + 1 entries) and rho. frames[i] is the
     frame on which token i is emitted, and that token is held through frame
@@ -332,24 +391,20 @@ def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.
     n = len(tr.tokens) if n_tokens is None else n_tokens
     ends = end_scores(tr, n)  # checks n
     psi = int(np.argmax(ends)) + 1  # earliest row attaining the max
-    if ends[psi - 1] == -np.inf:
+    # no path reaches a column past k's last, which the fill did not write
+    if n >= tr.k.shape[1] or ends[psi - 1] == -np.inf:
         raise NoPathError(f"window of {len(tr.window)} frames cannot hold {n + 1} tokens")
     frames = np.empty(n + 1, dtype=np.int64)
     rho = np.full(len(tr.window), np.nan)
-    # the layouts the C trace reads; compute_trellis's arrays pass uncopied,
-    # a Trellis built by hand may hold others
-    k = np.ascontiguousarray(tr.k, dtype=np.uint8)
-    window = np.ascontiguousarray(tr.window, dtype=np.float64)
-    tokens = np.ascontiguousarray(tr.tokens, dtype=np.int64)
     lib = _kernel()
     if lib is None:
         _trace(tr, psi - 1, n, frames, rho)
     elif lib.trace(
-        k.ctypes.data,
-        k.shape[1],
-        window.ctypes.data,
-        window.shape[1],
-        tokens.ctypes.data,
+        tr.k.ctypes.data,
+        tr.k.shape[1],
+        tr.window.ctypes.data,
+        tr.window.shape[1],
+        tr.tokens.ctypes.data,
         tr.blank_index,
         psi - 1,
         n,
@@ -365,8 +420,9 @@ def _trace(tr: Trellis, t: int, j: int, frames: np.ndarray, rho: np.ndarray) -> 
     cell (t, j), whose trailing blank is on frame t, writing each token's
     emission frame into frames, then write rho on the traced frames in one
     gather, by the same rule: the held symbol's value a where
-    a > b or a is NaN, else the blank's value b. backtrack has validated
-    every index; a walk past row 0 raises NoPathError."""
+    a > b or a is NaN, else the blank's value b. The Trellis constructor has
+    checked every index the walk reads but t, and backtrack that j is a
+    column of k; a walk past row 0 raises NoPathError."""
     n = j
     frames[n] = t
     while j > 0:

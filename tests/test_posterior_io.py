@@ -650,6 +650,33 @@ def test_identity_frame_map():
     assert map_frames_back(fm, 16) == 16
 
 
+def _map_frames_back_linear(fm, frame):
+    """map_frames_back as first written: a scan of the segments, None outside them."""
+    for comp_start, orig_start, length in fm.segments:
+        if comp_start <= frame < comp_start + length:
+            return orig_start + (frame - comp_start)
+    return None
+
+
+def test_frame_mapping_equals_the_linear_scan():
+    # every frame of seeded multi-segment maps, and the frames just outside them
+    rng = np.random.default_rng(16)
+    for n, p_keep in ((50, 0.5), (400, 0.9), (400, 0.2), (3000, 0.6)):
+        keep = rng.random(n) < p_keep
+        keep[rng.integers(n)] = True
+        fm = FrameMap(segments=_kept_runs(keep), original_frames=n)
+        assert len(fm.segments) > 1
+        for frame in range(-2, fm.compressed_frames + 2):
+            want = _map_frames_back_linear(fm, frame)
+            if want is None:
+                with pytest.raises(FrameMapError):
+                    map_frames_back(fm, frame)
+            else:
+                assert map_frames_back(fm, frame) == want
+        kept = [map_frames_back(fm, f) for f in range(fm.compressed_frames)]
+        assert kept == np.flatnonzero(keep).tolist()
+
+
 # --- atomic writes -----------------------------------------------------------
 
 

@@ -3,8 +3,11 @@
 import dataclasses
 import hashlib
 import math
+import os
 import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +173,121 @@ def test_trellis_validation():
         window[2, 3] = bad
         with pytest.raises(ValueError):
             compute_trellis(window, ts, VOCAB.blank_index)
+    # a Trellis built by hand is held to the same rules, and to those on k and ends
+    _hand_built()  # the unchanged fields pass
+    for changes in (
+        {"window": np.full(20, -1.0)},
+        {"window": np.full((0, 5), -1.0)},
+        {"window": np.full((4, 5), 1e-300)},
+        {"window": np.full((4, 5), np.nan)},
+        {"k": np.zeros((4, 3))},  # a row short of frames + 1
+        {"k": np.zeros((5, 4))},  # a column past len(tokens)
+        {"k": np.zeros((5, 0))},
+        {"k": np.zeros(15)},
+        {"ends": np.zeros((3, 2))},
+        {"ends": np.zeros((4, 3))},
+        {"end_columns": (1, 2)},
+        {"end_columns": (0, 3)},
+        {"end_columns": (2, 0)},
+        {"end_columns": (0, 2, 2), "ends": np.zeros((4, 3))},
+        {"end_columns": (), "ends": np.zeros((4, 0))},
+        {"tokens": (2, 5)},
+        {"tokens": (-1, 3)},
+        {"tokens": ((2, 3),)},
+        {"blank_index": 5},
+        {"blank_index": -1},
+    ):
+        with pytest.raises(ValueError):
+            _hand_built(**changes)
+
+
+def _hand_built(**changes):
+    """A Trellis built by hand, 4 frames of 5 symbols and the tokens of "ab",
+    with changes to its fields."""
+    fields = {
+        "window": np.full((4, 5), -1.0),
+        "k": np.zeros((5, 3), dtype=np.uint8),
+        "ends": np.zeros((4, 2)),
+        "end_columns": (0, 2),
+        "tokens": (2, 3),
+        "blank_index": 0,
+    }
+    return Trellis(**{**fields, **changes})
+
+
+def _crash_recipe(name):
+    """backtrack through the last end column of a Trellis built by hand that,
+    unchecked, makes the C trace read out of bounds and the numpy trace raise
+    IndexError."""
+    end_columns = (0, 5)
+    window = np.full((8, 4), np.log(0.25))
+    tokens = [1, 2, 3, 1, 2]
+    k = np.ones((9, 6), dtype=np.uint8)  # advances everywhere past row 0 and column 0
+    k[0] = k[:, 0] = 0
+    ends = np.zeros((8, 2))
+    ends[:, 1] = np.linspace(-7.0, 0.0, 8)
+    if name == "a token past the window's symbols":
+        tokens[-1] = 400_000_000
+    elif name == "k and ends rows that do not match the window's":
+        window = np.full((20_000, 4), np.log(0.25))
+        window[:, 0] = np.linspace(-1.0, 0.0, 20_000)  # the blank ends the path on the last frame
+        k, ends = k[:2], ends[:1]
+    elif name == "an end column past k's width":  # with finite ends
+        k = np.ones((9, 3), dtype=np.uint8)  # read across its rows, a path advances everywhere
+    tr = Trellis(window=window, k=k, ends=ends, end_columns=end_columns, tokens=tokens, blank_index=0)
+    return backtrack(tr, end_columns[-1])
+
+
+CRASH_RECIPES = (
+    "a token past the window's symbols",
+    "k and ends rows that do not match the window's",
+    "an end column past k's width",
+)
+
+# run in a child process: argv is the kernel, then the flags to build C with
+_CRASH_CHILD = """
+import sys
+import test_trellis
+from anchoralign import trellis
+from anchoralign.errors import AnchorAlignError
+
+kernel, *flags = sys.argv[1:]
+trellis._CFLAGS = tuple(flags)
+lib = trellis._load_library() if kernel == "C" else None
+calls = []
+trellis._kernel = lambda: calls.append(kernel) or lib
+for recipe in test_trellis.CRASH_RECIPES:
+    try:
+        test_trellis._crash_recipe(recipe)
+        outcome = "returned a path"
+    except (ValueError, AnchorAlignError) as exc:
+        outcome = f"raised {type(exc).__name__}"
+    print(f"{recipe}: {outcome}{' after a kernel call' if calls else ''}", flush=True)
+"""
+
+
+@pytest.mark.parametrize("kernel", ["C", "numpy"])
+def test_hand_built_lattices_fail_before_any_kernel_call(kernel):
+    # unchecked, a recipe ends the process or reads past an array, so they run
+    # in a child, and a regression fails this test instead of ending pytest
+    if kernel == "C":
+        compiled_kernel()
+    paths = [Path(trellis.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CRASH_CHILD, kernel, *trellis._CFLAGS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stdout}{proc.stderr}"
+    outcomes = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+    assert outcomes == {
+        CRASH_RECIPES[0]: "raised ValueError",
+        CRASH_RECIPES[1]: "raised ValueError",
+        CRASH_RECIPES[2]: "raised NoPathError",
+    }
 
 
 def test_lattice_is_read_only():
