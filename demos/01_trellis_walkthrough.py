@@ -3,9 +3,9 @@
 Cell (t, j) of the lattice scores the best log probability of having
 consumed the first j tokens after t frames. The free-start column (all
 zeros) lets the text begin at any frame. The fill keeps only two rows of
-scores; per cell it stores the decision k[t][j], 1 where the best path into
-the cell advanced into token j on frame t and 0 where it held, and it keeps
-the score column where the text ends. The path ends on the frame after its
+scores; per cell it stores one decision bit, 1 where the best path into the
+cell advanced into token j on frame t and 0 where it held, packed eight to a
+byte in k, and it keeps the score column where the text ends. The path ends on the frame after its
 last character where one trailing blank scores best (end_scores), so the
 text may end before the window does. Backtracking follows the decisions to
 recover where each character was emitted, plus the frame-wise confidence rho
@@ -46,8 +46,10 @@ def main():
     window = np.log(probs)
 
     tr = compute_trellis(window, ts, vocab.blank_index)
-    print("advance decisions k (rows = frames consumed, columns = free start, 'a', 'b'):")
-    print(tr.k)
+    # k packs each frame's decisions for columns 1.. eight to a byte; unpack them
+    decisions = np.unpackbits(tr.k, axis=1, count=tr.width - 1, bitorder="little")
+    print("advance decisions (rows = frames 1.., columns = 'a', 'b'):")
+    print(decisions)
     print("(ties advance, so a cell no path reaches yet, -inf either way, reads 1)\n")
 
     ends = end_scores(tr)

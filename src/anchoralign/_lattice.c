@@ -7,19 +7,26 @@
  * place that checks what these loops index (the shapes of window, k and
  * ends, the token and blank values, the sorted end columns), and backtrack
  * passes a j below width. All arrays are C-contiguous: window is
- * n_frames x n_symbols, k is (n_frames + 1) x width bytes, ends is
- * n_frames x n_ends, tokens are vocabulary indices. The fill runs on the
- * calling thread, keeps two rolling score rows and stores one advance
- * decision per cell; each sum and comparison is the one the numpy kernel
- * makes, so the two write the same bits in every clone of the row loop.
- * Column j needs j frames: on row t the columns past t are out of a path's
- * reach, and the fill writes their decision, 1, as the numpy kernel computes
- * it (-inf >= -inf), without scoring them. A float32 window of at most
- * TABLE_SYMBOLS symbols may be passed as well; on a CPU with AVX-512 its rows
- * are scored by score_row_table, which makes the same sums and comparisons.
- * The trace walks k back from a path's end and writes the path's emission
- * frames and its per-frame score rho in the same pass, choosing each rho
- * value by the comparison the numpy kernel's _trace makes.
+ * n_frames x n_symbols, ends is n_frames x n_ends, tokens are vocabulary
+ * indices, and k holds the advance decisions packed eight to a byte,
+ * n_frames x (width + 6) / 8 bytes: the decision for column j on frame t is
+ * bit (j - 1) % 8 of byte (j - 1) / 8 of row t - 1, numpy's
+ * packbits(..., bitorder="little") order, and the padding bits past column
+ * width - 1 are 0. Row 0 and column 0, the free start, have no bits: the
+ * trace never reads them. The fill runs on the calling thread, keeps two
+ * rolling score rows and stores one advance decision per cell; each sum and
+ * comparison is the one the numpy kernel makes, so the two write the same
+ * bits in every clone of the row loop. Column j needs j frames: on row t the
+ * columns past t are out of a path's reach, and the fill sets their
+ * decision, 1, as the numpy kernel computes it (-inf >= -inf), without
+ * scoring them. A float32 window of at most TABLE_SYMBOLS symbols may be
+ * passed as well; on a CPU with AVX-512 its rows are scored by
+ * score_row_table, which makes the same sums and comparisons and stores its
+ * decisions as the mask bits it computes them in. The row clones write a
+ * row's decisions one to a byte and pack them in one pass. The trace walks k
+ * back from a path's end and writes the path's emission frames and its
+ * per-frame score rho in the same pass, choosing each rho value by the
+ * comparison the numpy kernel's _trace makes.
  * Build with -ffp-contract=off and without -ffast-math to keep the bits.
  */
 #include <math.h>
@@ -62,18 +69,33 @@
 /* Score one row of n columns from the previous one, on frame w: advance =
  * prev[i] + w[tokens[i]] and stay = prev[i + 1] + stay_cost, row[i + 1] =
  * max(stay, advance) keeping stay on a tie as np.maximum(stay, advance)
- * does, and advances[i] = advance >= stay, the trace's rule, under which
- * ties advance. */
+ * does, and the decision advance >= stay, the trace's rule, under which ties
+ * advance. The decisions go one to a byte into bytes, which has room for n
+ * rounded up to a multiple of 8, and are then packed eight to a byte into
+ * the (n + 7) / 8 bytes of bits, with 0s past column n: eight bytes of 0 or
+ * 1 read as a little-endian word, times 0x0102040810204080, carry byte q's
+ * bit to bit 56 + q, and no two of the product's terms share a bit, so
+ * nothing else reaches the top byte. */
 ROW_CLONES static void score_row(int64_t n, const double *restrict prev,
                                  const double *restrict w, const int64_t *restrict tokens,
                                  double stay_cost, double *restrict row,
-                                 uint8_t *restrict advances)
+                                 uint8_t *restrict bytes, uint8_t *restrict bits)
 {
     for (int64_t i = 0; i < n; i++) {
         const double advance = prev[i] + w[tokens[i]];
         const double stay = prev[i + 1] + stay_cost;
-        advances[i] = advance >= stay;
+        bytes[i] = advance >= stay;
         row[i + 1] = stay >= advance ? stay : advance;
+    }
+    const int64_t n_bytes = (n + 7) / 8;
+    memset(bytes + n, 0, (size_t)(8 * n_bytes - n));
+    for (int64_t b = 0; b < n_bytes; b++) {
+        uint64_t word;
+        memcpy(&word, bytes + 8 * b, 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        word = __builtin_bswap64(word); /* byte q at bits 8q .. 8q + 7 */
+#endif
+        bits[b] = (uint8_t)((word * UINT64_C(0x0102040810204080)) >> 56);
     }
 }
 
@@ -81,10 +103,11 @@ ROW_CLONES static void score_row(int64_t n, const double *restrict prev,
 #define TABLE_TARGET __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
 
 /* score_row on the columns [i, i + 8) where mask is set, for their
- * emissions emit; returns the advance decisions as mask bits. max_pd(a, b)
- * is a > b ? a : b, which is score_row's stay >= advance ? stay : advance
- * for any two values but NaN, and the Trellis constructor rejects a window
- * holding NaN or +inf, so no sum here is NaN. */
+ * emissions emit; returns the advance decisions as mask bits, 0 where mask
+ * is not set. max_pd(a, b) is a > b ? a : b, which is score_row's
+ * stay >= advance ? stay : advance for any two values but NaN, and the
+ * Trellis constructor rejects a window holding NaN or +inf, so no sum here
+ * is NaN. */
 TABLE_TARGET static inline __attribute__((always_inline)) __mmask8
 score_8(int64_t i, __mmask8 mask, __m512d emit, const double *restrict prev, __m512d stay_cost,
         double *restrict row)
@@ -92,17 +115,20 @@ score_8(int64_t i, __mmask8 mask, __m512d emit, const double *restrict prev, __m
     const __m512d advance = _mm512_add_pd(_mm512_maskz_loadu_pd(mask, prev + i), emit);
     const __m512d stay = _mm512_add_pd(_mm512_maskz_loadu_pd(mask, prev + i + 1), stay_cost);
     _mm512_mask_storeu_pd(row + i + 1, mask, _mm512_max_pd(advance, stay));
-    return _mm512_cmp_pd_mask(advance, stay, _CMP_GE_OQ);
+    return _mm512_mask_cmp_pd_mask(mask, advance, stay, _CMP_GE_OQ);
 }
 
 /* score_row on the columns [i, i + 16) where mask is set: the emissions are
  * picked from the row's table by token, bits 0-4 selecting among table[0]
  * and table[1] or table[2] and table[3] and bit 5 between the pairs, then
- * widened to float64, which is exact. */
+ * widened to float64, which is exact. The 16 decisions are stored as the
+ * mask's two bytes at bits[i / 8], i being a multiple of 16, or as its low
+ * byte alone where mask holds 8 columns or fewer, so no store passes the
+ * last column's byte. */
 TABLE_TARGET static inline __attribute__((always_inline)) void
 score_16(int64_t i, __mmask16 mask, const __m512 table[4], const double *restrict prev,
          const int32_t *restrict tokens, __m512d stay_cost, double *restrict row,
-         uint8_t *restrict advances)
+         uint8_t *restrict bits)
 {
     const __m512i token = _mm512_maskz_loadu_epi32(mask, tokens + i);
     const __m512 low = _mm512_permutex2var_ps(table[0], token, table[1]);
@@ -114,18 +140,21 @@ score_16(int64_t i, __mmask16 mask, const __m512 table[4], const double *restric
     const __mmask8 first = score_8(i, (__mmask8)mask, low_emit, prev, stay_cost, row);
     const __mmask8 second = score_8(i + 8, (__mmask8)(mask >> 8), high_emit, prev, stay_cost, row);
     const __mmask16 advanced = _mm512_kunpackb(second, first);
-    _mm_mask_storeu_epi8(advances + i, mask, _mm_maskz_mov_epi8(advanced, _mm_set1_epi8(1)));
+    bits[i / 8] = (uint8_t)advanced;
+    if (mask > 0xff)
+        bits[i / 8 + 1] = (uint8_t)(advanced >> 8);
 }
 
 /* score_row for a float32 window row w of n_symbols <= TABLE_SYMBOLS values
  * and int32 tokens: the row's emissions are a table in four registers, loaded
  * with masks, and each column's is picked from it by its token in place of a
  * load from w[tokens[i]]. Each column makes score_row's adds, comparisons and
- * stores, on the same float64 values. */
+ * stores, on the same float64 values, and bits gets score_row's packed
+ * bytes. */
 TABLE_TARGET static void score_row_table(int64_t n, const double *restrict prev,
                                          const float *restrict w, int64_t n_symbols,
                                          const int32_t *restrict tokens, double stay_cost,
-                                         double *restrict row, uint8_t *restrict advances)
+                                         double *restrict row, uint8_t *restrict bits)
 {
     __m512 table[4];
     for (int64_t q = 0; q < 4; q++) {
@@ -138,9 +167,9 @@ TABLE_TARGET static void score_row_table(int64_t n, const double *restrict prev,
     const __m512d stay = _mm512_set1_pd(stay_cost);
     int64_t i = 0;
     for (; i + 16 <= n; i += 16)
-        score_16(i, 0xffff, table, prev, tokens, stay, row, advances);
+        score_16(i, 0xffff, table, prev, tokens, stay, row, bits);
     if (i < n)
-        score_16(i, (__mmask16)((1u << (n - i)) - 1), table, prev, tokens, stay, row, advances);
+        score_16(i, (__mmask16)((1u << (n - i)) - 1), table, prev, tokens, stay, row, bits);
 }
 
 #endif
@@ -158,27 +187,46 @@ static int table_rows(void)
 #endif
 }
 
+/* Columns m .. n - 1 (from 0) of a packed row of n are out of a path's
+ * reach, so their decision is 1: set their bits, after the m decisions in
+ * the row's first (m + 7) / 8 bytes, whose bits past m are 0, and write
+ * every later byte, keeping the padding bits past n at 0. */
+static void out_of_reach(int64_t m, int64_t n, uint8_t *bits)
+{
+    if (m == n)
+        return;
+    int64_t b = m / 8;
+    if (m % 8)
+        bits[b++] |= (uint8_t)(0xff << (m % 8));
+    memset(bits + b, 0xff, (size_t)((n + 7) / 8 - b));
+    if (n % 8)
+        bits[(n - 1) / 8] &= (uint8_t)(0xff >> (8 - n % 8));
+}
+
 /* Fill the decisions k for width - 1 tokens, row by row on the calling
  * thread. The score row before any frame is 0 then -inf; column 0 scores 0
  * on every row; and row t scores max(stay, advance) with
  * stay = prev[j] + blank[t-1] and advance = prev[j-1] + w[t-1][tokens[j-1]]
- * as score_row does; the caller zeroes row 0 and column 0 of k. Before row t
+ * as score_row does, its decisions packed into row t - 1 of k. Before row t
  * is scored, ends[t-1][e] takes row t - 1's score in column end_columns[e],
  * or -inf for an end column past width - 1, which no path reaches.
  * Column j needs j frames, so on row t only columns 1 .. min(width - 1, t)
  * are scored. Every later column scores -inf on both of its candidates, and
- * -inf >= -inf advances, so its decision is 1 and its score stays the -inf
- * both rows start with. scratch holds 2 x width doubles for the two score
- * rows, then width / 2 that hold the tokens as int32. window32 is the window
- * as float32 values, or NULL; where it is given, n_symbols <= TABLE_SYMBOLS
- * and table_rows() is 1, the rows are scored with score_row_table. */
+ * -inf >= -inf advances, so its bit is 1 and its score stays the -inf both
+ * rows start with. Every byte of k is written, so k need not be zeroed.
+ * scratch holds 2 x width doubles for the two score rows, then width / 2:
+ * the tokens as int32 for the table loop, or a row's decisions one to a
+ * byte for the row clones. window32 is the window as float32 values, or
+ * NULL; where it is given, n_symbols <= TABLE_SYMBOLS and table_rows() is 1,
+ * the rows are scored with score_row_table. */
 void fill(const double *window, const float *window32, int64_t n_frames, int64_t n_symbols,
           const int64_t *tokens, int64_t blank, uint8_t *k, int64_t width,
           const int64_t *end_columns, int64_t n_ends, double *ends, double *scratch)
 {
-    const int64_t n = width - 1;
+    const int64_t n = width - 1, row_bytes = (n + 7) / 8;
     double *prev = scratch, *row = scratch + width;
     int32_t *tokens32 = (int32_t *)(scratch + 2 * width);
+    uint8_t *bytes = (uint8_t *)(scratch + 2 * width);
     if (window32 && n_symbols <= TABLE_SYMBOLS && table_rows())
         for (int64_t j = 0; j < n; j++)
             tokens32[j] = (int32_t)tokens[j];
@@ -189,7 +237,7 @@ void fill(const double *window, const float *window32, int64_t n_frames, int64_t
     prev[0] = row[0] = 0.0;
     for (int64_t t = 1; t <= n_frames; t++) {
         const double *w = window + (t - 1) * n_symbols;
-        uint8_t *advances = k + t * width + 1;
+        uint8_t *bits = k + (t - 1) * row_bytes;
         const int64_t m = t < n ? t : n; /* columns 1 .. m are in a path's reach */
         for (int64_t e = 0; e < n_ends; e++) {
             const int64_t c = end_columns[e];
@@ -198,11 +246,11 @@ void fill(const double *window, const float *window32, int64_t n_frames, int64_t
 #if TABLE_ROWS
         if (window32)
             score_row_table(m, prev, window32 + (t - 1) * n_symbols, n_symbols, tokens32,
-                            w[blank], row, advances);
+                            w[blank], row, bits);
         else
 #endif
-            score_row(m, prev, w, tokens, w[blank], row, advances);
-        memset(advances + m, 1, (size_t)(n - m));
+            score_row(m, prev, w, tokens, w[blank], row, bytes, bits);
+        out_of_reach(m, n, bits);
         double *swap = prev;
         prev = row;
         row = swap;
@@ -210,7 +258,9 @@ void fill(const double *window, const float *window32, int64_t n_frames, int64_t
 }
 
 /* Trace the best path of j tokens back from cell (t, j), whose trailing
- * blank is emitted on frame t, to column 0, advancing where k[t][j] is set.
+ * blank is emitted on frame t, to column 0, advancing where the decision
+ * for column j on frame t, bit (j - 1) % 8 of byte (j - 1) / 8 of k's row
+ * t - 1, is set.
  * frames[j] = t, and frames[i] is the frame on which the path emits token i;
  * it holds that token up to frame frames[i + 1] - 1. Every frame f the path
  * passes gets rho[f] = a > b || isnan(a) ? a : b, a being the log
@@ -223,6 +273,7 @@ int64_t trace(const uint8_t *k, int64_t width, const double *window, int64_t n_s
               const int64_t *tokens, int64_t blank, int64_t t, int64_t j, int64_t *frames,
               double *rho)
 {
+    const int64_t row_bytes = (width + 6) / 8;
     frames[j] = t;
     rho[t] = window[t * n_symbols + blank];
     while (j > 0) {
@@ -231,7 +282,7 @@ int64_t trace(const uint8_t *k, int64_t width, const double *window, int64_t n_s
         const double a = window[(t - 1) * n_symbols + tokens[j - 1]];
         const double b = window[(t - 1) * n_symbols + blank];
         rho[t - 1] = a > b || isnan(a) ? a : b;
-        if (k[t * width + j])
+        if (k[(t - 1) * row_bytes + (j - 1) / 8] >> ((j - 1) % 8) & 1)
             frames[--j] = t - 1;
         t--;
     }

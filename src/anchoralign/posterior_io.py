@@ -395,7 +395,8 @@ def apply_speech_regions(
     """Drop frames inside non-speech gaps longer than max_gap_s.
 
     Gaps of max_gap_s or less are kept so the aligner can bridge them with
-    blank frames; only long dead stretches are compressed away.
+    blank frames; only long dead stretches are compressed away. Where no
+    frame is dropped, pm itself is returned, with the identity FrameMap.
     """
     total_s = pm.duration_s
     dur = pm.frame_duration_s
@@ -409,6 +410,8 @@ def apply_speech_regions(
         first = math.ceil(gap_start / dur - 1e-9)
         last_excl = math.floor(gap_end / dur + 1e-9)
         keep[max(first, 0) : min(last_excl, pm.n_frames)] = False
+    if keep.all():
+        return pm, identity_frame_map(pm.n_frames)
     if not keep.any():
         raise NoSpeechError("all frames fall in removable non-speech gaps")
     fm = FrameMap(segments=_kept_runs(keep), original_frames=pm.n_frames)

@@ -9,12 +9,12 @@ blank prices for the extra frames. A path ends by emitting one trailing blank
 after its last token; since no log probability is positive, holding that
 blank longer never helps, so the trailing blank needs no column of its own.
 
-The fill keeps two rolling score rows and stores one advance-or-stay byte per
-cell, which is all the trace reads, plus the score columns where
-utterances end, which is all the end rule reads. Column j needs j frames, so
-no path ends past column frames - 1: the fill stops at the last utterance end
-before it, and the ends of later utterances are -inf. That is at most
-(frames + 1) x (min(tokens, frames - 1) + 1) bytes and 8 x frames x
+The fill keeps two rolling score rows and stores one advance-or-stay bit per
+cell, packed eight to a byte, which is all the trace reads, plus the score
+columns where utterances end, which is all the end rule reads. Column j needs
+j frames, so no path ends past column frames - 1: the fill stops at the last
+utterance end before it, and the ends of later utterances are -inf. That is
+at most frames x ceil(min(tokens, frames - 1) / 8) bytes and 8 x frames x
 (utterances + 1) more, not a float64 score lattice.
 
 Each kernel has two calls: one fill per window, and one trace per backtrack,
@@ -36,9 +36,11 @@ permutes and a blend, where the clones load them one by one. float32 values
 widen to float64 exactly, so it makes the same sums and comparisons. On
 6000-row windows of 38 symbols, one thread of a 2-core x86-64 VM, it took
 0.37 ns a cell at width 676 and 0.56-0.59 at width 2000, against 0.73-0.79
-for the AVX-512 clone. On row t the fill scores only the columns up to t;
-every later cell is out of a path's reach, and the fill writes its known
-decision, 1, without scoring it.
+for the AVX-512 clone. The table loop stores each 16 columns' decisions as
+the two bytes of the mask it computes them in; the row clones write a row's
+decisions one to a byte and pack them in one pass. On row t the fill scores
+only the columns up to t; every later cell is out of a path's reach, and the
+fill sets its known decision, 1, without scoring it.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import logging
 import operator
 import os
 import platform
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,19 +135,27 @@ class Trellis:
 
     window is that window (T_w x V), which end_scores and backtrack read.
     Cell (t, j) is the best path that has consumed tokens 1..j after frame t
-    (row 0 = before any frame). k[t][j] is 1 where that path advanced into
-    column j on frame t and 0 where it stayed in column j; ties advance, and
-    row 0 and column 0 are 0. k holds the columns j = 0..n, n being the last
-    end column below frames: no path ends in a later column. ends[t][e] is
-    the path's log joint probability at cell (t, end_columns[e]) for
-    t = 0..frames - 1, -inf for the end columns past n. end_columns holds 0,
-    the end of every utterance and len(tokens), sorted. tokens are the token
-    sequence's vocabulary indices, all of them, also past n.
+    (row 0 = before any frame). Its decision is 1 where that path advanced
+    into column j on frame t and 0 where it stayed in column j; ties advance.
+    The lattice holds the columns j = 0..width - 1, width - 1 being the last
+    end column below frames: column j needs j frames and ends holds rows
+    0..frames - 1, so no path ends in a later column. The constructor derives
+    width from end_columns and the window. k holds the decisions of frames
+    t = 1..frames and columns j = 1..width - 1 packed eight to a byte, as
+    np.packbits(..., axis=1, bitorder="little") packs them: the decision for
+    column j on frame t is bit (j - 1) % 8 of k[t - 1, (j - 1) // 8], and the
+    padding bits past column width - 1 are 0. Row 0 and column 0, the free
+    start, have none; the trace never reads them. ends[t][e] is the path's
+    log joint probability at cell (t, end_columns[e]) for t = 0..frames - 1,
+    -inf for the end columns past width - 1. end_columns holds 0, the end of
+    every utterance and len(tokens), sorted. tokens are the token sequence's
+    vocabulary indices, all of them, also past width - 1.
 
     The constructor is the one place that checks what the kernels index, so
     a Trellis built by hand is held to the same rules as compute_trellis's:
-    - window is 2-D with at least 1 row, holding no NaN and no value above 0;
-    - k is (frames + 1) x width, with 1 <= width <= len(tokens) + 1;
+    - window is 2-D with at least 1 row, holding no NaN and no value above 0,
+      which is checked on the values as given, before any conversion;
+    - k is frames x ceil((width - 1) / 8);
     - ends is frames x len(end_columns);
     - end_columns is sorted without repeats, from 0 to len(tokens);
     - tokens are 1-D, and they and blank_index lie in [0, V).
@@ -161,24 +171,26 @@ class Trellis:
     end_columns: tuple[int, ...]
     tokens: np.ndarray
     blank_index: int
+    width: int = field(init=False)
 
     def __post_init__(self) -> None:
-        window = _read_only(self.window, np.float64)
+        given = np.asarray(self.window)
+        if given.ndim != 2 or given.shape[0] < 1:
+            raise ValueError(f"bad window shape {given.shape}")
+        # backtrack's end rule relies on it; checked before the float64 copy,
+        # so a float32 window is read at 4 bytes a value
+        if not given.max() <= 0:
+            raise ValueError("window holds a positive or NaN log probability")
+        window = _read_only(given, np.float64)
         k = _read_only(self.k, np.uint8)
         ends = _read_only(self.ends, np.float64)
         tokens = np.array(self.tokens, dtype=np.int64)  # its own copy: the values index memory
         tokens.flags.writeable = False
         end_columns = tuple(map(operator.index, self.end_columns))
         blank_index = operator.index(self.blank_index)
-        if window.ndim != 2 or window.shape[0] < 1:
-            raise ValueError(f"bad window shape {window.shape}")
         n_frames, n_symbols = window.shape
         if tokens.ndim != 1:
             raise ValueError(f"tokens of shape {tokens.shape} are not 1-D")
-        if k.ndim != 2 or k.shape[0] != n_frames + 1 or not 1 <= k.shape[1] <= len(tokens) + 1:
-            raise ValueError(
-                f"k of shape {k.shape} does not fit {n_frames} frames and {len(tokens)} tokens"
-            )
         if ends.shape != (n_frames, len(end_columns)):
             raise ValueError(
                 f"ends of shape {ends.shape} does not fit {n_frames} frames"
@@ -190,12 +202,16 @@ class Trellis:
             or any(a >= b for a, b in zip(end_columns, end_columns[1:]))
         ):
             raise ValueError(f"end columns {end_columns} do not rise from 0 to {len(tokens)}")
+        width, k_shape = _lattice_shape(end_columns, n_frames)
+        if k.shape != k_shape:
+            raise ValueError(
+                f"k of shape {k.shape} does not hold {n_frames} frames of"
+                f" {width - 1} decisions packed eight to a byte"
+            )
         if not 0 <= blank_index < n_symbols:
             raise ValueError(f"blank index {blank_index} out of range for {n_symbols} symbols")
         if (tokens < 0).any() or (tokens >= n_symbols).any():
             raise ValueError("token index out of vocab range")
-        if not window.max() <= 0:  # backtrack's end rule relies on it
-            raise ValueError("window holds a positive or NaN log probability")
         checked = {
             "window": window,
             "k": k,
@@ -203,9 +219,18 @@ class Trellis:
             "end_columns": end_columns,
             "tokens": tokens,
             "blank_index": blank_index,
+            "width": width,
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
+
+
+def _lattice_shape(end_columns, n_frames: int) -> tuple[int, tuple[int, int]]:
+    """The width of a lattice of n_frames rows whose utterances end on the
+    sorted end_columns, 1 + the last end column below n_frames, and the
+    shape of its k: n_frames rows of width - 1 decisions, eight to a byte."""
+    width = max((c for c in end_columns if c < n_frames), default=0) + 1
+    return width, (n_frames, (width + 6) // 8)
 
 
 def _read_only(array, dtype) -> np.ndarray:
@@ -250,27 +275,22 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     rule relies on it. The score row before any frame is 0 then -inf, column 0
     scores 0, and each later row scores
     max(prev[1:] + blank, prev[:-1] + emit), keeping the stay value on a tie;
-    k stores advance >= stay per cell, and ends the score columns at
-    end_columns; k stops at the last end column a path can reach (see
-    Trellis). k is allocated unzeroed: only its row 0 and column 0 are
-    zeroed here, and both kernels write every other cell. The C kernel's
-    fill computes it cell by cell on the calling thread, reading a float32
-    window_logp's own rows where _float32_rows allows; _fill_rows with numpy
-    calls per row. Only two score rows are held at once.
+    k stores advance >= stay per cell, packed eight to a byte, and ends the
+    score columns at end_columns; the lattice stops at the last end column a
+    path can reach (see Trellis). k is allocated unzeroed: both kernels
+    write every byte of it. The C kernel's fill computes it cell by cell on
+    the calling thread, reading a float32 window_logp's own rows where
+    _float32_rows allows; _fill_rows with numpy calls per row. Only two score
+    rows are held at once.
     """
-    window = np.array(window_logp, dtype=np.float64, order="C")  # the Trellis's own copy
-    # the C fill may read a float32 window's own rows (see _lattice.c)
-    window32 = window_logp if _float32_rows(window_logp) else None
-    n_frames = window.shape[0] if window.ndim else 0  # Trellis rejects a window not 2-D
+    given = np.asarray(window_logp)
+    n_frames = given.shape[0] if given.ndim else 0  # Trellis rejects a window not 2-D
     end_columns = tuple(sorted({0, len(ts.tokens), *(last + 1 for *_, last in ts.boundaries)}))
-    # column j needs j frames and ends holds rows 0..n_frames - 1, so no path
-    # ends past column n_frames - 1: fill up to the last end column before it
-    width = max((c for c in end_columns if c < n_frames), default=0) + 1
-    # both kernels write every cell but row 0 and column 0, the free start
-    k = np.empty((n_frames + 1, width), dtype=np.uint8)
+    k = np.empty(_lattice_shape(end_columns, n_frames)[1], dtype=np.uint8)
     ends = np.empty((n_frames, len(end_columns)))
     tr = Trellis(
-        window=window,
+        # the Trellis's own copy: it converts any other dtype to float64 itself
+        window=given.copy() if given.dtype == np.float64 else given,
         k=k,
         ends=ends,
         end_columns=end_columns,
@@ -278,24 +298,23 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
         blank_index=blank_index,
     )
     # tr holds read-only views of k and ends; the fill writes them through these
-    k[0] = 0
-    k[:, 0] = 0
     columns = np.array(end_columns, dtype=np.int64)
     lib = _kernel()
     if lib is None:
-        _fill_rows(window, tr.tokens[: width - 1], tr.blank_index, k, columns, ends)
+        _fill_rows(tr.window, tr.tokens[: tr.width - 1], tr.blank_index, k, columns, ends)
     else:
-        # two score rows and the tokens as int32, as _lattice.c's fill lays them out
-        scratch = np.empty(2 * width + width // 2)
+        # two score rows, then the tokens as int32 or a row's decisions as
+        # bytes, as _lattice.c's fill lays them out
+        scratch = np.empty(2 * tr.width + tr.width // 2)
         lib.fill(
-            window.ctypes.data,
-            None if window32 is None else window32.ctypes.data,
+            tr.window.ctypes.data,
+            window_logp.ctypes.data if _float32_rows(window_logp) else None,
             n_frames,
-            window.shape[1],
+            tr.window.shape[1],
             tr.tokens.ctypes.data,
             tr.blank_index,
             k.ctypes.data,
-            width,
+            tr.width,
             columns.ctypes.data,
             len(columns),
             ends.ctypes.data,
@@ -323,24 +342,26 @@ def _fill_rows(
     end_columns: np.ndarray,
     ends: np.ndarray,
 ) -> None:
-    """The numpy fill of k past row 0 and column 0, and of ends, on two
+    """The numpy fill of k and ends for the lattice over tokens, on two
     rolling score rows: per frame, ends[t - 1] = prev[end_columns],
-    advance = prev[:-1] + emit, row = prev[1:] + blank, k[t] = advance >= row
-    and row = max(row, advance), with the emissions gathered for
-    _EMIT_BLOCK_ROWS rows at a time. The sorted end_columns past k's last
-    column, which no path reaches, end at -inf on every row."""
-    prev, row = np.zeros(k.shape[1]), np.zeros(k.shape[1])  # column 0 stays 0
+    advance = prev[:-1] + emit, row = prev[1:] + blank, the decisions
+    advance >= row and row = max(row, advance). The emissions are gathered
+    and the decisions packed into k for _EMIT_BLOCK_ROWS rows at a time. The
+    sorted end_columns past the last token, which no path reaches, end at
+    -inf on every row."""
+    width = len(tokens) + 1
+    prev, row = np.zeros(width), np.zeros(width)  # column 0 stays 0
     prev[1:] = -np.inf
-    reached = int(np.searchsorted(end_columns, k.shape[1]))
+    reached = int(np.searchsorted(end_columns, width))
     ends[:, reached:] = -np.inf
     end_columns, reached_ends = end_columns[:reached], ends[:, :reached]
     blank = window[:, blank_index].tolist()
     advance = np.empty(len(tokens))
-    decisions = k[1:, 1:].view(np.bool_)
+    decisions = np.empty((_EMIT_BLOCK_ROWS, len(tokens)), dtype=np.bool_)
     for t0 in range(0, len(window), _EMIT_BLOCK_ROWS):
         block = slice(t0, t0 + _EMIT_BLOCK_ROWS)
         emits = window[block].take(tokens, axis=1)
-        rows = zip(emits, blank[block], decisions[block], reached_ends[block])
+        rows = zip(emits, blank[block], decisions, reached_ends[block])
         for emit, stay, decided, end_row in rows:
             prev.take(end_columns, out=end_row)
             np.add(prev[:-1], emit, out=advance)
@@ -348,6 +369,7 @@ def _fill_rows(
             np.greater_equal(advance, row[1:], out=decided)
             np.maximum(row[1:], advance, out=row[1:])
             prev, row = row, prev
+        k[block] = np.packbits(decisions[: len(emits)], axis=1, bitorder="little")
 
 
 def end_scores(tr: Trellis, n_tokens: int | None = None) -> np.ndarray:
@@ -374,10 +396,10 @@ def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.
     decisions of a batch of fewer utterances are tr's, and one fill of the
     longest batch answers every shorter one, bit for bit. The path ends on
     the earliest frame maximizing end_scores, holding its trailing blank for
-    that one frame, and the walk back reads only tr.k. Ties pick the
+    that one frame, and the walk back reads only tr.k's bits. Ties pick the
     earliest end frame and prefer advancing. Where no path ends in column
-    n_tokens, because the window is too short for it or k stops before it,
-    NoPathError is raised before any kernel call.
+    n_tokens, because the window is too short for it or the lattice stops
+    before it, NoPathError is raised before any kernel call.
 
     Returns frames (int64, n_tokens + 1 entries) and rho. frames[i] is the
     frame on which token i is emitted, and that token is held through frame
@@ -391,8 +413,8 @@ def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.
     n = len(tr.tokens) if n_tokens is None else n_tokens
     ends = end_scores(tr, n)  # checks n
     psi = int(np.argmax(ends)) + 1  # earliest row attaining the max
-    # no path reaches a column past k's last, which the fill did not write
-    if n >= tr.k.shape[1] or ends[psi - 1] == -np.inf:
+    # no path ends past column width - 1, which the fill did not reach
+    if n >= tr.width or ends[psi - 1] == -np.inf:
         raise NoPathError(f"window of {len(tr.window)} frames cannot hold {n + 1} tokens")
     frames = np.empty(n + 1, dtype=np.int64)
     rho = np.full(len(tr.window), np.nan)
@@ -401,7 +423,7 @@ def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.
         _trace(tr, psi - 1, n, frames, rho)
     elif lib.trace(
         tr.k.ctypes.data,
-        tr.k.shape[1],
+        tr.width,
         tr.window.ctypes.data,
         tr.window.shape[1],
         tr.tokens.ctypes.data,
@@ -417,18 +439,19 @@ def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.
 
 def _trace(tr: Trellis, t: int, j: int, frames: np.ndarray, rho: np.ndarray) -> None:
     """The numpy kernel's trace, _lattice.c's trace in Python: walk back from
-    cell (t, j), whose trailing blank is on frame t, writing each token's
-    emission frame into frames, then write rho on the traced frames in one
+    cell (t, j), whose trailing blank is on frame t, reading the decision
+    bit of each cell it passes and writing each token's emission frame into
+    frames, then write rho on the traced frames in one
     gather, by the same rule: the held symbol's value a where
     a > b or a is NaN, else the blank's value b. The Trellis constructor has
-    checked every index the walk reads but t, and backtrack that j is a
-    column of k; a walk past row 0 raises NoPathError."""
+    checked every index the walk reads but t, and backtrack that j is below
+    tr.width; a walk past row 0 raises NoPathError."""
     n = j
     frames[n] = t
     while j > 0:
         if t < 1:
             raise NoPathError("backtrack walked past the window start")
-        if tr.k[t, j]:
+        if tr.k[t - 1, (j - 1) // 8] >> (j - 1) % 8 & 1:
             j -= 1
             frames[j] = t - 1
         t -= 1

@@ -26,7 +26,7 @@ from test_trellis import (  # noqa: F401  (collected here once per kernel)
     test_earliest_end_row_wins,
     test_exact_tie_prefers_advancing,
     test_fill_equals_the_reference_fill,
-    test_fill_memory_is_a_byte_per_cell,
+    test_fill_memory_is_a_bit_per_cell,
     test_free_start_skips_leading_frames,
     test_impossible_token_probability_raises,
     test_lattice_is_read_only,

@@ -545,6 +545,7 @@ def test_long_gap_is_compressed_and_invertible():
     sr = SpeechRegions(regions=((0.0, 2.0), (8.0, 10.0)))
     compressed, fm = apply_speech_regions(pm, sr, max_gap_s=5.0)
     assert compressed.n_frames == 40
+    assert not np.shares_memory(compressed.data, pm.data)  # its own compressed copy
     assert fm.original_frames == 100
     assert fm.compressed_frames == 40
     assert fm.segments == ((0, 0, 20), (20, 80, 20))
@@ -562,6 +563,9 @@ def test_short_gaps_are_kept():
     compressed, fm = apply_speech_regions(pm, sr, max_gap_s=6.0)
     assert compressed.n_frames == 100
     assert fm.segments == ((0, 0, 100),)
+    # nothing is cut, so nothing is copied: the matrix comes back as it is
+    assert compressed is pm and compressed.data is pm.data
+    assert fm == identity_frame_map(100)
 
 
 def test_leading_and_trailing_gaps():

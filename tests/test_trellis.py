@@ -59,8 +59,8 @@ def test_two_frame_lattice_values():
     window = _logp([[0.05, 0.05, 0.9, 0.0, 0.0], [0.8, 0.1, 0.1, 0.0, 0.0]])
     ts = _ts("a")
     tr = compute_trellis(window, ts, VOCAB.blank_index)
-    assert tr.k.shape == (3, 2) and tr.k.dtype == np.uint8
-    assert tr.k.tolist() == [[0, 0], [0, 1], [0, 0]]  # 'a' advances on frame 1, stays on 2
+    assert tr.width == 2 and tr.k.shape == (2, 1) and tr.k.dtype == np.uint8
+    assert tr.k.tolist() == [[1], [0]]  # 'a' advances on frame 1, stays on 2
     assert tr.end_columns == (0, 1)
     assert tr.ends.shape == (2, 2)
     assert tr.ends[1][1] == pytest.approx(math.log(0.9), abs=1e-12)
@@ -168,11 +168,13 @@ def test_trellis_validation():
     for last in (-2, len(ts.tokens)):  # an utterance end outside the tokens
         with pytest.raises(ValueError):
             compute_trellis(np.zeros((4, 5)), TokenSequence(ts.tokens, ((0, 0, last),)), 0)
-    for bad in (1e-300, np.inf, np.nan):  # backtrack's end rule needs every value <= 0
-        window = np.zeros((4, 5))
-        window[2, 3] = bad
-        with pytest.raises(ValueError):
-            compute_trellis(window, ts, VOCAB.blank_index)
+    for bad in (1e-300, 1e-30, np.inf, np.nan):  # backtrack's end rule needs every value <= 0
+        for dtype in (np.float64, np.float32):  # float32 is checked before its float64 copy
+            window = np.zeros((4, 5), dtype=dtype)
+            window[2, 3] = bad
+            if window[2, 3] != 0 or np.isnan(bad):  # 1e-300 is 0 in float32
+                with pytest.raises(ValueError):
+                    compute_trellis(window, ts, VOCAB.blank_index)
     # a Trellis built by hand is held to the same rules, and to those on k and ends
     _hand_built()  # the unchanged fields pass
     for changes in (
@@ -180,10 +182,13 @@ def test_trellis_validation():
         {"window": np.full((0, 5), -1.0)},
         {"window": np.full((4, 5), 1e-300)},
         {"window": np.full((4, 5), np.nan)},
-        {"k": np.zeros((4, 3))},  # a row short of frames + 1
-        {"k": np.zeros((5, 4))},  # a column past len(tokens)
-        {"k": np.zeros((5, 0))},
-        {"k": np.zeros(15)},
+        {"window": np.full((4, 5), 1e-30, dtype=np.float32)},
+        {"window": np.full((4, 5), np.nan, dtype=np.float32)},
+        {"k": np.zeros((3, 1))},  # a row short of frames
+        {"k": np.zeros((5, 1))},  # a row for frame 0
+        {"k": np.zeros((4, 2))},  # a byte per decision, not 2 bits in 1 byte
+        {"k": np.zeros((4, 0))},
+        {"k": np.zeros(4)},
         {"ends": np.zeros((3, 2))},
         {"ends": np.zeros((4, 3))},
         {"end_columns": (1, 2)},
@@ -206,7 +211,7 @@ def _hand_built(**changes):
     with changes to its fields."""
     fields = {
         "window": np.full((4, 5), -1.0),
-        "k": np.zeros((5, 3), dtype=np.uint8),
+        "k": np.zeros((4, 1), dtype=np.uint8),
         "ends": np.zeros((4, 2)),
         "end_columns": (0, 2),
         "tokens": (2, 3),
@@ -222,8 +227,7 @@ def _crash_recipe(name):
     end_columns = (0, 5)
     window = np.full((8, 4), np.log(0.25))
     tokens = [1, 2, 3, 1, 2]
-    k = np.ones((9, 6), dtype=np.uint8)  # advances everywhere past row 0 and column 0
-    k[0] = k[:, 0] = 0
+    k = np.full((8, 1), 0b11111, dtype=np.uint8)  # advances everywhere
     ends = np.zeros((8, 2))
     ends[:, 1] = np.linspace(-7.0, 0.0, 8)
     if name == "a token past the window's symbols":
@@ -233,7 +237,9 @@ def _crash_recipe(name):
         window[:, 0] = np.linspace(-1.0, 0.0, 20_000)  # the blank ends the path on the last frame
         k, ends = k[:2], ends[:1]
     elif name == "an end column past k's width":  # with finite ends
-        k = np.ones((9, 3), dtype=np.uint8)  # read across its rows, a path advances everywhere
+        # 5 frames reach no end column past 0, so k has no bits: the trace
+        # would read past it
+        window, k, ends = window[:5], k[:5, :0], ends[:5]
     tr = Trellis(window=window, k=k, ends=ends, end_columns=end_columns, tokens=tokens, blank_index=0)
     return backtrack(tr, end_columns[-1])
 
@@ -337,7 +343,7 @@ def test_a_prefix_ending_inside_an_utterance_raises():
             backtrack(tr, n)
 
 
-def test_fill_memory_is_a_byte_per_cell():
+def test_fill_memory_is_a_bit_per_cell():
     rng = np.random.default_rng(9)
     utts = [Utterance(i, "".join(rng.choice(list("abc"), 99)), word_count=1) for i in range(12)]
     ts = build_token_sequence(utts, VOCAB)
@@ -349,9 +355,9 @@ def test_fill_memory_is_a_byte_per_cell():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (n_frames + 1) * (n_tokens + 1) / 4  # a float64 lattice is 8 bytes a cell
+    assert peak < (n_frames + 1) * (n_tokens + 1) / 2  # a byte lattice is 1 byte a cell
     # README's bound, met here: every token is within the window's reach
-    bound = (n_frames + 1) * (min(n_tokens, n_frames - 1) + 1) + 8 * n_frames * (len(utts) + 1)
+    bound = n_frames * math.ceil(min(n_tokens, n_frames - 1) / 8) + 8 * n_frames * (len(utts) + 1)
     assert tr.k.nbytes + tr.ends.nbytes == bound
 
 
@@ -457,14 +463,23 @@ def _reference_decisions(ref_k, window, tokens, blank_index):
     return decisions
 
 
+def _packed(decisions, width):
+    """k for _reference_decisions: frames 1.. and columns 1..width - 1, packed
+    eight to a byte, the first column in bit 0."""
+    return np.packbits(decisions[1:, 1:width], axis=1, bitorder="little")
+
+
 def _reference_trellis(window_logp, ts, blank_index):
-    """A Trellis read off _reference_fill: its decisions and its end columns."""
+    """A Trellis read off _reference_fill: its decisions up to the last end
+    column below the window's frame count, the last any path can end in, and
+    its end columns."""
     window = np.asarray(window_logp, dtype=np.float64)
     ref_k = _reference_fill(window, ts, blank_index)
     end_columns = tuple(sorted({0, len(ts.tokens), *(last + 1 for *_, last in ts.boundaries)}))
+    width = max(c for c in end_columns if c < len(window)) + 1
     return Trellis(
         window=window,
-        k=_reference_decisions(ref_k, window, ts.tokens, blank_index),
+        k=_packed(_reference_decisions(ref_k, window, ts.tokens, blank_index), width),
         ends=ref_k[:-1, list(end_columns)],
         end_columns=end_columns,
         tokens=np.array(ts.tokens, dtype=np.int64),
@@ -561,13 +576,13 @@ def test_fill_equals_the_reference_fill(n_frames):
             decisions = _reference_decisions(want, window, tokens, 0)
             # every column ends an utterance; a path ends no later than column n_frames - 1
             width = min(n_tokens, n_frames - 1) + 1
-            assert np.array_equal(got.k, decisions[:, :width])
+            assert got.width == width and np.array_equal(got.k, _packed(decisions, width))
             assert got.end_columns == tuple(range(n_tokens + 1))
             assert np.array_equal(got.ends, want[:-1, :-1])
             assert got.tokens.dtype == np.int64 and got.tokens.tolist() == list(tokens)
             one_utt = compute_trellis(window, TokenSequence(tokens, ((0, 0, n_tokens - 1),)), 0)
             one_width = n_tokens + 1 if n_tokens < n_frames else 1  # its end, or column 0 alone
-            assert np.array_equal(one_utt.k, decisions[:, :one_width])
+            assert np.array_equal(one_utt.k, _packed(decisions, one_width))
             assert one_utt.end_columns == (0, n_tokens)
             assert np.array_equal(one_utt.ends, want[:-1, [0, n_tokens]])
             for n in range(n_tokens):  # every prefix's derived trailing-blank column
@@ -744,12 +759,28 @@ def _wide_cases(rng):
             yield _hard_window(rng, n_frames), ts
 
 
+# lattice widths whose rows of width - 1 decision bits fill no byte, part of
+# one, one, part of two and two
+_BYTE_WIDTHS = (1, 2, 8, 9, 16, 17)
+
+
+def _byte_cases(rng, make_window):
+    """(window, ts) pairs at each of _BYTE_WIDTHS, every column an utterance
+    end: a window of width frames under tokens past its reach, whose first
+    rows hold out-of-reach bits, and one of 3 x width + 2 frames under
+    width - 1 tokens, long enough for a path. So k's last row ends partway
+    through a byte at widths 2, 8 and 16, where a store past it would pass
+    k's end."""
+    for width in _BYTE_WIDTHS:
+        for n_frames, n_tokens in ((width, width + 2), (3 * width + 2, width - 1)):
+            tokens = tuple(int(x) for x in rng.integers(1, 5, size=n_tokens))
+            yield make_window(rng, n_frames), TokenSequence(tokens, _token_boundaries(n_tokens))
+
+
 def _assert_the_reference_lattice(got, want):
-    """got is the lattice of the _reference_trellis want up to the last end
-    column below the window's frame count, the last any path can end in."""
-    width = max(c for c in want.end_columns if c < len(want.window)) + 1
-    assert got.k.shape == (len(want.window) + 1, width)
-    assert np.array_equal(got.k, want.k[:, :width]) and np.array_equal(got.ends, want.ends)
+    """got is the lattice of the _reference_trellis want, byte for byte."""
+    assert got.width == want.width and got.k.shape == (len(want.window), (want.width + 6) // 8)
+    assert got.k.tobytes() == want.k.tobytes() and np.array_equal(got.ends, want.ends)
     assert got.end_columns == want.end_columns
 
 
@@ -780,7 +811,7 @@ def _zeroed_numpy_fill(window, ts, blank):
     column below the window's frame count; the later end columns are -inf."""
     columns = sorted({0, len(ts.tokens), *(last + 1 for *_, last in ts.boundaries)})
     reached = np.array([c for c in columns if c < len(window)])
-    k = np.zeros((len(window) + 1, reached[-1] + 1), dtype=np.uint8)
+    k = np.zeros((len(window), (reached[-1] + 7) // 8), dtype=np.uint8)
     ends = np.zeros((len(window), len(reached)))
     window = np.array(window, dtype=np.float64)
     tokens = np.array(ts.tokens[: reached[-1]], dtype=np.int64)
@@ -791,8 +822,8 @@ def _zeroed_numpy_fill(window, ts, blank):
 
 @pytest.mark.parametrize("kernel", ["C", "numpy"])
 def test_an_unzeroed_lattice_gives_the_bits_of_a_zeroed_one(monkeypatch, kernel):
-    # k comes from np.empty with only row 0 and column 0 zeroed: every other
-    # cell must be written by the fill
+    # k comes from np.empty and no byte of it is zeroed: the fill must write
+    # every one, padding bits included
     lib = compiled_kernel() if kernel == "C" else None
     cases = list(_wide_cases(np.random.default_rng(613)))
     want = [_zeroed_numpy_fill(window, ts, 0) for window, ts in cases]
@@ -816,8 +847,10 @@ def test_an_unzeroed_lattice_gives_the_bits_of_a_zeroed_one(monkeypatch, kernel)
 @pytest.mark.parametrize("kernel", ["C", "numpy"])
 def test_cells_out_of_a_paths_reach_advance_and_score_minus_inf(monkeypatch, kernel):
     # column j needs j frames, so on row t every column past t is out of
-    # reach: its decision is 1 (-inf >= -inf advances) and its end score
-    # -inf. Windows of 1 row, of fewer rows than tokens, as many and one more
+    # reach: its decision bit is 1 (-inf >= -inf advances) and its end score
+    # -inf, and the padding bits past the last column are 0. Windows of 1
+    # row, of fewer rows than tokens, as many and one more: rows of 0 bits,
+    # and rows that end partway through a byte and on one's end
     lib = compiled_kernel() if kernel == "C" else None
     monkeypatch.setattr(trellis, "_kernel", lambda: lib)
     rng = np.random.default_rng(615)
@@ -830,8 +863,11 @@ def test_cells_out_of_a_paths_reach_advance_and_score_minus_inf(monkeypatch, ker
         out_of_reach = np.array(want.end_columns) > np.arange(n_frames)[:, None]
         got = compute_trellis(window, ts, 0)
         _assert_the_reference_lattice(got, want)
-        rows, columns = np.indices(got.k.shape)
-        assert (got.k[(columns > rows) & (rows > 0)] == 1).all()
+        bits = np.unpackbits(got.k, axis=1, bitorder="little")
+        rows, columns = np.indices(bits.shape)  # frame rows + 1, column columns + 1
+        decided = columns < got.width - 1
+        assert (bits[(columns > rows) & decided] == 1).all()
+        assert (bits[~decided] == 0).all()
         assert (got.ends[out_of_reach] == -np.inf).all()
 
 
@@ -849,10 +885,11 @@ def test_a_long_word_fills_only_the_columns_a_path_can_reach():
     finally:
         tracemalloc.stop()
     n_tokens = len(ts.tokens)
-    bound = (n_frames + 1) * (min(n_tokens, n_frames - 1) + 1) + 8 * n_frames * (len(utts) + 1)
+    bound = n_frames * math.ceil(min(n_tokens, n_frames - 1) / 8) + 8 * n_frames * (len(utts) + 1)
     # README's bound, plus the fill's float64 copy of the window and its int64 tokens
-    assert peak < bound + 8 * (window.size + n_tokens) < (n_frames + 1) * (n_tokens + 1) / 20
-    assert tr.end_columns == (0, 3, n_tokens) and tr.k.shape == (n_frames + 1, 4)
+    assert peak < bound + 8 * (window.size + n_tokens) < (n_frames + 1) * (n_tokens + 1) / 50
+    # the 3 columns of "abc", in one byte a row
+    assert tr.end_columns == (0, 3, n_tokens) and tr.width == 4 and tr.k.shape == (n_frames, 1)
     assert (end_scores(tr) == -np.inf).all()
     with pytest.raises(NoPathError):
         backtrack(tr)
@@ -900,11 +937,13 @@ def test_every_row_clone_gives_the_same_bits(monkeypatch, request, target):
         )
         cases.append((window, TokenSequence(ts.tokens, _token_boundaries(len(ts.tokens))), blank))
     cases += [(window, ts, 0) for window, ts in _wide_cases(rng)]
+    cases += [(window, ts, 0) for window, ts in _byte_cases(rng, _hard_window)]
     for window, ts, blank in cases:
         monkeypatch.setattr(trellis, "_kernel", lambda: None)
         want = _run(window, ts, blank)
         monkeypatch.setattr(trellis, "_kernel", lambda: lib)
         assert _run(window, ts, blank) == want
+        assert want[0][0] == _reference_trellis(window, ts, blank).k.tobytes()
 
 
 def _table_window(rng, n_frames, n_symbols, blank):
@@ -924,12 +963,13 @@ def _table_window(rng, n_frames, n_symbols, blank):
 def _table_cases(rng):
     """(float32 window, ts, blank) with 2-65 symbols and the blank first or
     last: rows of 1-16 columns and a few more, so every table and tail width
-    occurs, and for 38, 64 and 65 symbols two wide ones. Every column ends an
-    utterance."""
+    occurs, lattices of each of _BYTE_WIDTHS, and for 38, 64 and 65 symbols
+    two wide ones. Every column ends an utterance."""
     for n_symbols in (2, 16, 17, 32, 33, 38, 64, 65):
         for blank in (0, n_symbols - 1):
             others = [i for i in range(n_symbols) if i != blank]
             shapes = [(1, 1), (9, 5), (17, 16), (18, 17), (40, 33), (60, 59)]
+            shapes += [(w, w + 2) for w in _BYTE_WIDTHS] + [(3 * w, w - 1) for w in _BYTE_WIDTHS]
             if n_symbols in (38, 64, 65):
                 shapes += [(2 * w, w - 1) for w in (_WIDE_WIDTHS[2], _WIDE_WIDTHS[-1])]
             for n_frames, n_tokens in shapes:
@@ -943,6 +983,7 @@ def test_the_table_loop_gives_the_same_bits(monkeypatch):
     # loop where it is built and the CPU has it, by the row clones elsewhere;
     # their exact float64 copies and float64 windows whose values are not
     # float32 values always take the row clones. All match the numpy kernel
+    # and the reference's packed decisions
     lib = compiled_kernel()
     rng = np.random.default_rng(617)
     traced = 0
@@ -955,6 +996,7 @@ def test_the_table_loop_gives_the_same_bits(monkeypatch):
             want = _run(w, ts, blank)
             monkeypatch.setattr(trellis, "_kernel", lambda: lib)
             assert _run(w, ts, blank) == want
+            assert want[0][0] == _reference_trellis(w, ts, blank).k.tobytes()
             traced += want[1] is not None
     assert traced > 100
 
@@ -1047,8 +1089,9 @@ def test_a_trace_past_row_0_raises_on_both_kernels(monkeypatch):
         tokens = rng.integers(1, 4, size=n)
         if case % 2:
             window, tokens = window.astype(np.float32), tokens.astype(np.int32)
-        k = (rng.random((n_frames + 1, n + 1)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
-        k[0] = k[:, 0] = 0
+        advances = rng.random((n_frames, n)) < rng.uniform(0.05, 0.6)
+        width = n + 1 if n < n_frames else 1  # no path ends in column n on fewer frames
+        k = np.packbits(advances[:, : width - 1], axis=1, bitorder="little")
         tr = Trellis(
             window=window,
             k=k,
