@@ -1,32 +1,35 @@
 /* Lattice fill and path trace for anchoralign.trellis: one fill per window
  * and one trace per backtrack, each the C twin of a numpy kernel function.
  *
- * trellis.py compiles this file on first use and calls it through ctypes,
- * and allocates every buffer before the call, so nothing here calls malloc.
- * No argument is checked here: trellis.Trellis's constructor is the one
- * place that checks what these loops index (the shapes of window, k and
- * ends, the token and blank values, the sorted end columns), and backtrack
- * passes a j below width. All arrays are C-contiguous: window is
- * n_frames x n_symbols, ends is n_frames x n_ends, tokens are vocabulary
- * indices, and k holds the advance decisions packed eight to a byte,
- * n_frames x (width + 6) / 8 bytes: the decision for column j on frame t is
- * bit (j - 1) % 8 of byte (j - 1) / 8 of row t - 1, numpy's
+ * trellis.py compiles this file on first use and calls it through ctypes
+ * with a Trellis's own arrays and buffers it allocates itself, so nothing
+ * here calls malloc. No argument is checked here: trellis.Trellis's
+ * constructor is the one place that checks what these loops index (the
+ * shapes of window, k and ends, the token and blank values, the sorted end
+ * columns), and backtrack passes a j below width. All arrays are
+ * C-contiguous: window is n_frames x n_symbols values of value_bytes bytes,
+ * float (4) or double (8), each widened to double as it is read, which is
+ * exact; ends is n_frames x n_ends, tokens are int32 vocabulary indices, and
+ * k holds the advance decisions packed eight to a byte, n_frames x
+ * (width + 6) / 8 bytes: the decision for column j on frame t is bit
+ * (j - 1) % 8 of byte (j - 1) / 8 of row t - 1, numpy's
  * packbits(..., bitorder="little") order, and the padding bits past column
- * width - 1 are 0. Row 0 and column 0, the free start, have no bits: the
- * trace never reads them. The fill runs on the calling thread, keeps two
- * rolling score rows and stores one advance decision per cell; each sum and
- * comparison is the one the numpy kernel makes, so the two write the same
- * bits in every clone of the row loop. Column j needs j frames: on row t the
- * columns past t are out of a path's reach, and the fill sets their
- * decision, 1, as the numpy kernel computes it (-inf >= -inf), without
- * scoring them. A float32 window of at most TABLE_SYMBOLS symbols may be
- * passed as well; on a CPU with AVX-512 its rows are scored by
- * score_row_table, which makes the same sums and comparisons and stores its
- * decisions as the mask bits it computes them in. The row clones write a
- * row's decisions one to a byte and pack them in one pass. The trace walks k
- * back from a path's end and writes the path's emission frames and its
- * per-frame score rho in the same pass, choosing each rho value by the
- * comparison the numpy kernel's _trace makes.
+ * width - 1 are 0. Row 0 and column
+ * 0, the free start, have no bits: the trace never reads them. The fill runs
+ * on the calling thread, keeps two rolling score rows and stores one advance
+ * decision per cell; each sum and comparison is the one the numpy kernel
+ * makes, so the two write the same bits in every clone of the row loop.
+ * Column j needs j frames: on row t the columns past t are out of a path's
+ * reach, and the fill sets their decision, 1, as the numpy kernel computes
+ * it (-inf >= -inf), without scoring them. On a CPU with AVX-512, the rows
+ * of a float window of at most TABLE_SYMBOLS symbols are scored by
+ * score_row_table, which reads the window and tokens in place and stores its
+ * decisions as the mask bits it computes them in. The row clones read a
+ * double row in place or a float row widened once, write a row's decisions
+ * one to a byte and pack them in one pass. The trace walks k back from a
+ * path's end and writes the path's emission frames and its per-frame score
+ * rho in the same pass, choosing each rho value by the comparison the numpy
+ * kernel's _trace makes.
  * Build with -ffp-contract=off and without -ffast-math to keep the bits.
  */
 #include <math.h>
@@ -38,8 +41,8 @@
  * the AVX2 one. Adding, comparing and blending are exact in every lane, so
  * every clone writes the same bits. gcc on x86-64 Linux builds the AVX2 and
  * default clones, and from gcc 11 on, the x86-64-v4 clone and
- * score_row_table, which fill runs on a CPU with AVX-512 F/BW/DQ/VL where the
- * caller passes a float32 window. Elsewhere only the default is built. A
+ * score_row_table, which fill runs on a CPU with AVX-512 F/BW/DQ/VL for a
+ * float32 window. Elsewhere only the default is built. A
  * build may define ROW_CLONES itself, as the tests do to check one target
  * alone. */
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__linux__)
@@ -77,7 +80,7 @@
  * bit to bit 56 + q, and no two of the product's terms share a bit, so
  * nothing else reaches the top byte. */
 ROW_CLONES static void score_row(int64_t n, const double *restrict prev,
-                                 const double *restrict w, const int64_t *restrict tokens,
+                                 const double *restrict w, const int32_t *restrict tokens,
                                  double stay_cost, double *restrict row,
                                  uint8_t *restrict bytes, uint8_t *restrict bits)
 {
@@ -203,6 +206,12 @@ static void out_of_reach(int64_t m, int64_t n, uint8_t *bits)
         bits[(n - 1) / 8] &= (uint8_t)(0xff >> (8 - n % 8));
 }
 
+/* Window value i, widened to double, which is exact. */
+static double value(const void *window, int64_t value_bytes, int64_t i)
+{
+    return value_bytes == 4 ? (double)((const float *)window)[i] : ((const double *)window)[i];
+}
+
 /* Fill the decisions k for width - 1 tokens, row by row on the calling
  * thread. The score row before any frame is 0 then -inf; column 0 scores 0
  * on every row; and row t scores max(stay, advance) with
@@ -214,42 +223,43 @@ static void out_of_reach(int64_t m, int64_t n, uint8_t *bits)
  * are scored. Every later column scores -inf on both of its candidates, and
  * -inf >= -inf advances, so its bit is 1 and its score stays the -inf both
  * rows start with. Every byte of k is written, so k need not be zeroed.
- * scratch holds 2 x width doubles for the two score rows, then width / 2:
- * the tokens as int32 for the table loop, or a row's decisions one to a
- * byte for the row clones. window32 is the window as float32 values, or
- * NULL; where it is given, n_symbols <= TABLE_SYMBOLS and table_rows() is 1,
- * the rows are scored with score_row_table. */
-void fill(const double *window, const float *window32, int64_t n_frames, int64_t n_symbols,
-          const int64_t *tokens, int64_t blank, uint8_t *k, int64_t width,
+ * scratch holds 2 x width doubles for the two score rows, n_symbols for a
+ * float32 row widened for the row clones, then (width + 6) / 8 for a row's
+ * decisions one to a byte. Where table_rows() is 1, the rows of a float32
+ * window of at most TABLE_SYMBOLS symbols are scored with score_row_table
+ * instead, which needs neither. */
+void fill(const void *window, int64_t value_bytes, int64_t n_frames, int64_t n_symbols,
+          const int32_t *tokens, int64_t blank, uint8_t *k, int64_t width,
           const int64_t *end_columns, int64_t n_ends, double *ends, double *scratch)
 {
     const int64_t n = width - 1, row_bytes = (n + 7) / 8;
-    double *prev = scratch, *row = scratch + width;
-    int32_t *tokens32 = (int32_t *)(scratch + 2 * width);
-    uint8_t *bytes = (uint8_t *)(scratch + 2 * width);
-    if (window32 && n_symbols <= TABLE_SYMBOLS && table_rows())
-        for (int64_t j = 0; j < n; j++)
-            tokens32[j] = (int32_t)tokens[j];
-    else
-        window32 = NULL;
+    double *prev = scratch, *row = scratch + width, *widened = scratch + 2 * width;
+    uint8_t *bytes = (uint8_t *)(widened + n_symbols);
+    const int table = value_bytes == 4 && n_symbols <= TABLE_SYMBOLS && table_rows();
     for (int64_t j = 0; j < width; j++)
         prev[j] = row[j] = -INFINITY;
     prev[0] = row[0] = 0.0;
     for (int64_t t = 1; t <= n_frames; t++) {
-        const double *w = window + (t - 1) * n_symbols;
+        const int64_t first = (t - 1) * n_symbols; /* the row's first value */
+        const double stay_cost = value(window, value_bytes, first + blank);
         uint8_t *bits = k + (t - 1) * row_bytes;
         const int64_t m = t < n ? t : n; /* columns 1 .. m are in a path's reach */
         for (int64_t e = 0; e < n_ends; e++) {
             const int64_t c = end_columns[e];
             ends[(t - 1) * n_ends + e] = c < width ? prev[c] : (double)-INFINITY;
         }
+        if (!table) {
+            if (value_bytes == 4)
+                for (int64_t v = 0; v < n_symbols; v++)
+                    widened[v] = value(window, value_bytes, first + v);
+            const double *w = value_bytes == 4 ? widened : (const double *)window + first;
+            score_row(m, prev, w, tokens, stay_cost, row, bytes, bits);
+        }
 #if TABLE_ROWS
-        if (window32)
-            score_row_table(m, prev, window32 + (t - 1) * n_symbols, n_symbols, tokens32,
-                            w[blank], row, bits);
         else
+            score_row_table(m, prev, (const float *)window + first, n_symbols, tokens, stay_cost,
+                            row, bits);
 #endif
-            score_row(m, prev, w, tokens, w[blank], row, bytes, bits);
         out_of_reach(m, n, bits);
         double *swap = prev;
         prev = row;
@@ -269,18 +279,18 @@ void fill(const double *window, const float *window32, int64_t n_frames, int64_t
  * the other sign too, gives the blank's value, and a NaN propagates; the
  * numpy kernel's _trace writes the same rule. Returns 0, or -1 if the walk
  * runs past row 0 first. */
-int64_t trace(const uint8_t *k, int64_t width, const double *window, int64_t n_symbols,
-              const int64_t *tokens, int64_t blank, int64_t t, int64_t j, int64_t *frames,
-              double *rho)
+int64_t trace(const uint8_t *k, int64_t width, const void *window, int64_t value_bytes,
+              int64_t n_symbols, const int32_t *tokens, int64_t blank, int64_t t, int64_t j,
+              int64_t *frames, double *rho)
 {
     const int64_t row_bytes = (width + 6) / 8;
     frames[j] = t;
-    rho[t] = window[t * n_symbols + blank];
+    rho[t] = value(window, value_bytes, t * n_symbols + blank);
     while (j > 0) {
         if (t < 1)
             return -1;
-        const double a = window[(t - 1) * n_symbols + tokens[j - 1]];
-        const double b = window[(t - 1) * n_symbols + blank];
+        const double a = value(window, value_bytes, (t - 1) * n_symbols + tokens[j - 1]);
+        const double b = value(window, value_bytes, (t - 1) * n_symbols + blank);
         rho[t - 1] = a > b || isnan(a) ? a : b;
         if (k[(t - 1) * row_bytes + (j - 1) / 8] >> ((j - 1) % 8) & 1)
             frames[--j] = t - 1;

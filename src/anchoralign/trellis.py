@@ -25,22 +25,22 @@ kernel runs instead: a numpy row fill, and a trace that walks in Python and
 gathers rho with numpy. Both kernels make the same IEEE additions and
 comparisons, so they return the same bits.
 
-The C fill runs on the calling thread. Its row loop reads its emissions from
-the window itself and is vectorised: gcc on x86-64 builds an AVX-512
-(x86-64-v4) clone, an AVX2 clone and a default one, and the CPU runs the best
-it has. A float32 window of at most 64 symbols, such as the CLI's row slices
-of a PosteriorMatrix, is read in place by a table loop instead, where gcc on
-x86-64 builds it and the CPU has AVX-512 F/BW/DQ/VL: it keeps each row's
-emissions in four registers and picks every column's by its token with two
-permutes and a blend, where the clones load them one by one. float32 values
-widen to float64 exactly, so it makes the same sums and comparisons. On
-6000-row windows of 38 symbols, one thread of a 2-core x86-64 VM, it took
-0.37 ns a cell at width 676 and 0.56-0.59 at width 2000, against 0.73-0.79
-for the AVX-512 clone. The table loop stores each 16 columns' decisions as
-the two bytes of the mask it computes them in; the row clones write a row's
-decisions one to a byte and pack them in one pass. On row t the fill scores
-only the columns up to t; every later cell is out of a path's reach, and the
-fill sets its known decision, 1, without scoring it.
+The kernels read the Trellis's own window and tokens in place. A float32
+window, as the .ctcp posteriors are, stays float32; each value read is widened
+to float64, which is exact, so every window type gives the same sums and
+comparisons. The C fill runs on the calling thread. Its row loop reads a
+float64 row, or a float32 row widened once, and is vectorised: gcc on x86-64
+builds an AVX-512 (x86-64-v4) clone, an AVX2 clone and a default one, and the
+CPU runs the best it has. A float32 window of at most 64 symbols is scored by
+a table loop instead, where gcc on x86-64 builds it and the CPU has AVX-512
+F/BW/DQ/VL: it keeps each row's emissions in four registers and picks every
+column's by its int32 token with two permutes and a blend. On 6000-row float32
+windows of 38 symbols, one thread of a 2-core x86-64 VM, it took 0.30 ns a
+cell at width 690 and 0.27-0.28 at width 2070, against 0.63 and 0.54 for the
+AVX-512 clone. The table loop stores each 16 columns' decisions as the two
+bytes of its mask; the row clones write a row's decisions one to a byte and
+pack them in one pass. On row t the fill scores only the columns up to t and
+sets the known decision, 1, of every later cell, which no path reaches.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.fill.argtypes = [ptr, ptr, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr, ptr]
     lib.fill.restype = None
-    lib.trace.argtypes = [ptr, i64, ptr, i64, ptr, i64, i64, i64, ptr, ptr]
+    lib.trace.argtypes = [ptr, i64, ptr, i64, i64, ptr, i64, i64, i64, ptr, ptr]
     lib.trace.restype = i64
     log.debug("lattice kernel: C (%s)", path)
     return lib
@@ -158,11 +158,12 @@ class Trellis:
     - k is frames x ceil((width - 1) / 8);
     - ends is frames x len(end_columns);
     - end_columns is sorted without repeats, from 0 to len(tokens);
-    - tokens are 1-D, and they and blank_index lie in [0, V).
-    It holds window, k, ends and tokens as read-only C-contiguous float64,
-    uint8, float64 and int64 arrays, converting others (a float32 window,
-    int32 tokens) once; the tokens are always its own copy, since their
-    values index the window.
+    - tokens are 1-D integers, and they and blank_index lie in [0, V).
+    It holds k and ends as read-only C-contiguous uint8 and float64 arrays,
+    and window as one of its own float type, float32 for a native float32
+    window and float64 for any other: a read-only view of the array given
+    where that already is one, else a converted copy. tokens are its own
+    int32 copy, narrowed once checked, since their values index the window.
     """
 
     window: np.ndarray
@@ -177,20 +178,22 @@ class Trellis:
         given = np.asarray(self.window)
         if given.ndim != 2 or given.shape[0] < 1:
             raise ValueError(f"bad window shape {given.shape}")
-        # backtrack's end rule relies on it; checked before the float64 copy,
-        # so a float32 window is read at 4 bytes a value
-        if not given.max() <= 0:
+        if not given.max() <= 0:  # backtrack's end rule relies on it
             raise ValueError("window holds a positive or NaN log probability")
-        window = _read_only(given, np.float64)
+        window = _read_only(given, np.float32 if given.dtype == np.float32 else np.float64)
         k = _read_only(self.k, np.uint8)
         ends = _read_only(self.ends, np.float64)
-        tokens = np.array(self.tokens, dtype=np.int64)  # its own copy: the values index memory
-        tokens.flags.writeable = False
         end_columns = tuple(map(operator.index, self.end_columns))
         blank_index = operator.index(self.blank_index)
         n_frames, n_symbols = window.shape
-        if tokens.ndim != 1:
-            raise ValueError(f"tokens of shape {tokens.shape} are not 1-D")
+        tokens = np.asarray(self.tokens)  # checked on the type given, then narrowed
+        if tokens.ndim != 1 or (tokens.size and tokens.dtype.kind not in "iu"):  # () is float64
+            raise ValueError(f"tokens of {tokens.dtype} and shape {tokens.shape}: not 1-D integers")
+        if tokens.size and not (tokens.min() >= 0 and tokens.max() < n_symbols):
+            raise ValueError("token index out of vocab range")
+        del tokens  # freed first, so a window's tokens never take more than 8 bytes each
+        tokens = np.array(self.tokens, dtype=np.int32)  # its own copy: the values index memory
+        tokens.flags.writeable = False
         if ends.shape != (n_frames, len(end_columns)):
             raise ValueError(
                 f"ends of shape {ends.shape} does not fit {n_frames} frames"
@@ -210,8 +213,6 @@ class Trellis:
             )
         if not 0 <= blank_index < n_symbols:
             raise ValueError(f"blank index {blank_index} out of range for {n_symbols} symbols")
-        if (tokens < 0).any() or (tokens >= n_symbols).any():
-            raise ValueError("token index out of vocab range")
         checked = {
             "window": window,
             "k": k,
@@ -234,9 +235,9 @@ def _lattice_shape(end_columns, n_frames: int) -> tuple[int, tuple[int, int]]:
 
 
 def _read_only(array, dtype) -> np.ndarray:
-    """array as a read-only C-contiguous array of dtype: a view where it
-    already is one, so the caller's array stays writable, else a copy."""
-    view = np.ascontiguousarray(array, dtype=dtype).view()
+    """array as a read-only C-contiguous aligned array of dtype: a view where
+    it already is one, so the caller's array stays writable, else a copy."""
+    view = np.require(np.asarray(array), dtype, ["C", "A"]).view()
     view.flags.writeable = False
     return view
 
@@ -266,22 +267,22 @@ class UtteranceAlignment:
 
 def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int) -> Trellis:
     """Fill the lattice's advance decisions for a posterior window (T_w x V,
-    natural log), keeping a read-only float64 copy of the window in the
-    Trellis.
+    natural log) into a Trellis bound to that window.
 
-    The Trellis is built before the fill, so its constructor checks the
-    window, tokens and blank (see Trellis) before either kernel reads them;
+    A writable window is copied first, so the caller cannot change it under
+    the Trellis; a read-only one, such as the aligner's row slices of a
+    PosteriorMatrix, is held as it is where the Trellis can (see Trellis),
+    which checks the window, tokens and blank before either kernel reads them;
     every window value must be <= 0 (a log probability), as backtrack's end
     rule relies on it. The score row before any frame is 0 then -inf, column 0
     scores 0, and each later row scores
     max(prev[1:] + blank, prev[:-1] + emit), keeping the stay value on a tie;
     k stores advance >= stay per cell, packed eight to a byte, and ends the
     score columns at end_columns; the lattice stops at the last end column a
-    path can reach (see Trellis). k is allocated unzeroed: both kernels
-    write every byte of it. The C kernel's fill computes it cell by cell on
-    the calling thread, reading a float32 window_logp's own rows where
-    _float32_rows allows; _fill_rows with numpy calls per row. Only two score
-    rows are held at once.
+    path can reach (see Trellis). k is allocated unzeroed: both kernels write
+    every byte of it. The C kernel's fill computes it cell by cell on the
+    calling thread; _fill_rows with numpy calls per row. Either reads only
+    the Trellis's window and tokens, and holds two score rows at once.
     """
     given = np.asarray(window_logp)
     n_frames = given.shape[0] if given.ndim else 0  # Trellis rejects a window not 2-D
@@ -289,8 +290,7 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     k = np.empty(_lattice_shape(end_columns, n_frames)[1], dtype=np.uint8)
     ends = np.empty((n_frames, len(end_columns)))
     tr = Trellis(
-        # the Trellis's own copy: it converts any other dtype to float64 itself
-        window=given.copy() if given.dtype == np.float64 else given,
+        window=given.copy() if given.flags.writeable else given,
         k=k,
         ends=ends,
         end_columns=end_columns,
@@ -303,12 +303,11 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
     if lib is None:
         _fill_rows(tr.window, tr.tokens[: tr.width - 1], tr.blank_index, k, columns, ends)
     else:
-        # two score rows, then the tokens as int32 or a row's decisions as
-        # bytes, as _lattice.c's fill lays them out
-        scratch = np.empty(2 * tr.width + tr.width // 2)
+        # fill's scratch: two score rows, a widened window row, a row's decision bytes
+        scratch = np.empty(2 * tr.width + tr.window.shape[1] + k.shape[1])
         lib.fill(
             tr.window.ctypes.data,
-            window_logp.ctypes.data if _float32_rows(window_logp) else None,
+            tr.window.itemsize,
             n_frames,
             tr.window.shape[1],
             tr.tokens.ctypes.data,
@@ -321,17 +320,6 @@ def compute_trellis(window_logp: np.ndarray, ts: TokenSequence, blank_index: int
             scratch.ctypes.data,
         )
     return tr
-
-
-def _float32_rows(window_logp) -> bool:
-    """Whether window_logp is a float32 array whose rows the C fill can read
-    in place: C-contiguous and aligned, as the CLI's row slices are."""
-    return (
-        isinstance(window_logp, np.ndarray)
-        and window_logp.dtype == np.float32
-        and window_logp.flags.c_contiguous
-        and window_logp.flags.aligned
-    )
 
 
 def _fill_rows(
@@ -425,6 +413,7 @@ def backtrack(tr: Trellis, n_tokens: int | None = None) -> tuple[np.ndarray, np.
         tr.k.ctypes.data,
         tr.width,
         tr.window.ctypes.data,
+        tr.window.itemsize,
         tr.window.shape[1],
         tr.tokens.ctypes.data,
         tr.blank_index,

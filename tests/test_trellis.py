@@ -36,7 +36,7 @@ from anchoralign import (
 )
 from anchoralign import aligner, trellis
 from anchoralign.errors import ConfigError, NoPathError
-from anchoralign.posterior_io import logsumexp
+from anchoralign.posterior_io import PosteriorMatrix, logsumexp
 from anchoralign.trellis import _EMIT_BLOCK_ROWS, Trellis
 
 VOCAB = Vocab(symbols=("∅", " ", "a", "b", "c"), blank_index=0, separator_index=1)
@@ -168,8 +168,10 @@ def test_trellis_validation():
     for last in (-2, len(ts.tokens)):  # an utterance end outside the tokens
         with pytest.raises(ValueError):
             compute_trellis(np.zeros((4, 5)), TokenSequence(ts.tokens, ((0, 0, last),)), 0)
+    with pytest.raises(ValueError, match="not 1-D integers"):  # not truncated to (1, 2)
+        compute_trellis(np.log(np.full((8, 4), 0.25)), TokenSequence((1.7, 2.2), ((0, 0, 1),)), 0)
     for bad in (1e-300, 1e-30, np.inf, np.nan):  # backtrack's end rule needs every value <= 0
-        for dtype in (np.float64, np.float32):  # float32 is checked before its float64 copy
+        for dtype in (np.float64, np.float32):  # each is checked as it is held
             window = np.zeros((4, 5), dtype=dtype)
             window[2, 3] = bad
             if window[2, 3] != 0 or np.isnan(bad):  # 1e-300 is 0 in float32
@@ -199,6 +201,12 @@ def test_trellis_validation():
         {"tokens": (2, 5)},
         {"tokens": (-1, 3)},
         {"tokens": ((2, 3),)},
+        {"tokens": (2.0, 3.0)},  # integral values, but not integers
+        {"tokens": np.array([2.5, 3.0])},
+        {"tokens": np.array([True, False])},
+        {"tokens": np.array([2, 2**32])},  # checked before narrowing: it would wrap to 0
+        {"tokens": np.array([2, 2**32 + 3], dtype=np.uint64)},
+        {"tokens": (2, 2**64)},  # past int64 as well
         {"blank_index": 5},
         {"blank_index": -1},
     ):
@@ -305,26 +313,58 @@ def test_lattice_is_read_only():
         tr.ends[0, 0] = 1.0
 
 
-def test_the_lattice_keeps_a_read_only_float64_copy_of_its_window():
-    rng = np.random.default_rng(5)
-    window = np.log(rng.uniform(0.05, 1.0, size=(20, len(VOCAB.symbols)))).astype(np.float32)
-    ts = _ts("abc")
-    tr = compute_trellis(window, ts, VOCAB.blank_index)
-    assert tr.window.dtype == np.float64
-    assert np.array_equal(tr.window, window.astype(np.float64))
-    with pytest.raises(ValueError):
-        tr.window[0, 0] = 0.0
-    assert end_scores(tr).shape == (20,)
-    cast = window.astype(np.float64)
-    from_cast = compute_trellis(cast, ts, VOCAB.blank_index)
-    cast[0, 0] = 0.0  # the caller's array stays writable, and apart from the lattice's copy
-    assert from_cast.window[0, 0] == tr.window[0, 0] < 0
-    assert tr.k.tobytes() == from_cast.k.tobytes()
-    assert tr.ends.tobytes() == from_cast.ends.tobytes()
+def _traced(tr):
+    """tr's lattice, frames and rho as bytes."""
     frames, rho = backtrack(tr)
-    want_frames, want_rho = backtrack(from_cast)
-    assert frames.tobytes() == want_frames.tobytes()
-    assert rho.tobytes() == want_rho.tobytes()
+    return tr.k.tobytes(), tr.ends.tobytes(), frames.tobytes(), rho.tobytes()
+
+
+def test_the_lattice_holds_a_read_only_window_of_its_own_float_type():
+    rng = np.random.default_rng(5)
+    pm = PosteriorMatrix(np.log(rng.dirichlet(np.ones(38), size=1200)).astype(np.float32), 0.02)
+    ts = _ts("abcab")
+    # a row slice of a PosteriorMatrix, as the aligner takes, is read in place
+    window = pm.data[100:1100]
+    tracemalloc.start()
+    try:
+        tr = compute_trellis(window, ts, VOCAB.blank_index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.window.dtype == np.float32 and tr.window.flags.c_contiguous
+    assert np.shares_memory(tr.window, pm.data) and not tr.window.flags.writeable
+    assert peak < window.nbytes / 2  # no window-sized array was allocated
+    want = _traced(tr)
+    # a writable window is copied, so changing it changes nothing the lattice reads
+    writable = window.copy()
+    from_writable = compute_trellis(writable, ts, VOCAB.blank_index)
+    writable[:] = np.log(1 / 38)
+    assert writable.flags.writeable and from_writable.window.dtype == np.float32
+    assert not np.shares_memory(from_writable.window, writable)
+    assert _traced(from_writable) == want
+    # float64 windows stay float64, with the same bits
+    as_float64 = window.astype(np.float64)
+    as_float64.flags.writeable = False
+    held = compute_trellis(as_float64, ts, VOCAB.blank_index)
+    assert held.window.dtype == np.float64 and np.shares_memory(held.window, as_float64)
+    assert _traced(held) == want
+    # every other window is converted: a float32 one to a C-contiguous aligned
+    # float32 array, any other dtype to float64
+    misaligned = np.frombuffer(b"\0" + window.tobytes(), np.float32, offset=1).reshape(window.shape)
+    for given, dtype in [
+        (window.astype(np.float16), np.float64),
+        (-rng.integers(0, 4, size=(60, 38)), np.float64),
+        (pm.data[::2], np.float32),  # strided rows
+        (np.asfortranarray(window), np.float32),
+        (window.astype(">f4"), np.float64),  # big-endian
+        (misaligned, np.float32),
+    ]:
+        given.flags.writeable = False  # else compute_trellis copies it first
+        tr = compute_trellis(given, ts, VOCAB.blank_index)
+        assert tr.window.dtype == dtype and tr.window.flags.c_contiguous
+        assert tr.window.flags.aligned and not np.shares_memory(tr.window, given)
+        assert np.array_equal(tr.window, given)
+        assert _traced(tr) == _traced(compute_trellis(given.astype(np.float64), ts, 0))
 
 
 def test_a_prefix_ending_inside_an_utterance_raises():
@@ -579,7 +619,7 @@ def test_fill_equals_the_reference_fill(n_frames):
             assert got.width == width and np.array_equal(got.k, _packed(decisions, width))
             assert got.end_columns == tuple(range(n_tokens + 1))
             assert np.array_equal(got.ends, want[:-1, :-1])
-            assert got.tokens.dtype == np.int64 and got.tokens.tolist() == list(tokens)
+            assert got.tokens.dtype == np.int32 and got.tokens.tolist() == list(tokens)
             one_utt = compute_trellis(window, TokenSequence(tokens, ((0, 0, n_tokens - 1),)), 0)
             one_width = n_tokens + 1 if n_tokens < n_frames else 1  # its end, or column 0 alone
             assert np.array_equal(one_utt.k, _packed(decisions, one_width))
@@ -878,6 +918,8 @@ def test_a_long_word_fills_only_the_columns_a_path_can_reach():
     ts = build_token_sequence(utts, VOCAB)
     n_frames = 2000
     window = -np.random.default_rng(10).exponential(size=(n_frames, len(VOCAB.symbols)))
+    window = window.astype(np.float32)
+    window.flags.writeable = False  # as the aligner's row slices are: held without a copy
     tracemalloc.start()
     try:
         tr = compute_trellis(window, ts, VOCAB.blank_index)
@@ -886,8 +928,9 @@ def test_a_long_word_fills_only_the_columns_a_path_can_reach():
         tracemalloc.stop()
     n_tokens = len(ts.tokens)
     bound = n_frames * math.ceil(min(n_tokens, n_frames - 1) / 8) + 8 * n_frames * (len(utts) + 1)
-    # README's bound, plus the fill's float64 copy of the window and its int64 tokens
-    assert peak < bound + 8 * (window.size + n_tokens) < (n_frames + 1) * (n_tokens + 1) / 50
+    # README's bound, plus the Trellis's int32 tokens: the window is read in place
+    assert peak < bound + 4 * n_tokens < (n_frames + 1) * (n_tokens + 1) / 50
+    assert np.shares_memory(tr.window, window) and tr.tokens.nbytes == 4 * n_tokens
     # the 3 columns of "abc", in one byte a row
     assert tr.end_columns == (0, 3, n_tokens) and tr.width == 4 and tr.k.shape == (n_frames, 1)
     assert (end_scores(tr) == -np.inf).all()
@@ -980,10 +1023,11 @@ def _table_cases(rng):
 
 def test_the_table_loop_gives_the_same_bits(monkeypatch):
     # float32 windows of at most 64 symbols are scored by the AVX-512 table
-    # loop where it is built and the CPU has it, by the row clones elsewhere;
+    # loop where it is built and the CPU has it, by the row clones on widened
+    # rows elsewhere, and those of 65 symbols always take the widened rows;
     # their exact float64 copies and float64 windows whose values are not
-    # float32 values always take the row clones. All match the numpy kernel
-    # and the reference's packed decisions
+    # float32 values take the row clones on the rows in place. All match the
+    # numpy kernel and the reference's packed decisions
     lib = compiled_kernel()
     rng = np.random.default_rng(617)
     traced = 0
@@ -999,33 +1043,6 @@ def test_the_table_loop_gives_the_same_bits(monkeypatch):
             assert want[0][0] == _reference_trellis(w, ts, blank).k.tobytes()
             traced += want[1] is not None
     assert traced > 100
-
-
-def test_a_float32_windows_rows_are_read_in_place(monkeypatch):
-    # the C fill gets the caller's float32 rows, uncopied, as the table
-    # loop's window; other windows give it none
-    lib = compiled_kernel()
-    passed = []
-
-    class Spy:
-        def __getattr__(self, name):
-            return getattr(lib, name)
-
-        def fill(self, window, window32, *args):
-            passed.append(window32)
-            lib.fill(window, window32, *args)
-
-    monkeypatch.setattr(trellis, "_kernel", Spy)
-    rng = np.random.default_rng(619)
-    matrix = _table_window(rng, 60, 38, 0)
-    ts = TokenSequence((3, 4, 5), ((0, 0, 2),))
-    for window, in_place in [
-        (matrix[10:50], True),  # a row slice, as the aligner takes from its PosteriorMatrix
-        (matrix[10:50].astype(np.float64), False),
-        (matrix[::2], False),  # strided rows
-    ]:
-        compute_trellis(window, ts, 0)
-        assert passed[-1] == (window.ctypes.data if in_place else None)
 
 
 def _both_traces(monkeypatch, lib, tr, n):
@@ -1079,7 +1096,7 @@ def test_a_trace_past_row_0_raises_on_both_kernels(monkeypatch):
     # a lattice filled from a window always holds a path back to column 0 from
     # a finite end; hand-built decisions that advance too rarely do not, and
     # both kernels raise where the walk runs past row 0, and agree elsewhere,
-    # also on a float32 window and int32 tokens, which C reads converted
+    # also on a float32 window and int32 tokens, which both read as they are
     lib = compiled_kernel()
     rng = np.random.default_rng(620)
     raised = agreed = 0
