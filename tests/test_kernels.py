@@ -36,6 +36,7 @@ from test_trellis import (  # noqa: F401  (collected here once per kernel)
     test_rho_equals_the_reference_loop,
     test_rho_takes_blank_when_blank_is_stronger,
     test_the_lattice_holds_a_read_only_window_of_its_own_float_type,
+    test_the_lattice_keeps_a_read_only_float64_copy_of_its_window,
     test_trellis_validation,
     test_two_frame_lattice_values,
 )

@@ -319,11 +319,27 @@ def _traced(tr):
     return tr.k.tobytes(), tr.ends.tobytes(), frames.tobytes(), rho.tobytes()
 
 
-def test_the_lattice_holds_a_read_only_window_of_its_own_float_type():
+def _holding_case():
+    """A PosteriorMatrix of 1200 float32 rows, its generator and a token sequence."""
     rng = np.random.default_rng(5)
     pm = PosteriorMatrix(np.log(rng.dirichlet(np.ones(38), size=1200)).astype(np.float32), 0.02)
-    ts = _ts("abcab")
-    # a row slice of a PosteriorMatrix, as the aligner takes, is read in place
+    return rng, pm, _ts("abcab")
+
+
+def _assert_converted(given, dtype, ts):
+    """compute_trellis holds a read-only copy of given, of dtype, that traces
+    with the bits of given's float64 values."""
+    given.flags.writeable = False  # else compute_trellis copies it first
+    tr = compute_trellis(given, ts, VOCAB.blank_index)
+    assert tr.window.dtype == dtype and tr.window.flags.c_contiguous
+    assert tr.window.flags.aligned and not np.shares_memory(tr.window, given)
+    assert not tr.window.flags.writeable and np.array_equal(tr.window, given)
+    assert _traced(tr) == _traced(compute_trellis(given.astype(np.float64), ts, 0))
+
+
+def test_a_float32_windows_rows_are_read_in_place():
+    # a row slice of a PosteriorMatrix, as the aligner takes, is held and read in place
+    _, pm, ts = _holding_case()
     window = pm.data[100:1100]
     tracemalloc.start()
     try:
@@ -334,37 +350,55 @@ def test_the_lattice_holds_a_read_only_window_of_its_own_float_type():
     assert tr.window.dtype == np.float32 and tr.window.flags.c_contiguous
     assert np.shares_memory(tr.window, pm.data) and not tr.window.flags.writeable
     assert peak < window.nbytes / 2  # no window-sized array was allocated
-    want = _traced(tr)
-    # a writable window is copied, so changing it changes nothing the lattice reads
-    writable = window.copy()
-    from_writable = compute_trellis(writable, ts, VOCAB.blank_index)
-    writable[:] = np.log(1 / 38)
-    assert writable.flags.writeable and from_writable.window.dtype == np.float32
-    assert not np.shares_memory(from_writable.window, writable)
-    assert _traced(from_writable) == want
-    # float64 windows stay float64, with the same bits
+    assert _traced(tr) == _traced(compute_trellis(window.astype(np.float64), ts, 0))
+
+
+def test_the_lattice_keeps_a_read_only_float64_copy_of_its_window():
+    # a float64 window stays float64, held in place when read-only and copied
+    # when writable; every dtype but native float32 becomes a float64 copy
+    rng, pm, ts = _holding_case()
+    window = pm.data[100:1100]
+    want = _traced(compute_trellis(window, ts, VOCAB.blank_index))
     as_float64 = window.astype(np.float64)
     as_float64.flags.writeable = False
     held = compute_trellis(as_float64, ts, VOCAB.blank_index)
     assert held.window.dtype == np.float64 and np.shares_memory(held.window, as_float64)
     assert _traced(held) == want
-    # every other window is converted: a float32 one to a C-contiguous aligned
-    # float32 array, any other dtype to float64
-    misaligned = np.frombuffer(b"\0" + window.tobytes(), np.float32, offset=1).reshape(window.shape)
-    for given, dtype in [
-        (window.astype(np.float16), np.float64),
-        (-rng.integers(0, 4, size=(60, 38)), np.float64),
-        (pm.data[::2], np.float32),  # strided rows
-        (np.asfortranarray(window), np.float32),
-        (window.astype(">f4"), np.float64),  # big-endian
-        (misaligned, np.float32),
+    writable = window.astype(np.float64)
+    copied = compute_trellis(writable, ts, VOCAB.blank_index)
+    writable[:] = np.log(1 / 38)  # the caller's array stays writable, and apart from the copy
+    assert copied.window.dtype == np.float64 and not np.shares_memory(copied.window, writable)
+    with pytest.raises(ValueError):
+        copied.window[0, 0] = 0.0
+    assert _traced(copied) == want
+    for given in [
+        window.astype(np.float16),
+        -rng.integers(0, 4, size=(60, 38)),
+        window.astype(">f4"),  # big-endian
     ]:
-        given.flags.writeable = False  # else compute_trellis copies it first
-        tr = compute_trellis(given, ts, VOCAB.blank_index)
-        assert tr.window.dtype == dtype and tr.window.flags.c_contiguous
-        assert tr.window.flags.aligned and not np.shares_memory(tr.window, given)
-        assert np.array_equal(tr.window, given)
-        assert _traced(tr) == _traced(compute_trellis(given.astype(np.float64), ts, 0))
+        _assert_converted(given, np.float64, ts)
+
+
+def test_the_lattice_holds_a_read_only_window_of_its_own_float_type():
+    _, pm, ts = _holding_case()
+    window = pm.data[100:1100]
+    want = _traced(compute_trellis(window, ts, VOCAB.blank_index))
+    # a writable float32 window is copied, so changing it changes nothing the lattice reads
+    writable = window.copy()
+    from_writable = compute_trellis(writable, ts, VOCAB.blank_index)
+    writable[:] = np.log(1 / 38)
+    assert writable.flags.writeable and from_writable.window.dtype == np.float32
+    assert not np.shares_memory(from_writable.window, writable)
+    assert not from_writable.window.flags.writeable
+    assert _traced(from_writable) == want
+    # a float32 window that is not C-contiguous and aligned becomes one that is
+    misaligned = np.frombuffer(b"\0" + window.tobytes(), np.float32, offset=1).reshape(window.shape)
+    for given in [
+        pm.data[::2],  # strided rows
+        np.asfortranarray(window),
+        misaligned,
+    ]:
+        _assert_converted(given, np.float32, ts)
 
 
 def test_a_prefix_ending_inside_an_utterance_raises():
