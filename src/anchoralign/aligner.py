@@ -6,12 +6,11 @@ decided only by the last utterance's score, so earlier utterances in an
 accepted batch may score badly (imperfect transcripts still pass through,
 flagged by their scores). Each window's lattice is filled once, for its
 whole batch; a batch of fewer utterances is a column prefix of it, so the
-shrink attempts read that prefix instead of refilling. The accepted batch's
-last utterance becomes the new anchor. A window rejected for its scores
-and one too short to hold any batch's text fail alike: they grow by
-window_step_s, and once the window would exceed max_window_s the first
-pending utterance is skipped and the anchor advances by its estimated
-duration.
+shrink attempts read that prefix instead of refilling. A count with no path
+scores -inf, like any rejected count. The accepted batch's last utterance
+becomes the new anchor. A rejected window grows by window_step_s, and once
+the window would exceed max_window_s the first pending utterance is skipped
+and the anchor advances by its estimated duration.
 """
 
 from __future__ import annotations
@@ -84,12 +83,13 @@ def align_window(
 ) -> WindowResult:
     """Align a shrinking prefix of utts inside one posterior window.
 
-    Tries the full utterance list first and drops utterances off the tail
-    until the last utterance of the batch scores at or above the threshold;
-    shrinking then continues while the last score keeps strictly improving,
-    and ties keep the larger batch. Frames in the result are absolute. A
-    window where no utterance count admits a path is rejected like any
-    other: best is None and every attempt scores -inf.
+    Tries the full utterance list first and drops utterances off the tail.
+    A count with no path scores -inf. Each attempt applies two rules in
+    turn: once a batch is accepted, a last score that is not strictly
+    higher than the accepted one ends the shrinking, so ties keep the larger
+    batch; then a last score at or above the threshold accepts the batch.
+    Frames in the result are absolute. A window where no count is accepted
+    has best None; every attempt scores -inf when no count admits a path.
 
     The lattice is filled once, for the full list. Each shrink attempt
     traces its batch's column prefix of it, named by the batch's token
@@ -113,20 +113,15 @@ def align_window(
         try:
             trace = backtrack(tr, last_utt[2] + 1)
         except NoPathError:
-            attempts.append((n, -np.inf))
-            if best_n:
-                break
-            continue
-        [aln] = _score_batch(*trace, [last_utt], start, pm.frame_duration_s, params)
-        last = aln.s_seg
+            last = -np.inf
+        else:
+            [aln] = _score_batch(*trace, [last_utt], start, pm.frame_duration_s, params)
+            last = aln.s_seg
         attempts.append((n, last))
-        if last >= params.threshold:
-            if not best_n or last > best_last:
-                best_n, best_last, kept, kept_last = n, last, trace, aln
-            else:
-                break
-        elif best_n:
+        if best_n and not last > best_last:
             break
+        if last >= params.threshold:
+            best_n, best_last, kept, kept_last = n, last, trace, aln
     if not best_n:
         return WindowResult(best=None, attempts=attempts)
     best = _score_batch(*kept, full.boundaries[: best_n - 1], start, pm.frame_duration_s, params)
@@ -184,17 +179,23 @@ def align_file(
     Utterances need est_duration_s set (see textprep.estimate_time_refs);
     estimates drive window packing and the anchor advance after a skip.
     Raises ConfigError when window_s or window_step_s is under one frame.
+
+    A rejected window grows by window_step_s while it stays within
+    max_window_s; past that, the first pending utterance is skipped. Every
+    ratio of seconds to frame duration is clamped before it is rounded.
+    align_window is deterministic, so it runs again only when the anchor,
+    window length, cursor or batch size has changed.
     """
     if pm.vocab_id and pm.vocab_id != vocab.checksum():
         raise ValueError("posterior matrix was loaded against a different vocab")
     for utt in utts:
-        if utt.est_duration_s <= 0:
+        if not utt.est_duration_s > 0:
             raise ValueError(f"utterance {utt.utt_index} has no duration estimate")
     dur = pm.frame_duration_s
-    for name in ("window_s", "window_step_s"):
-        if round(getattr(params, name) / dur) < 1:
-            raise ConfigError(f"{name} must be at least one {dur:g} s frame")
     n_frames = pm.n_frames
+    for name in ("window_s", "window_step_s"):
+        if round(min(getattr(params, name) / dur, 1)) < 1:
+            raise ConfigError(f"{name} must be at least one {dur:g} s frame")
     run = AlignmentRun(
         file_id=file_id,
         utterances=[],
@@ -206,36 +207,21 @@ def align_file(
     cursor = 0
     anchor_frame = 0
     window_nominal_s = params.window_s
-    # a grow clamped at the file end that packs no further utterance asks for
-    # the window just rejected; align_window is deterministic, so reuse it
-    last_window, last_result = None, None
+    aligned = None  # the (anchor, length, cursor, batch size) that result answers
     while cursor < len(utts) and anchor_frame < n_frames:
-        win_len = min(int(round(window_nominal_s / dur)), n_frames - anchor_frame)
+        win_len = round(min(window_nominal_s / dur, n_frames - anchor_frame))
         batch = _pack_window(utts, cursor, window_nominal_s, params.max_utts_per_window)
         window = (anchor_frame, win_len, cursor, len(batch))
-        if window == last_window:
-            result = last_result
-        else:
+        if window != aligned:
             result = align_window(pm, (anchor_frame, win_len), batch, vocab, params)
-            last_window, last_result = window, result
-        if result.best is not None:
-            for aln in result.best:
-                aln.file_id = file_id
-            result.best[-1].anchor = True
-            run.utterances.extend(result.best)
-            run.iterations_log.append(
-                (anchor_frame, win_len, len(batch), f"accepted:{len(result.best)}")
-            )
-            log.debug(
-                "%s: accepted %d/%d utts at frame %d (last score %.3f)",
-                file_id, len(result.best), len(batch), anchor_frame, result.last_score,
-            )
-            cursor += len(result.best)
-            anchor_frame = result.best[-1].end_frame + 1
-            window_nominal_s = params.window_s
-            continue
+            aligned = window
         grown = window_nominal_s + params.window_step_s
-        if grown > params.max_window_s:
+        if result.best is None and grown <= params.max_window_s:
+            run.iterations_log.append((anchor_frame, win_len, len(batch), "grow"))
+            window_nominal_s = grown
+            continue
+        window_nominal_s = params.window_s
+        if result.best is None:
             skipped = utts[cursor]
             run.skipped.append(skipped.utt_index)
             run.iterations_log.append((anchor_frame, win_len, len(batch), "skip"))
@@ -243,12 +229,23 @@ def align_file(
                 "%s: skipping utt %d, advancing %.2fs",
                 file_id, skipped.utt_index, skipped.est_duration_s,
             )
-            anchor_frame += int(round(skipped.est_duration_s / dur))
+            # an estimate from estimate_time_refs is at most the file's length
+            anchor_frame += round(min(skipped.est_duration_s / dur, n_frames))
             cursor += 1
-            window_nominal_s = params.window_s
-        else:
-            run.iterations_log.append((anchor_frame, win_len, len(batch), "grow"))
-            window_nominal_s = grown
+            continue
+        for aln in result.best:
+            aln.file_id = file_id
+        result.best[-1].anchor = True
+        run.utterances.extend(result.best)
+        run.iterations_log.append(
+            (anchor_frame, win_len, len(batch), f"accepted:{len(result.best)}")
+        )
+        log.debug(
+            "%s: accepted %d/%d utts at frame %d (last score %.3f)",
+            file_id, len(result.best), len(batch), anchor_frame, result.last_score,
+        )
+        cursor += len(result.best)
+        anchor_frame = result.best[-1].end_frame + 1
     for utt in utts[cursor:]:
         run.skipped.append(utt.utt_index)
         run.iterations_log.append((anchor_frame, 0, 0, "skip"))

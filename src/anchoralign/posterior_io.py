@@ -362,11 +362,33 @@ class FrameMap:
     """Invertible record of gap compression.
 
     Each segment is (compressed_start_frame, original_start_frame,
-    length_frames); segments are contiguous on the compressed axis.
+    length_frames). The constructor raises FrameMapError unless there is at
+    least one segment, every length is at least 1, the compressed starts run
+    contiguously from 0, and the original spans rise without overlap and end
+    at or before original_frames.
     """
 
     segments: tuple[tuple[int, int, int], ...]
     original_frames: int
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise FrameMapError("a frame map needs at least one segment")
+        compressed_end = original_end = 0
+        for segment in self.segments:
+            compressed_start, original_start, length = segment
+            if length < 1:
+                raise FrameMapError(f"segment {segment} is shorter than one frame")
+            if compressed_start != compressed_end:
+                raise FrameMapError(f"segment {segment} does not start at frame {compressed_end}")
+            if original_start < original_end:
+                raise FrameMapError(f"segment {segment} starts before frame {original_end}")
+            compressed_end += length
+            original_end = original_start + length
+        if original_end > self.original_frames:
+            raise FrameMapError(
+                f"segments end at frame {original_end}, past {self.original_frames} frames"
+            )
 
     @property
     def compressed_frames(self) -> int:
@@ -407,9 +429,10 @@ def apply_speech_regions(
     for gap_start, gap_end in _gaps(sr, total_s):
         if gap_end - gap_start <= max_gap_s:
             continue
-        first = math.ceil(gap_start / dur - 1e-9)
-        last_excl = math.floor(gap_end / dur + 1e-9)
-        keep[max(first, 0) : min(last_excl, pm.n_frames)] = False
+        # clamped before rounding, as a tiny dur can overflow the ratios
+        first = math.ceil(min(gap_start / dur - 1e-9, pm.n_frames))
+        last_excl = math.floor(min(gap_end / dur + 1e-9, pm.n_frames))
+        keep[max(first, 0) : last_excl] = False
     if keep.all():
         return pm, identity_frame_map(pm.n_frames)
     if not keep.any():

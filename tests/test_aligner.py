@@ -225,6 +225,79 @@ def test_window_matches_the_refill_reference(spanish_vocab):
     assert len(seen) == 5 and min(seen.values()) >= 3, seen
 
 
+def _reference_shrink(scripted, threshold):
+    """align_window's shrink loop with its own branch for a count with no
+    path (scripted[n] None): the attempts and the kept count."""
+    best_n, best_last, attempts = 0, -np.inf, []
+    for n in range(len(scripted) - 1, 0, -1):
+        if scripted[n] is None:
+            attempts.append((n, -np.inf))
+            if best_n:
+                break
+            continue
+        last = scripted[n]
+        attempts.append((n, last))
+        if last >= threshold:
+            if not best_n or last > best_last:
+                best_n, best_last = n, last
+            else:
+                break
+        elif best_n:
+            break
+    return attempts, best_n
+
+
+def test_window_shrink_rule_matches_the_reference(spanish_vocab, monkeypatch):
+    # seeded last scores per count, ties and no-path counts among them, fed
+    # to align_window through stand-ins for the trace and the scoring
+    pm, _, utts = _render(_spans([TEXT_A] * 8, 10, 5), spanish_vocab, 8.0)
+    scripted = [None]
+    ends = {b[2] + 1: b[0] + 1 for b in build_token_sequence(utts, spanish_vocab).boundaries}
+
+    def stand_in_backtrack(tr, end_column):
+        n = ends[end_column]
+        if scripted[n] is None:
+            raise NoPathError("scripted")
+        return n, None
+
+    def stand_in_scores(frames, rho, boundaries, *rest):
+        return [
+            UtteranceAlignment(utt_index, 0, 0, scripted[utt_index + 1], 0.0, False)
+            for utt_index, _, _ in boundaries
+        ]
+
+    monkeypatch.setattr(aligner, "compute_trellis", lambda *args: None)
+    monkeypatch.setattr(aligner, "backtrack", stand_in_backtrack)
+    monkeypatch.setattr(aligner, "_score_batch", stand_in_scores)
+    rng = np.random.default_rng(30)
+    values = [None, -np.inf, -3.0, -2.0, -1.5, -1.0, -0.5]
+    seen = collections.Counter()
+    for _ in range(3000):
+        n_utts = int(rng.integers(1, len(utts) + 1))
+        scripted[1:] = [values[i] for i in rng.integers(0, len(values), n_utts)]
+        threshold = float(rng.choice([-2.0, -1.0]))
+        params = AlignParams(threshold=threshold)
+        result = align_window(pm, (0, pm.n_frames), utts[:n_utts], spanish_vocab, params)
+        attempts, best_n = _reference_shrink(scripted, threshold)
+        assert result.attempts == attempts
+        assert (len(result.best) if result.best else 0) == best_n
+        if not best_n:
+            seen["rejected"] += 1
+            continue
+        assert [a.utt_index for a in result.best] == list(range(best_n))
+        assert result.best[-1].s_seg == scripted[best_n]
+        stop_n, stop = attempts[-1]
+        if stop_n == best_n:
+            seen["accepted at the last count"] += 1
+        elif stop == scripted[best_n]:
+            seen["a tie keeps the larger batch"] += 1
+        elif scripted[stop_n] is None:
+            seen["no path after an accept"] += 1
+        else:
+            seen["a lower score after an accept"] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 50, seen
+
+
 def test_window_fills_the_lattice_once(spanish_vocab, monkeypatch):
     fills = []
 

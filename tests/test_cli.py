@@ -882,6 +882,49 @@ def test_align_with_a_score_ref_that_overflows_the_normalized_score_exits_2(
 
 
 @pytest.mark.parametrize(
+    "frame_duration_s, regions, flags",
+    [
+        # window_s / frame duration overflows to inf
+        (None, None, ["--window-s", "1e308", "--max-window-s", "1e308", "--window-step-s", "1e305"]),
+        ("1e-320", None, []),
+        # and so does the second gap's end, before apply_speech_regions rounds it
+        ("1e-320", "0 1e-318\n5e-7 6e-7\n", ["--max-gap-s", "0"]),
+    ],
+    ids=["huge windows", "tiny frames", "tiny frames and regions"],
+)
+def test_align_with_seconds_to_frames_ratios_that_overflow_exits_0(
+    synth_dirs, tmp_path, frame_duration_s, regions, flags
+):
+    data, vocab_path = synth_dirs
+    if frame_duration_s is not None:
+        for path in data.glob("*.ctcp"):
+            pm = load_posteriors(path)
+            # as text: the binary header's float32 cannot hold 1e-320
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"{pm.n_frames} {pm.n_symbols} {frame_duration_s}\n")
+                fh.writelines(" ".join(f"{x:.9g}" for x in row) + "\n" for row in pm.data)
+    if regions is not None:
+        for path in data.glob("*.regions"):
+            path.write_text(regions, encoding="utf-8")
+        flags = [*flags, "--regions-dir", str(data)]
+    argv = _align_argv(data, vocab_path, tmp_path / "out", *flags)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "anchoralign.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.align.jsonl")) == [
+        "filea.align.jsonl",
+        "fileb.align.jsonl",
+    ]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["filter", "--method", "chebyshev", "--worst-fraction", "0"],

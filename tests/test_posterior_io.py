@@ -644,6 +644,7 @@ def test_kept_runs_equal_the_reference_loop():
             runs = _kept_runs(keep)
             assert runs == _kept_runs_loop(keep)
             assert all(type(x) is int for run in runs for x in run)
+            FrameMap(segments=runs, original_frames=len(keep))  # passes its checks
             compared += 1
     assert compared > 30
 
@@ -652,6 +653,33 @@ def test_identity_frame_map():
     fm = identity_frame_map(17)
     assert fm == FrameMap(segments=((0, 0, 17),), original_frames=17)
     assert map_frames_back(fm, 16) == 16
+    assert identity_frame_map(1).compressed_frames == 1
+
+
+@pytest.mark.parametrize(
+    "segments, original_frames",
+    [
+        ((), 10),  # no segment
+        (((0, 0, 0),), 10),  # an empty segment
+        (((0, 0, 5), (5, 6, -1)), 10),
+        (((1, 0, 5),), 10),  # the compressed axis starts past 0
+        (((0, 0, 5), (6, 6, 2)), 10),  # a hole in the compressed axis
+        (((0, 0, 5), (4, 6, 2)), 10),  # compressed spans overlap
+        (((0, -1, 5),), 10),  # an original span before frame 0
+        (((0, 2, 5), (5, 6, 2)), 10),  # original spans overlap
+        (((0, 6, 2), (2, 0, 3)), 10),  # original spans out of order
+        (((0, 190, 30),), 200),  # past the original frames
+        (((0, 0, 5), (5, 7, 4)), 10),
+    ],
+)
+def test_frame_map_rejects_inconsistent_segments(segments, original_frames):
+    with pytest.raises(FrameMapError):
+        FrameMap(segments=segments, original_frames=original_frames)
+
+
+def test_frame_map_admits_spans_that_touch_and_end_at_the_last_frame():
+    fm = FrameMap(segments=((0, 0, 5), (5, 5, 2), (7, 8, 2)), original_frames=10)
+    assert [map_frames_back(fm, f) for f in range(9)] == [0, 1, 2, 3, 4, 5, 6, 8, 9]
 
 
 def _map_frames_back_linear(fm, frame):
