@@ -7,16 +7,21 @@ accepted batch may score badly (imperfect transcripts still pass through,
 flagged by their scores). Each window's lattice is filled once, for its
 whole batch; a batch of fewer utterances is a column prefix of it, so the
 shrink attempts read that prefix instead of refilling. A count with no path
-scores -inf, like any rejected count. The accepted batch's last utterance
-becomes the new anchor. A rejected window grows by window_step_s, and once
-the window would exceed max_window_s the first pending utterance is skipped
-and the anchor advances by its estimated duration.
+scores -inf, like any rejected count. Each attempt scores its last utterance
+at once, as the acceptance rule reads it; the accepted batch's other
+utterances are scored together when the file ends, in one reduction over
+all their spans, with the bits each would get alone. The accepted batch's
+last utterance becomes the new anchor. A rejected window grows by
+window_step_s, and once the window would exceed max_window_s the first
+pending utterance is skipped and the anchor advances by its estimated
+duration.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +38,7 @@ from .trellis import (
     compute_trellis,
     fragment_scores,
     segment_score,
+    segment_scores,
 )
 
 log = logging.getLogger("anchoralign.aligner")
@@ -80,6 +86,7 @@ def align_window(
     utts: Sequence[Utterance],
     vocab: Vocab,
     params: AlignParams = AlignParams(),
+    pending: list[tuple[UtteranceAlignment, np.ndarray]] | None = None,
 ) -> WindowResult:
     """Align a shrinking prefix of utts inside one posterior window.
 
@@ -93,10 +100,14 @@ def align_window(
 
     The lattice is filled once, for the full list. Each shrink attempt
     traces its batch's column prefix of it, named by the batch's token
-    count, and scores only its last utterance, which is all the acceptance
-    rule reads. The kept batch keeps its attempt's alignment of that last
-    utterance and scores the ones before it from the same trace, so every
-    traced utterance is scored once.
+    count, and scores only its last utterance with fragment_scores, which is
+    all the acceptance rule reads. The kept batch keeps its attempt's
+    alignment of that last utterance and aligns the ones before it from the
+    same trace, so every traced utterance is scored once. Those are scored
+    in one segment_scores call here, unless the caller passes a pending
+    list: they are then appended to it unscored, each with a copy of its
+    span of rho, for the caller's _score_pending, as align_file does once
+    per file.
     """
     start, length = window
     if length < 1 or start < 0 or start + length > pm.n_frames:
@@ -124,7 +135,12 @@ def align_window(
             best_n, best_last, kept, kept_last = n, last, trace, aln
     if not best_n:
         return WindowResult(best=None, attempts=attempts)
-    best = _score_batch(*kept, full.boundaries[: best_n - 1], start, pm.frame_duration_s, params)
+    unscored = [] if pending is None else pending
+    best = _score_batch(
+        *kept, full.boundaries[: best_n - 1], start, pm.frame_duration_s, params, unscored
+    )
+    if pending is None:
+        _score_pending(unscored, params)
     return WindowResult(best=[*best, kept_last], attempts=attempts)
 
 
@@ -135,36 +151,59 @@ def _score_batch(
     window_start: int,
     frame_duration_s: float,
     params: AlignParams,
+    pending: list[tuple[UtteranceAlignment, np.ndarray]] | None = None,
 ) -> list[UtteranceAlignment]:
-    """Split a traced path into per-utterance alignments with scores.
+    """Split a traced path into per-utterance alignments.
 
     frames and rho are what backtrack returns, frames[i] being the emission
     frame of token i, and boundaries are TokenSequence.boundaries entries
     of utterances on that path. Frames in the result are absolute: the
-    window's start is added to each.
+    window's start is added to each. Each alignment is scored here, by
+    fragment_scores, or, where pending is given, appended to it unscored,
+    with a copy of its span of rho, so that no window's rho outlives it.
     """
     out = []
     for utt_index, first, last in boundaries:
         start = int(frames[first])
         end = int(frames[last])  # emission frame of the last character
-        length = end - start + 1
-        score = segment_score(fragment_scores(rho[start : end + 1], params.fragment_frames))
-        score, penalized = apply_short_penalty(
-            score, length, params.fragment_frames, params.short_penalty
+        aln = UtteranceAlignment(
+            utt_index=utt_index,
+            start_frame=start + window_start,
+            end_frame=end + window_start,
+            s_seg=math.nan,
+            s_seg_norm=math.nan,
+            penalized=False,
+            duration_s=(end - start + 1) * frame_duration_s,
         )
-        duration_s = length * frame_duration_s
-        out.append(
-            UtteranceAlignment(
-                utt_index=utt_index,
-                start_frame=start + window_start,
-                end_frame=end + window_start,
-                s_seg=score,
-                s_seg_norm=normalize_score(score, duration_s, params.score_ref_s),
-                penalized=penalized,
-                duration_s=duration_s,
-            )
-        )
+        span = rho[start : end + 1]
+        if pending is None:
+            _set_score(aln, segment_score(fragment_scores(span, params.fragment_frames)), params)
+        else:
+            pending.append((aln, span.copy()))
+        out.append(aln)
     return out
+
+
+def _score_pending(
+    pending: list[tuple[UtteranceAlignment, np.ndarray]], params: AlignParams
+) -> None:
+    """Score every alignment _score_batch left in pending, from all their
+    spans in one segment_scores call, and empty the list."""
+    if pending:
+        scores = segment_scores([span for _, span in pending], params.fragment_frames)
+        for (aln, _), score in zip(pending, scores.tolist()):
+            _set_score(aln, score, params)
+        pending.clear()
+
+
+def _set_score(aln: UtteranceAlignment, score: float, params: AlignParams) -> None:
+    """Set aln's scores from its segment score: a span of at most one
+    fragment is capped at the short penalty, then the score is normalized."""
+    length = aln.end_frame - aln.start_frame + 1
+    aln.s_seg, aln.penalized = apply_short_penalty(
+        score, length, params.fragment_frames, params.short_penalty
+    )
+    aln.s_seg_norm = normalize_score(aln.s_seg, aln.duration_s, params.score_ref_s)
 
 
 def align_file(
@@ -184,7 +223,9 @@ def align_file(
     max_window_s; past that, the first pending utterance is skipped. Every
     ratio of seconds to frame duration is clamped before it is rounded.
     align_window is deterministic, so it runs again only when the anchor,
-    window length, cursor or batch size has changed.
+    window length, cursor or batch size has changed. Each call passes it the
+    file's one pending list, so the kept utterances that no acceptance rule
+    reads are scored together when the file ends, in one segment_scores call.
     """
     if pm.vocab_id and pm.vocab_id != vocab.checksum():
         raise ValueError("posterior matrix was loaded against a different vocab")
@@ -208,12 +249,13 @@ def align_file(
     anchor_frame = 0
     window_nominal_s = params.window_s
     aligned = None  # the (anchor, length, cursor, batch size) that result answers
+    pending: list[tuple[UtteranceAlignment, np.ndarray]] = []
     while cursor < len(utts) and anchor_frame < n_frames:
         win_len = round(min(window_nominal_s / dur, n_frames - anchor_frame))
         batch = _pack_window(utts, cursor, window_nominal_s, params.max_utts_per_window)
         window = (anchor_frame, win_len, cursor, len(batch))
         if window != aligned:
-            result = align_window(pm, (anchor_frame, win_len), batch, vocab, params)
+            result = align_window(pm, (anchor_frame, win_len), batch, vocab, params, pending)
             aligned = window
         grown = window_nominal_s + params.window_step_s
         if result.best is None and grown <= params.max_window_s:
@@ -249,6 +291,7 @@ def align_file(
     for utt in utts[cursor:]:
         run.skipped.append(utt.utt_index)
         run.iterations_log.append((anchor_frame, 0, 0, "skip"))
+    _score_pending(pending, params)
     return run
 
 

@@ -8,7 +8,9 @@ Subcommands:
 
 Every align option can come from a flat `key = value` config file
 (--config); command-line flags win over the file. Log verbosity is set by
-the ANCHOR_ALIGN_LOG environment variable (quiet, info, debug).
+the ANCHOR_ALIGN_LOG environment variable (quiet, info, debug). A command
+started before numpy is imported runs numpy's OpenBLAS on one thread, unless
+OPENBLAS_NUM_THREADS is set.
 """
 
 from __future__ import annotations
@@ -573,7 +575,14 @@ def _setup_logging() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a bad input's AnchorAlignError or OSError logs one line, exit 2."""
+    """Run one command; a bad input's AnchorAlignError or OSError logs one line, exit 2.
+
+    numpy's bundled OpenBLAS starts a thread per extra CPU when numpy is
+    imported, and anchoralign makes no BLAS call, so a command run before
+    numpy is imported sets OPENBLAS_NUM_THREADS=1 unless the variable is set.
+    """
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)

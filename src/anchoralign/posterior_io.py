@@ -418,12 +418,16 @@ def apply_speech_regions(
 
     Gaps of max_gap_s or less are kept so the aligner can bridge them with
     blank frames; only long dead stretches are compressed away. Where no
-    frame is dropped, pm itself is returned, with the identity FrameMap.
+    frame is dropped, pm itself is returned, with the identity FrameMap;
+    else the kept rows are copied by one slice per kept run. A region may
+    end past the file by 1e-6 s of rounding, or by half a frame where that
+    is less.
     """
     total_s = pm.duration_s
     dur = pm.frame_duration_s
+    slack = min(1e-6, dur / 2)
     for start, end in sr.regions:
-        if end > total_s + 1e-6:
+        if end > total_s + slack:
             raise SpeechRegionsError(f"region ({start}, {end}) extends past {total_s:.3f}s")
     keep = np.ones(pm.n_frames, dtype=bool)
     for gap_start, gap_end in _gaps(sr, total_s):
@@ -441,7 +445,7 @@ def apply_speech_regions(
     # every check in __post_init__ holds for any row subset of a valid
     # matrix, so the copy skips it and the file is validated once
     compressed = copy.copy(pm)
-    data = pm.data[keep]
+    data = np.concatenate([pm.data[start : start + n] for _, start, n in fm.segments])
     data.flags.writeable = False
     object.__setattr__(compressed, "data", data)
     return compressed, fm

@@ -55,6 +55,7 @@ import operator
 import os
 import platform
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -78,8 +79,10 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
 
     Returns None, which selects the numpy kernel, when the compiler is
     missing, the build fails, the directory is not writable or the library
-    does not load. The build writes a pid-suffixed file and renames it into
-    place, so processes building at once never load a partial library.
+    does not load, and logs a warning that names the reason: the numpy
+    kernel gives the same outputs, many times slower. The build writes a
+    pid-suffixed file and renames it into place, so processes building at
+    once never load a partial library.
     """
     try:
         with open(_C_SOURCE, "rb") as fh:
@@ -110,7 +113,7 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
                     os.remove(tmp)
         lib = ctypes.CDLL(path)
     except OSError as exc:
-        log.debug("lattice kernel: numpy, the C kernel is unavailable (%s)", exc)
+        log.warning("lattice kernel: numpy, many times slower; no C kernel: %s", exc)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.fill.argtypes = [ptr, ptr, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr, ptr]
@@ -124,7 +127,8 @@ def _load_library(cc: str = "cc") -> ctypes.CDLL | None:
 @functools.cache
 def _kernel() -> ctypes.CDLL | None:
     """The compiled lattice kernel, loaded on the process's first fill or
-    trace; None runs the numpy kernel's fill and trace."""
+    trace; None runs the numpy kernel's fill and trace, and the load has then
+    logged the process's one warning about it."""
     return _load_library()
 
 
@@ -479,6 +483,43 @@ def segment_score(fragments: np.ndarray) -> float:
     if fragments.size == 0:
         raise ValueError("no fragments")
     return float(fragments.min())
+
+
+def segment_scores(
+    spans: Sequence[np.ndarray], fragment_frames: int = FRAGMENT_FRAMES
+) -> np.ndarray:
+    """segment_score(fragment_scores(span, fragment_frames)) of each span,
+    bit for bit, in a few reductions for all spans at once.
+
+    The full fragments of every span are one logsumexp over the rows of their
+    concatenation, and the trailing fragments one logsumexp per length; each
+    row is reduced alone, as fragment_scores reduces it, so the other rows do
+    not change its bits. np.minimum.at then takes each span's worst fragment.
+    spans are non-empty 1-D float64 spans of a traced rho, which holds no NaN.
+    """
+    if fragment_frames < 1:
+        raise ConfigError("fragment_frames must be >= 1")
+    if not all(len(span) for span in spans):
+        raise ValueError("an empty span has no fragments")
+    blocks = [len(span) // fragment_frames for span in spans]
+    scores, owners = [], []
+    if any(blocks):
+        full = [span[: n * fragment_frames] for span, n in zip(spans, blocks)]
+        rows = np.concatenate(full).reshape(-1, fragment_frames)
+        scores.append(logsumexp(rows, axis=1) - np.log(fragment_frames))
+        owners.append(np.repeat(np.arange(len(spans)), blocks))
+    trailing: dict[int, list[int]] = {}
+    for i, (span, n) in enumerate(zip(spans, blocks)):
+        if len(span) > n * fragment_frames:
+            trailing.setdefault(len(span) - n * fragment_frames, []).append(i)
+    for length, which in trailing.items():
+        rows = np.stack([spans[i][-length:] for i in which])
+        scores.append(logsumexp(rows, axis=1) - np.log(length))
+        owners.append(np.array(which))
+    out = np.full(len(spans), np.inf)
+    if scores:
+        np.minimum.at(out, np.concatenate(owners), np.concatenate(scores))
+    return out
 
 
 def apply_short_penalty(

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import corrupted_utterances
+
 from anchoralign import (
     AlignParams,
     SpeechRegions,
@@ -32,6 +34,7 @@ from anchoralign import (
 )
 from anchoralign.common import MAX_WINDOW_STEPS
 from anchoralign.errors import ConfigError, NoPathError
+from anchoralign.trellis import segment_scores
 
 FRAME_S = 0.02
 
@@ -341,12 +344,17 @@ def test_window_traces_each_attempt_once(spanish_vocab, monkeypatch):
 
 def test_window_scores_each_traced_utterance_once(spanish_vocab, monkeypatch):
     # each attempt scores its last utterance from its trace; the kept batch
-    # reuses that alignment and scores only the utterances before it
-    calls, traced = [], []
+    # reuses that alignment and scores only the utterances before it, all in
+    # one segment_scores call
+    calls, traced, batches = [], [], []
 
     def counting_scores(rho, *args, **kwargs):
         calls.append(rho.size)
         return fragment_scores(rho, *args, **kwargs)
+
+    def counting_batch(spans, *args, **kwargs):
+        batches.append(len(spans))
+        return segment_scores(spans, *args, **kwargs)
 
     def counting_backtrack(*args, **kwargs):
         trace = backtrack(*args, **kwargs)
@@ -354,6 +362,7 @@ def test_window_scores_each_traced_utterance_once(spanish_vocab, monkeypatch):
         return trace
 
     monkeypatch.setattr(aligner, "fragment_scores", counting_scores)
+    monkeypatch.setattr(aligner, "segment_scores", counting_batch)
     monkeypatch.setattr(aligner, "backtrack", counting_backtrack)
     synth = _spans([TEXT_A, TEXT_B, TEXT_C], start_frame=50, pause_frames=150)
     kept = set()
@@ -361,10 +370,13 @@ def test_window_scores_each_traced_utterance_once(spanish_vocab, monkeypatch):
         pm, _, utts = _render(synth, spanish_vocab, 12.0, transcript=transcript)
         calls.clear()
         traced.clear()
+        batches.clear()
         result = align_window(pm, (0, pm.n_frames), utts, spanish_vocab)
         best_n = len(result.best)
         kept.add(best_n)
-        assert len(calls) == len(traced) + best_n - 1
+        assert len(calls) == len(traced)
+        assert len(batches) == (best_n > 1)
+        assert len(calls) + sum(batches) == len(traced) + best_n - 1
     assert kept == {1, 2, 3}
 
 
@@ -494,6 +506,33 @@ def test_file_fills_a_window_that_grows_cannot_change_once(spanish_vocab, monkey
     ]
     assert run.skipped == [3]
     assert fills == [300, 203, 20]
+
+
+def test_file_rows_equal_align_window_window_by_window(corpus09):
+    # align_file scores its kept utterances once per file; every accepted
+    # window's rows must still be the ones align_window scores on its own
+    params = AlignParams()
+    sizes = collections.Counter()
+    for utts in (corpus09.utterances, corrupted_utterances(corpus09)):
+        run = align_file(corpus09.pm, utts, corpus09.vocab, params, file_id="f")
+        cursor = done = 0
+        for anchor, win_len, n_batch, outcome in run.iterations_log:
+            if outcome == "skip":
+                cursor += 1
+            elif outcome.startswith("accepted:"):
+                batch = utts[cursor : cursor + n_batch]
+                window = (anchor, win_len)
+                result = align_window(corpus09.pm, window, batch, corpus09.vocab, params)
+                for aln in result.best:
+                    aln.file_id = "f"
+                result.best[-1].anchor = True
+                rows = run.utterances[done : done + len(result.best)]
+                assert [repr(a) for a in rows] == [repr(a) for a in result.best]  # bit for bit
+                cursor += len(result.best)
+                done += len(result.best)
+                sizes[len(result.best)] += 1
+        assert done == len(run.utterances) and cursor == len(utts)
+    assert sum(sizes.values()) > 15 and len(sizes) > 2, sizes  # shrunk batches among them
 
 
 def test_file_anchor_ordering(spanish_vocab):

@@ -881,14 +881,24 @@ def test_align_with_a_score_ref_that_overflows_the_normalized_score_exits_2(
     assert proc.stderr.count("failed: ConfigError: normalized score") == 2  # both files
 
 
+def _set_frame_duration(data, frame_duration_s):
+    """Rewrite every .ctcp file in data with frame_duration_s, as text: the
+    binary header's float32 cannot hold 1e-320."""
+    for path in data.glob("*.ctcp"):
+        pm = load_posteriors(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{pm.n_frames} {pm.n_symbols} {frame_duration_s}\n")
+            fh.writelines(" ".join(f"{x:.9g}" for x in row) + "\n" for row in pm.data)
+
+
 @pytest.mark.parametrize(
     "frame_duration_s, regions, flags",
     [
         # window_s / frame duration overflows to inf
         (None, None, ["--window-s", "1e308", "--max-window-s", "1e308", "--window-step-s", "1e305"]),
         ("1e-320", None, []),
-        # and so does the second gap's end, before apply_speech_regions rounds it
-        ("1e-320", "0 1e-318\n5e-7 6e-7\n", ["--max-gap-s", "0"]),
+        # two regions inside files of about 1.5e-317 s, whose gaps are cut
+        ("1e-320", "0 1e-318\n2e-318 1.2e-317\n", ["--max-gap-s", "0"]),
     ],
     ids=["huge windows", "tiny frames", "tiny frames and regions"],
 )
@@ -897,12 +907,7 @@ def test_align_with_seconds_to_frames_ratios_that_overflow_exits_0(
 ):
     data, vocab_path = synth_dirs
     if frame_duration_s is not None:
-        for path in data.glob("*.ctcp"):
-            pm = load_posteriors(path)
-            # as text: the binary header's float32 cannot hold 1e-320
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(f"{pm.n_frames} {pm.n_symbols} {frame_duration_s}\n")
-                fh.writelines(" ".join(f"{x:.9g}" for x in row) + "\n" for row in pm.data)
+        _set_frame_duration(data, frame_duration_s)
     if regions is not None:
         for path in data.glob("*.regions"):
             path.write_text(regions, encoding="utf-8")
@@ -922,6 +927,72 @@ def test_align_with_seconds_to_frames_ratios_that_overflow_exits_0(
         "filea.align.jsonl",
         "fileb.align.jsonl",
     ]
+
+
+def test_align_with_a_region_past_a_file_of_tiny_frames_exits_2(synth_dirs, tmp_path, caplog):
+    # at 1e-320 s a frame, the files end near 1.5e-317 s: a region end may pass
+    # them by half a frame, not by an absolute 1e-6 s
+    data, vocab_path = synth_dirs
+    _set_frame_duration(data, "1e-320")
+    for path in data.glob("*.regions"):
+        path.write_text("0 1e-318\n5e-7 6e-7\n", encoding="utf-8")
+    flags = ["--regions-dir", str(data), "--max-gap-s", "0"]
+    assert _run_align(data, vocab_path, tmp_path / "out", *flags) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 2  # both files
+    assert all("SpeechRegionsError: region (5e-07, 6e-07) extends past" in e for e in errors)
+
+
+_THREADS_CODE = """
+import json, os, sys
+import anchoralign
+how, argv = sys.argv[1], json.loads(sys.argv[2])
+if how == "library":
+    anchoralign.align_file  # imports the aligner, and numpy with it
+else:
+    if how == "numpy first":
+        import numpy
+    import anchoralign.cli
+    assert anchoralign.cli.main(argv) == 0
+threads = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+@pytest.mark.parametrize(
+    "how, preset, want",
+    [("cli", None, "1"), ("cli", "2", "2"), ("numpy first", None, None), ("library", None, None)],
+    ids=["cli", "cli with a preset", "numpy imported first", "library"],
+)
+def test_align_runs_numpy_on_one_thread_unless_told_otherwise(
+    synth_dirs, tmp_path, how, preset, want
+):
+    # numpy's OpenBLAS starts a thread per extra CPU at import; anchoralign makes no
+    # BLAS call, so a command sets OPENBLAS_NUM_THREADS=1, but never over a value set
+    # before it, after numpy is imported, or from the library
+    data, vocab_path = synth_dirs
+    argv = _align_argv(data, vocab_path, tmp_path / "out", "--workers", "1")
+    env = {  # built here, so no thread setting of the calling process leaks in
+        "PATH": os.environ.get("PATH", os.defpath),
+        "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+        "ANCHOR_ALIGN_LOG": "quiet",
+    }
+    if "PYTHONPYCACHEPREFIX" in os.environ:  # where the lattice library is cached
+        env["PYTHONPYCACHEPREFIX"] = os.environ["PYTHONPYCACHEPREFIX"]
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_CODE, how, json.dumps(argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    value, threads = json.loads(proc.stdout)
+    assert value == want
+    if sys.platform == "linux" and how == "cli" and preset is None:
+        assert threads == 1
 
 
 @pytest.mark.parametrize(

@@ -590,6 +590,17 @@ def test_region_past_end_raises():
         apply_speech_regions(pm, SpeechRegions(regions=((0.0, 2.0),)), max_gap_s=5.0)
 
 
+def test_region_ends_may_pass_the_file_by_at_most_half_a_frame():
+    ordinary = _flat_pm(10, frame_s=0.02)  # 0.2 s: the slack stays 1e-6 s
+    apply_speech_regions(ordinary, SpeechRegions(regions=((0.0, 0.2 + 0.9e-6),)))
+    with pytest.raises(SpeechRegionsError):
+        apply_speech_regions(ordinary, SpeechRegions(regions=((0.0, 0.2 + 1.1e-6),)))
+    tiny = _flat_pm(10, frame_s=1e-320)  # the file ends at 1e-319 s
+    apply_speech_regions(tiny, SpeechRegions(regions=((0.0, 1e-319),)), max_gap_s=0.0)
+    with pytest.raises(SpeechRegionsError, match=r"\(5e-07, 6e-07\)"):
+        apply_speech_regions(tiny, SpeechRegions(regions=((5e-7, 6e-7),)), max_gap_s=0.0)
+
+
 def test_compression_preserves_payload_and_vocab_id(spanish_vocab, tmp_path):
     rng = np.random.default_rng(7)
     pm = PosteriorMatrix(
@@ -612,6 +623,33 @@ def test_compressed_matrix_is_read_only():
     assert compressed.frame_duration_s == pm.frame_duration_s
     with pytest.raises(ValueError):
         compressed.data[0, 0] = 0.0
+
+
+def test_compaction_by_slices_equals_the_boolean_mask_copy():
+    # regions on the kept runs and max_gap_s 0 cut exactly the frames keep drops
+    rng = np.random.default_rng(32)
+    frame_s = 0.25  # exact in binary, so every region edge lands on its frame
+    compared = 0
+    for n in (2, 7, 500):
+        pm = PosteriorMatrix(data=_rand_logp(rng, n, 5), frame_duration_s=frame_s)
+        for p_keep in (0.1, 0.5, 0.95):
+            for first, last in ((False, True), (True, False), (False, False)):
+                keep = rng.random(n) < p_keep
+                keep[0], keep[-1] = first, last
+                if not keep.any():
+                    continue
+                runs = _kept_runs(keep)
+                regions = tuple((o * frame_s, (o + k) * frame_s) for _, o, k in runs)
+                compressed, fm = apply_speech_regions(pm, SpeechRegions(regions), max_gap_s=0.0)
+                assert fm.segments == runs
+                want = pm.data[keep]
+                assert compressed.data.dtype == want.dtype and compressed.data.shape == want.shape
+                assert compressed.data.tobytes() == want.tobytes()
+                assert compressed.data.flags.c_contiguous
+                assert not compressed.data.flags.writeable
+                assert not np.shares_memory(compressed.data, pm.data)
+                compared += 1
+    assert compared >= 20
 
 
 def _kept_runs_loop(keep):

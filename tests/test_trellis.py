@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import logging
 import math
 import os
 import subprocess
@@ -37,7 +38,7 @@ from anchoralign import (
 from anchoralign import aligner, trellis
 from anchoralign.errors import ConfigError, NoPathError
 from anchoralign.posterior_io import PosteriorMatrix, logsumexp
-from anchoralign.trellis import _EMIT_BLOCK_ROWS, Trellis
+from anchoralign.trellis import _EMIT_BLOCK_ROWS, Trellis, segment_scores
 
 VOCAB = Vocab(symbols=("∅", " ", "a", "b", "c"), blank_index=0, separator_index=1)
 
@@ -1188,6 +1189,15 @@ def test_the_library_is_built_once(monkeypatch):
     assert trellis._load_library() is not None
 
 
+def test_the_numpy_kernel_is_announced_with_its_reason(caplog):
+    with caplog.at_level(logging.WARNING, logger="anchoralign.trellis"):
+        assert trellis._load_library("no-such-compiler-anywhere") is None
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "lattice kernel: numpy" in record.getMessage()
+    assert "no-such-compiler-anywhere" in record.getMessage()  # the reason
+
+
 def test_an_unwritable_cache_falls_back_without_compiling(monkeypatch):
     monkeypatch.setattr(subprocess, "run", _no_build)  # trellis imports it only on a cache miss
     monkeypatch.setattr(trellis.os, "access", lambda path, mode: False)
@@ -1262,6 +1272,48 @@ def test_segment_score_is_worst_fragment():
     assert segment_score(np.array([-0.7])) == -0.7
     with pytest.raises(ValueError):
         segment_score(np.array([]))
+
+
+def _seeded_spans(rng, n_spans):
+    """Traced-rho-like spans of 1-400 frames: random log scores, some with -inf
+    frames, some with ties at the maximum, some all one value."""
+    spans = []
+    for _ in range(n_spans):
+        size = int(rng.integers(1, 401))
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            span = np.full(size, float(rng.choice([0.0, -0.105, -7.5, -np.inf])))
+        else:
+            span = np.log(rng.random(size)) * float(rng.choice([0.01, 1.0, 30.0]))
+            if kind == 2:
+                span[rng.random(size) < 0.1] = -np.inf
+            if kind == 3:
+                span[rng.random(size) < 0.3] = span.max()
+        spans.append(span)
+    return spans
+
+
+@pytest.mark.parametrize("frames", [1, 2, 30, 401, 10**20])
+def test_segment_scores_equal_each_spans_segment_score(frames):
+    # the one reduction over every span gives each span's own bits
+    rng = np.random.default_rng(frames % 1000)
+    compared = 0
+    for _ in range(40):
+        spans = _seeded_spans(rng, int(rng.integers(1, 50)))
+        want = [segment_score(fragment_scores(span, frames)) for span in spans]
+        got = segment_scores(spans, frames)
+        assert got.dtype == np.float64 and got.shape == (len(spans),)
+        assert got.tobytes() == np.array(want).tobytes()
+        compared += len(spans)
+    assert compared > 500
+    assert segment_scores([], frames).shape == (0,)
+
+
+def test_segment_scores_validation():
+    with pytest.raises(ConfigError):
+        segment_scores([np.zeros(5)], fragment_frames=0)
+    with pytest.raises(ValueError, match="empty span"):
+        segment_scores([np.zeros(5), np.array([])])
 
 
 # --- score normalization and short penalty -----------------------------------
